@@ -158,6 +158,9 @@ class ModuleParams:
         for key in ("alpha", "beta", "lambda"):
             if not isinstance(cfg[key], list):
                 raise ParamError(f"field {key!r} must be an array")
+        max_dim = cfg.get("max_dim", max_dim)
+        if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 1:
+            raise ParamError("field 'max_dim' must be a positive integer")
 
         def scalar(key, value):
             try:
@@ -169,8 +172,7 @@ class ModuleParams:
         alpha = [scalar(f"alpha[{i}]", v) for i, v in enumerate(cfg["alpha"])]
         beta = [scalar(f"beta[{i}]", v) for i, v in enumerate(cfg["beta"])]
         lam = [scalar(f"lambda[{i}]", v) for i, v in enumerate(cfg["lambda"])]
-        return cls(m, k, n, alpha1, alpha, beta, lam,
-                   max_dim=cfg.get("max_dim", max_dim))
+        return cls(m, k, n, alpha1, alpha, beta, lam, max_dim=max_dim)
 
 
 def classify_case(params: ModuleParams) -> CaseTag:

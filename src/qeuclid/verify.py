@@ -10,6 +10,7 @@ dimension simple module.  Each link is checked and reported separately.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .linalg import CycMatrix, nullspace_dimension
@@ -143,48 +144,119 @@ def check_central_scalars(gm: GeneratorMatrices,
     return out
 
 
-def commutant_dimension(gm: GeneratorMatrices,
-                        max_dim: int = COMMUTANT_MAX_DIM) -> int:
-    """Dimension over Q(zeta_m) of {X : X M_g = M_g X for all generators},
-    by exact Gaussian elimination on the d^2 unknown entries of X.
+@dataclass
+class JointSpectrum:
+    """Diagonals of the products x_r y_r (r = 2..n) over every row.
+
+    ``diagonals[r]`` lists the eigenvalues of x_r y_r, or is None where
+    the product is missing or not diagonal.  ``keys[i]`` is row i's tuple
+    of eigenvalues over the diagonal products only.
+    """
+    diagonals: dict
+    keys: list
+
+    @property
+    def simple(self) -> bool:
+        """No two rows share a key: the premise of the spectral commutant."""
+        return len(set(self.keys)) == len(self.keys)
+
+    @property
+    def commutant_method(self) -> str:
+        return "spectral" if self.simple else "restricted-elimination"
+
+
+def joint_spectrum(gm: GeneratorMatrices) -> JointSpectrum:
+    """Form each x_r y_r once, for the separation check and the commutant."""
+    diagonals = {}
+    for r in range(2, gm.params.n + 1):
+        x = gm.mats.get(gen_name(xgen(r)))
+        y = gm.mats.get(gen_name(ygen(r)))
+        op = x @ y if x is not None and y is not None else None
+        diagonals[r] = op.diagonal() if op is not None and op.is_diagonal() else None
+    columns = [diag for diag in diagonals.values() if diag is not None]
+    keys = list(zip(*columns)) if columns else [()] * gm.dim
+    return JointSpectrum(diagonals, keys)
+
+
+def commutant_dimension(gm: GeneratorMatrices, max_dim: int = COMMUTANT_MAX_DIM,
+                        spectrum: JointSpectrum | None = None) -> int:
+    """Dimension over Q(zeta_m) of {X : X M_g = M_g X for all generators}.
+
+    X commutes with every diagonal x_r y_r, so X_ij (nu_j - nu_i) = 0:
+    X vanishes between rows whose eigenvalue keys differ.  When the joint
+    spectrum is simple X is diagonal, and a diagonal X commutes with M
+    exactly when X_r = X_c on every nonzero entry (r, c) of M, so the
+    dimension is the number of connected components of those edges.
+    Otherwise the unknowns are the pairs of rows with equal keys, solved
+    by exact elimination; more than max_dim^2 of them raise GuardError.
 
     A verified instance must return 1 (only scalars commute), which is
     absolute irreducibility by the Schur criterion.
     """
-    d = gm.dim
-    if d > max_dim:
+    if spectrum is None:
+        spectrum = joint_spectrum(gm)
+    if spectrum.simple:
+        return _edge_components(gm)
+    return _restricted_nullity(gm, spectrum.keys, max_dim)
+
+
+def _edge_components(gm: GeneratorMatrices) -> int:
+    """Union-find over the nonzero entries of all generators."""
+    parent = list(range(gm.dim))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    components = gm.dim
+    for mat in gm.mats.values():
+        for r, c, _ in mat.entries():
+            a, b = find(r), find(c)
+            if a != b:
+                parent[a] = b
+                components -= 1
+    return components
+
+
+def _restricted_nullity(gm: GeneratorMatrices, keys, max_dim: int) -> int:
+    """Nullity of the commutation equations in the unknowns X_ij with
+    key_i == key_j; every other entry of X is zero."""
+    classes: dict = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    unknowns = sum(len(rows) ** 2 for rows in classes.values())
+    if unknowns > max_dim ** 2:
         raise GuardError(
-            f"commutant guard: dimension {d} exceeds cap {max_dim}; "
-            "pass a larger max_dim to override")
+            f"commutant guard: {unknowns} unknowns with equal eigenvalue keys "
+            f"exceed cap {max_dim}^2; pass a larger max_dim to override")
+    index = {}
+    for rows in classes.values():
+        for i in rows:
+            for j in rows:
+                index[i, j] = len(index)
 
     def equations():
+        # (XM - MX)_rs = sum_t X_rt M_ts - sum_t M_rt X_ts
         for mat in gm.mats.values():
-            # row r of M: target column sigma(r) with coefficient c(r)
-            sigma, coef, premap = {}, {}, {}
-            for r, row in mat.rows.items():
-                ((c, v),) = row.items()
-                sigma[r], coef[r] = c, v
-                premap.setdefault(c, []).append(r)
-            for r in range(d):
-                for s in range(d):
-                    eq = {}
-                    for t in premap.get(s, ()):
-                        eq[r * d + t] = coef[t]
-                    if r in sigma:
-                        key = sigma[r] * d + s
-                        cur = eq.get(key)
-                        cur = -coef[r] if cur is None else cur - coef[r]
-                        if cur.is_zero():
-                            eq.pop(key, None)
-                        else:
-                            eq[key] = cur
-                    if eq:
-                        yield eq
+            column: dict = {}
+            for r, c, v in mat.entries():
+                column.setdefault(c, []).append((r, v))
+            eqs: dict = {}
+            for (i, j), k in index.items():
+                for s, v in mat.rows.get(j, {}).items():
+                    eq = eqs.setdefault((i, s), {})
+                    eq[k] = eq[k] + v if k in eq else v
+                for r, v in column.get(i, ()):
+                    eq = eqs.setdefault((r, j), {})
+                    eq[k] = eq[k] - v if k in eq else -v
+            for eq in eqs.values():
+                eq = {k: v for k, v in eq.items() if not v.is_zero()}
+                if eq:
+                    yield eq
 
-    for mat in gm.mats.values():
-        if not mat.is_monomial():
-            raise ValueError("commutant solver expects monomial matrices")
-    return nullspace_dimension(equations(), d * d)
+    return nullspace_dimension(equations(), len(index))
 
 
 @dataclass
@@ -199,34 +271,32 @@ class SeparationCheck:
 
 
 def check_eigen_separation(gm: GeneratorMatrices,
-                           params: ModuleParams | None = None) -> list[SeparationCheck]:
+                           params: ModuleParams | None = None,
+                           spectrum: JointSpectrum | None = None
+                           ) -> list[SeparationCheck]:
     """For r = 2..n the operator x_r y_r is diagonal; basis rows that
     agree at every position above r but differ at r must have distinct
     eigenvalues (the separation that drives the linear-independence
-    induction)."""
+    induction).
+
+    Judged on every row of gm, without basis labels: the eigenvalues of
+    x_s y_s for s = r..n must split the rows into classes of exactly
+    m^(r-2) rows, the number of basis vectors sharing (a_r, ..., a_n).
+    At r = 2 this says the joint spectrum is simple.
+    """
     params = params or gm.params
-    from .repmod import basis_indices
-    indices = basis_indices(params)
+    if spectrum is None:
+        spectrum = joint_spectrum(gm)
+    diagonals = spectrum.diagonals
     out = []
     for r in range(2, params.n + 1):
-        op = gm.mat(xgen(r)) @ gm.mat(ygen(r))
-        diagonal = op.is_diagonal()
+        diagonal = diagonals.get(r) is not None
         separated = True
         if diagonal:
-            groups: dict = {}
-            for row, a in enumerate(indices):
-                tail = a[r - 1:]
-                seen = groups.setdefault(tail, {})
-                nu = op.get(row, row)
-                a_r = a[r - 2]
-                if a_r in seen:
-                    if seen[a_r] != nu:
-                        separated = False  # same a_r must repeat the eigenvalue
-                else:
-                    for other_ar, other_nu in seen.items():
-                        if other_ar != a_r and other_nu == nu:
-                            separated = False
-                    seen[a_r] = nu
+            columns = [diagonals[s] for s in range(r, params.n + 1)
+                       if diagonals.get(s) is not None]
+            sizes = Counter(zip(*columns)).values()
+            separated = all(size == params.m ** (r - 2) for size in sizes)
         out.append(SeparationCheck(position=r, diagonal=diagonal,
                                    separated=separated))
     return out
@@ -266,6 +336,7 @@ class VerificationReport:
     bound: DimensionBound
     commutant_dim: int | None
     commutant_skipped: str = ""
+    commutant_method: str = ""
     sections: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -321,6 +392,7 @@ class VerificationReport:
             },
             "commutant_dim": self.commutant_dim,
             "commutant_skipped": self.commutant_skipped,
+            "commutant_method": self.commutant_method,
         }
 
 
@@ -328,18 +400,23 @@ def run_verification(gm: GeneratorMatrices,
                      commutant_cap: int = COMMUTANT_MAX_DIM) -> VerificationReport:
     """All checks on a built (or imported) instance.
 
-    Instances above the commutant guard run every other check; the
-    commutant section is then reported as skipped rather than failed.
+    The x_r y_r products are formed once and shared by the separation
+    check and the commutant.  An instance whose restricted commutant
+    system exceeds the guard runs every other check; the commutant
+    section is then reported as skipped rather than failed.
     """
     params = gm.params
     relation_failures = check_relations(gm, params)
     omega = check_omega_action(gm, params)
     central = check_central_scalars(gm, params)
-    separation = check_eigen_separation(gm, params)
+    spectrum = joint_spectrum(gm)
+    separation = check_eigen_separation(gm, params, spectrum)
     bound = check_dimension_bound(params)
-    commutant, skipped = None, ""
+    commutant, method, skipped = None, "", ""
     try:
-        commutant = commutant_dimension(gm, max_dim=commutant_cap)
+        commutant = commutant_dimension(gm, max_dim=commutant_cap,
+                                        spectrum=spectrum)
+        method = spectrum.commutant_method
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(
@@ -352,6 +429,7 @@ def run_verification(gm: GeneratorMatrices,
         bound=bound,
         commutant_dim=commutant,
         commutant_skipped=skipped,
+        commutant_method=method,
     )
 
 
@@ -371,7 +449,8 @@ def tampered_copy(gm: GeneratorMatrices, name: str, row: int, col: int):
 
 
 def direct_sum(gm: GeneratorMatrices):
-    """Block-diagonal doubling; its commutant is at least 2-dimensional."""
+    """Block-diagonal doubling; its commutant is 4-dimensional (2 x 2
+    matrices over the commutant of a simple module)."""
     field = gm.params.domain.field
     d = gm.dim
     mats = {}

@@ -163,8 +163,8 @@ def test_criterion_7_negative_controls(tmp_path):
                            for chk in check_central_scalars(tampered))), \
                 f"tampering {name}[{r},{c}] undetected"
 
-    # (d) direct-sum doubling has commutant dimension >= 2
-    assert commutant_dimension(direct_sum(gm)) >= 2
+    # (d) direct-sum doubling has commutant dimension 4 (2 x 2 matrices)
+    assert commutant_dimension(direct_sum(gm)) == 4
 
 
 def test_full_pipeline_summary():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.repmod import GeneratorMatrices
 from qeuclid.verify import run_verification
@@ -82,6 +84,13 @@ class TestConfigValidation:
         assert "'lambda' must be an array" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("max_dim", ["x", 0, -9, 2.5, True, None])
+    def test_bad_max_dim_rejected(self, tmp_path, capsys, max_dim):
+        cfg = write_config(tmp_path, max_dim=max_dim)
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert "'max_dim' must be a positive integer" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_all_cases_pass(self, tmp_path, capsys):
         for name, alpha, beta, lam in (
@@ -147,6 +156,8 @@ class TestVerifyCommand:
         human = capsys.readouterr().out
         assert f"dimension m^(n-1)   : {verification['dimension']}" in human
         assert f"commutant dim       : {verification['commutant_dim']}" in human
+        assert verification["commutant_method"] == "spectral"
+        assert f"({verification['commutant_method']})" in human
 
 
 class TestBuildCommand:

@@ -29,9 +29,38 @@ from qeuclid.verify import (
     check_relations,
     commutant_dimension,
     direct_sum,
+    joint_spectrum,
     run_verification,
     tampered_copy,
 )
+
+CASES = ["I", "II", "III"]
+SHAPES = [(2, 3), (2, 5), (3, 3)]
+
+
+def full_commutant_dimension(gm):
+    """Oracle: Gaussian elimination on all d^2 entries of X, one equation
+    (XM - MX)_rs = 0 per generator M and entry (r, s)."""
+    d = gm.dim
+    zero = gm.params.domain.field.zero()
+
+    def equations():
+        for mat in gm.mats.values():
+            column = {}
+            for r, c, v in mat.entries():
+                column.setdefault(c, []).append((r, v))
+            for r in range(d):
+                for s in range(d):
+                    eq = {}
+                    for t, v in column.get(s, ()):      # X_rt M_ts
+                        eq[r * d + t] = eq.get(r * d + t, zero) + v
+                    for t, v in mat.rows.get(r, {}).items():   # M_rt X_ts
+                        eq[t * d + s] = eq.get(t * d + s, zero) - v
+                    eq = {k: v for k, v in eq.items() if not v.is_zero()}
+                    if eq:
+                        yield eq
+
+    return nullspace_dimension(equations(), d * d)
 
 
 def build(case, n, m, k=1, seed=0):
@@ -111,12 +140,13 @@ class TestCommutant:
 
     def test_direct_sum_is_caught(self):
         _, gm = build("I", 2, 3, seed=37)
-        assert commutant_dimension(direct_sum(gm)) >= 2
+        assert commutant_dimension(direct_sum(gm)) == 4
 
     def test_guard(self):
         _, gm = build("I", 3, 3, seed=38)   # dim 9
+        # the sum of dimension 18 keeps 2 x 2 = 4 unknowns per key: 36 > 5^2
         with pytest.raises(GuardError, match="commutant guard"):
-            commutant_dimension(gm, max_dim=8)
+            commutant_dimension(direct_sum(gm), max_dim=5)
 
     def test_identity_only_solution_is_exact(self):
         # sanity-check the eliminator itself on a tiny handmade system
@@ -139,6 +169,72 @@ class TestCommutant:
         stub = GeneratorMatrices(params, gm.case, mats)
         stub.dim = 1
         assert commutant_dimension(stub) == 1
+
+    def test_spectral_path_needs_no_guard(self):
+        _, gm = build("I", 3, 3, seed=38)
+        assert joint_spectrum(gm).simple
+        assert commutant_dimension(gm, max_dim=1) == 1
+
+
+class TestCommutantOracle:
+    """The spectral and restricted paths against the d^2-unknown solve."""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_genuine_instances(self, case, n, m):
+        _, gm = build(case, n, m, seed=51)
+        assert joint_spectrum(gm).commutant_method == "spectral"
+        assert commutant_dimension(gm) == full_commutant_dimension(gm) == 1
+
+    def test_spectral_path_counts_components(self):
+        # x2 y2 = diag(1, 2, 3) is a simple spectrum; x1 joins rows 0 and 1
+        params, gm = build("I", 2, 3, seed=54)
+        field = params.domain.field
+        mats = {name: CycMatrix(field, 3) for name in ("x1", "y1", "x2", "y2")}
+        for i in range(3):
+            mats["x2"].set(i, i, field.scalar(i + 1))
+            mats["y2"].set(i, i, field.one())
+        mats["x1"].set(0, 1, field.one())
+        stub = GeneratorMatrices(params, gm.case, mats)
+        assert joint_spectrum(stub).commutant_method == "spectral"
+        assert commutant_dimension(stub) == full_commutant_dimension(stub) == 2
+        mats["y1"].set(2, 1, params.domain.q)
+        assert commutant_dimension(stub) == full_commutant_dimension(stub) == 1
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_single_entry_tampered_copy(self, case):
+        _, gm = build(case, 3, 3, seed=52)
+        for name in sorted(gm.mats):
+            for r, c, _ in list(gm.mats[name].entries()):
+                bad = tampered_copy(gm, name, r, c)
+                assert commutant_dimension(bad) == full_commutant_dimension(bad), \
+                    f"{name}[{r},{c}]"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_direct_sum_of_every_tampered_copy(self, case):
+        _, gm = build(case, 2, 5, seed=52)
+        for name in sorted(gm.mats):
+            for r, c, _ in list(gm.mats[name].entries()):
+                doubled = direct_sum(tampered_copy(gm, name, r, c))
+                assert (commutant_dimension(doubled)
+                        == full_commutant_dimension(doubled)), f"{name}[{r},{c}]"
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_direct_sums(self, case, n, m):
+        _, gm = build(case, n, m, seed=51)
+        doubled = direct_sum(gm)
+        assert joint_spectrum(doubled).commutant_method == "restricted-elimination"
+        assert commutant_dimension(doubled) == full_commutant_dimension(doubled) == 4
+
+    def test_d729_commutant_is_decided(self):
+        params = random_module_params("I", 4, 9, 1, seed=53)
+        params.max_dim = 729
+        report = run_verification(build_module(params))
+        assert report.dimension == 729
+        assert report.commutant_dim == 1 and report.commutant_skipped == ""
+        assert report.commutant_method == "spectral"
+        assert report.ok
 
 
 class TestEigenSeparation:
@@ -165,6 +261,26 @@ class TestEigenSeparation:
         diag = op.diagonal()
         assert len({check_value.to_fractions() for check_value in diag}) == 3
 
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 5)])
+    def test_direct_sum_fails(self, case, n, m):
+        # every eigenvalue key of a sum appears twice: rows i and i + d
+        _, gm = build(case, n, m, seed=39)
+        checks = check_eigen_separation(direct_sum(gm))
+        assert all(c.diagonal for c in checks)
+        assert not any(c.separated for c in checks)
+        report = run_verification(direct_sum(gm), commutant_cap=2 * gm.dim)
+        assert not report.sections["eigen_separation"]
+        assert report.commutant_dim == 4
+
+    def test_independent_of_basis_order(self):
+        _, gm = build("II", 3, 3, seed=39)
+        perm = list(range(gm.dim))
+        random.Random(5).shuffle(perm)
+        mats = {name: mat.permuted(perm) for name, mat in gm.mats.items()}
+        conj = GeneratorMatrices(gm.params, gm.case, mats)
+        assert all(c.ok for c in check_eigen_separation(conj))
+
 
 class TestDimensionBound:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 5), (2, 7)])
@@ -190,10 +306,22 @@ class TestFullReport:
 
     def test_commutant_skip_keeps_other_sections(self):
         _, gm = build("I", 3, 3, seed=44)
-        report = run_verification(gm, commutant_cap=4)
+        # a genuine module takes the unguarded spectral path; the direct
+        # sum's restricted system (36 unknowns) exceeds the cap 4^2
+        report = run_verification(direct_sum(gm), commutant_cap=4)
         assert report.commutant_dim is None
         assert "commutant guard" in report.commutant_skipped
-        assert report.ok  # skipped, not failed
+        assert report.commutant_method == ""
+        assert report.sections["commutant"]  # skipped, not failed
+        # a sum is a representation; only its separation fails
+        assert [name for name, ok in report.sections.items() if not ok] \
+            == ["eigen_separation"]
+
+    def test_commutant_method_reported(self):
+        _, gm = build("II", 2, 3, seed=43)
+        assert run_verification(gm).to_dict()["commutant_method"] == "spectral"
+        doubled = run_verification(direct_sum(gm))
+        assert doubled.to_dict()["commutant_method"] == "restricted-elimination"
 
     def test_failing_instance_reports_sections(self):
         _, gm = build("I", 2, 3, seed=45)
