@@ -36,8 +36,12 @@ EXIT_VERIFY = 3
 EXIT_GUARD = 4
 
 
-def parse_config(path: str) -> ModuleParams:
-    """Load and validate an instance config, with field-precise errors."""
+def parse_config(path: str, max_dim=None) -> ModuleParams:
+    """Load and validate an instance config, with field-precise errors.
+
+    A ``max_dim`` given here (the --max-dim flag) replaces the config's
+    ``"max_dim"`` key and is validated by the same rule.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -47,6 +51,8 @@ def parse_config(path: str) -> ModuleParams:
         raise ParamError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParamError("config must be a JSON object")
+    if max_dim is not None:
+        raw["max_dim"] = max_dim
     return ModuleParams.from_config(raw)
 
 
@@ -143,9 +149,7 @@ def cmd_pi_degree(args) -> int:
 
 
 def cmd_build(args) -> int:
-    params = parse_config(args.config)
-    if args.max_dim:
-        params.max_dim = args.max_dim
+    params = parse_config(args.config, args.max_dim)
     t0 = time.perf_counter()
     gm = build_module(params)
     elapsed = time.perf_counter() - t0
@@ -169,11 +173,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = parse_config(args.config)
-    commutant_cap = COMMUTANT_MAX_DIM
-    if args.max_dim:
-        params.max_dim = args.max_dim
-        commutant_cap = args.max_dim
+    params = parse_config(args.config, args.max_dim)
+    commutant_cap = COMMUTANT_MAX_DIM if args.max_dim is None else args.max_dim
     t0 = time.perf_counter()
     case = classify_case(params)
     gm = build_module(params)
@@ -222,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-dim", type=int, default=0)
+    p.add_argument("--max-dim", type=int)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="build and verify a module instance")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-dim", type=int, default=0)
+    p.add_argument("--max-dim", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identities",

@@ -161,6 +161,9 @@ class ModuleParams:
         max_dim = cfg.get("max_dim", max_dim)
         if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 1:
             raise ParamError("field 'max_dim' must be a positive integer")
+        # before any scalar builds Q(zeta_m): phi(m) < m <= m^(n-1) for n >= 2,
+        # so the cap on the module also bounds the field's reduction table
+        check_dimension(m, n, max_dim)
 
         def scalar(key, value):
             try:
@@ -186,6 +189,21 @@ def classify_case(params: ModuleParams) -> CaseTag:
 
 def dimension(params: ModuleParams) -> int:
     return params.m ** (params.n - 1)
+
+
+def check_dimension(m: int, n: int, max_dim: int) -> int:
+    """m^(n-1), or GuardError as soon as a partial power exceeds max_dim.
+
+    The power grows one factor at a time, so a huge n is refused without
+    forming a huge integer.
+    """
+    dim = 1
+    for _ in range(n - 1):
+        dim *= m
+        if dim > max_dim:
+            raise GuardError(f"dimension guard: m^(n-1) = {m}^{n - 1} "
+                             f"exceeds cap {max_dim}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +374,7 @@ class GeneratorMatrices:
 def build_module(params: ModuleParams) -> GeneratorMatrices:
     """Aggregate the single-row action over all rows into the matrices."""
     case = classify_case(params)
-    dim = dimension(params)
-    if dim > params.max_dim:
-        raise GuardError(
-            f"dimension guard: m^(n-1) = {dim} exceeds cap {params.max_dim}")
+    dim = check_dimension(params.m, params.n, params.max_dim)
     field = params.domain.field
     indices = basis_indices(params)
     mats = {}

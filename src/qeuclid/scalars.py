@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import kernels
-
 Rational = Fraction
 
 
@@ -155,6 +153,73 @@ def _qpoly_xgcd(a, b):
 
 
 # ---------------------------------------------------------------------------
+# coefficient-vector arithmetic in Q(zeta_m)
+# ---------------------------------------------------------------------------
+#
+# An element is carried as ``(nums, den)``: ``nums`` holds phi(m) integers
+# (power-basis coordinates modulo the m-th cyclotomic polynomial) and
+# ``den`` is a positive common denominator.  The pair is normalized: the
+# gcd of all numerators and the denominator is 1, and the zero vector has
+# den == 1.  ``red`` is the field's reduction table: ``red[t]`` gives the
+# integer coordinates of zeta^(d+t) for t = 0 .. d-2 (Phi_m is monic over Z).
+
+def vec_normalize(nums, den):
+    """Reduce (nums, den) to canonical form: den > 0, content coprime to den."""
+    if den < 0:
+        den = -den
+        nums = [-v for v in nums]
+    g = den
+    for v in nums:
+        g = gcd(g, v)
+        if g == 1:
+            return tuple(nums), den
+    if g == 0:
+        # all numerators zero and den == 0 cannot happen (den > 0 invariant)
+        return tuple(nums), 1
+    if g > 1:
+        nums = [v // g for v in nums]
+        den //= g
+    if den == 1 and not any(nums):
+        return tuple(nums), 1
+    return tuple(nums), den
+
+
+def vec_add(anums, aden, bnums, bden):
+    if aden == bden:
+        return vec_normalize([a + b for a, b in zip(anums, bnums)], aden)
+    return vec_normalize(
+        [a * bden + b * aden for a, b in zip(anums, bnums)], aden * bden)
+
+
+def vec_sub(anums, aden, bnums, bden):
+    if aden == bden:
+        return vec_normalize([a - b for a, b in zip(anums, bnums)], aden)
+    return vec_normalize(
+        [a * bden - b * aden for a, b in zip(anums, bnums)], aden * bden)
+
+
+def vec_mul(anums, aden, bnums, bden, red):
+    """Product in the power basis: convolve, then fold degrees >= d via red."""
+    d = len(anums)
+    conv = [0] * (2 * d - 1)
+    for i, a in enumerate(anums):
+        if a:
+            for j, b in enumerate(bnums):
+                if b:
+                    conv[i + j] += a * b
+    res = conv[:d]
+    for t in range(d - 1):
+        c = conv[d + t]
+        if c:
+            row = red[t]
+            for j in range(d):
+                rv = row[j]
+                if rv:
+                    res[j] += c * rv
+    return vec_normalize(res, aden * bden)
+
+
+# ---------------------------------------------------------------------------
 # the cyclotomic field and its elements
 # ---------------------------------------------------------------------------
 
@@ -204,7 +269,7 @@ class CyclotomicField:
         if len(nums) != self.degree:
             raise ValueError(
                 f"coefficient vector longer than phi({self.m}) = {self.degree}")
-        return Cyclotomic(self, *kernels.vec_normalize(nums, den))
+        return Cyclotomic(self, *vec_normalize(nums, den))
 
     def from_fractions(self, fracs) -> "Cyclotomic":
         fracs = list(fracs)
@@ -272,7 +337,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.field, *kernels.vec_add(
+        return Cyclotomic(self.field, *vec_add(
             self.nums, self.den, other.nums, other.den))
 
     __radd__ = __add__
@@ -281,7 +346,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.field, *kernels.vec_sub(
+        return Cyclotomic(self.field, *vec_sub(
             self.nums, self.den, other.nums, other.den))
 
     def __rsub__(self, other):
@@ -297,7 +362,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.field, *kernels.vec_mul(
+        return Cyclotomic(self.field, *vec_mul(
             self.nums, self.den, other.nums, other.den, self.field.reduction))
 
     __rmul__ = __mul__
@@ -552,12 +617,36 @@ def tokenize(text: str):
     return out
 
 
+# Bound on |e| * _power_size(base) for a power written in a literal, so
+# that "2^99999999999" or "(1+q)^100000" is refused instead of computed.
+# (1+q)^128 and 2^128 are the largest powers of 1+q and of 2 it allows.
+# Because the bound scales with the base, a nested power such as
+# "((1+q)^64)^64" is refused too.
+MAX_LITERAL_POWER = 256
+
+
+def _power_size(p: QLaurent) -> int:
+    """Degree width times the largest coefficient bit length; 0 for q^a.
+
+    base^e has at most e times the width in terms and about e times the
+    bits per coefficient, so e * size bounds the work of the power.  A
+    pure power of q stays one term with coefficient 1 at any exponent.
+    """
+    if not p.terms or (len(p.terms) == 1 and 1 in p.terms.values()):
+        return 0
+    width = max(p.terms) - min(p.terms) + 1
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in p.terms.values())
+    return width * bits
+
+
 class _ScalarParser:
     """Recursive-descent parser for q-Laurent scalar expressions.
 
     Grammar: sums/differences of products of factors; a factor is an
     integer, a rational a/b, q, any of those with ^exponent, or a
-    parenthesized expression.
+    parenthesized expression.  A power of anything but a pure power of q
+    is bounded by MAX_LITERAL_POWER.
     """
 
     def __init__(self, tokens):
@@ -608,7 +697,12 @@ class _ScalarParser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            base = base ** self.exponent()
+            e = self.exponent()
+            if abs(e) * _power_size(base) > MAX_LITERAL_POWER:
+                raise ValueError(
+                    f"exponent {e} too large for its base: |exponent| times "
+                    f"base size exceeds {MAX_LITERAL_POWER}")
+            base = base ** e
         return base
 
     def exponent(self):

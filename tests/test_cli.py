@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
+from qeuclid import scalars
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.repmod import GeneratorMatrices
 from qeuclid.verify import run_verification
@@ -89,6 +91,52 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, max_dim=max_dim)
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
         assert "'max_dim' must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize("flag", ["0", "-5"])
+    def test_bad_max_dim_flag_rejected(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", cfg, "--max-dim", flag]) == EXIT_CONFIG
+        assert "'max_dim' must be a positive integer" in capsys.readouterr().err
+
+    def test_max_dim_flag_wins_over_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, max_dim=2)
+        assert main(["verify", "--config", cfg]) == EXIT_GUARD
+        assert main(["verify", "--config", cfg, "--max-dim", "3"]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_dimension_guard_before_field_is_built(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m=200003)
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_GUARD
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "dimension guard" in err and err.count("\n") == 1
+        assert 200003 not in scalars._FIELD_CACHE
+
+    def test_dimension_guard_with_huge_n(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=10 ** 12)
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_GUARD
+        assert time.perf_counter() - t0 < 5.0
+        assert "dimension guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", [
+        "2^99999999999", "2^-99999999999", "(1+q)^100000", "((1+q)^64)^64"])
+    def test_oversized_literal_power_rejected(self, tmp_path, capsys, literal):
+        cfg = write_config(tmp_path, alpha1=literal)
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "field 'alpha1': exponent" in err and err.count("\n") == 1
+
+    def test_huge_power_of_q_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha1="q^99999999999")
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        assert time.perf_counter() - t0 < 5.0
+        capsys.readouterr()
 
 
 class TestVerifyCommand:

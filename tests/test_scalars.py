@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta_m) and in generic-q Laurent polynomials."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from qeuclid.scalars import (
     CyclotomicField,
     QLaurent,
+    _qpoly_divmod,
     cyclotomic_polynomial,
     encode_cyclotomic,
     euler_phi,
     parse_cyclotomic,
     parse_qlaurent,
     root_of_unity,
+    vec_normalize,
 )
 
 
@@ -155,6 +158,55 @@ class TestFieldArithmetic:
         e = field.element([2, -3, 0, 1], 7)
         s = e + (-e)
         assert s.nums == (0, 0, 0, 0) and s.den == 1
+
+
+class TestNormalizeInvariants:
+    def test_normalized_form(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            nums = [rng.randint(-50, 50) for _ in range(4)]
+            den = rng.randint(1, 40)
+            if rng.random() < 0.3:
+                den = -den
+            out_nums, out_den = vec_normalize(list(nums), den)
+            assert out_den > 0
+            if any(out_nums):
+                content = out_den
+                for v in out_nums:
+                    content = gcd(content, v)
+                assert content == 1
+            else:
+                assert out_den == 1
+            assert [Fraction(v, out_den) for v in out_nums] == \
+                [Fraction(v, den) for v in nums]
+
+    def test_zero_vector(self):
+        assert vec_normalize([0, 0], 7) == ((0, 0), 1)
+
+
+class TestMulOracle:
+    """Cyclotomic multiplication against the Fraction polynomial product
+    reduced mod Phi_m by long division."""
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 15, 21])
+    def test_mul_matches_polynomial_product_mod_phi(self, m):
+        field = CyclotomicField(m)
+        d = field.degree
+        modulus = [Fraction(c) for c in field.modulus]
+        rng = random.Random(m)
+        for trial in range(40):
+            bound = 10 ** 6 if trial % 4 == 0 else 30
+            a, b = (field.element([rng.randint(-bound, bound) for _ in range(d)],
+                                  rng.randint(1, 25))
+                    for _ in range(2))
+            fa, fb = a.to_fractions(), b.to_fractions()
+            product = [Fraction(0)] * (2 * d - 1)
+            for i, x in enumerate(fa):
+                for j, y in enumerate(fb):
+                    product[i + j] += x * y
+            _, rem = _qpoly_divmod(product, modulus)
+            rem += [Fraction(0)] * (d - len(rem))
+            assert (a * b).to_fractions() == tuple(rem)
 
 
 def _elements(m):
