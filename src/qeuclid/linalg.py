@@ -1,158 +1,88 @@
-"""Sparse exact matrices over a cyclotomic field, plus null-space dimension.
+"""Monomial exact matrices over a cyclotomic field, plus null-space dimension.
 
-All module generator matrices are monomial (at most one entry per row),
-so products, powers, and relation residuals stay extremely sparse; the
-representation is a dict of rows, each row a dict col -> nonzero scalar.
+Every module generator acts by scale-and-shift on the basis, so its
+matrix has at most one nonzero entry per row: row r is coeffs[r] times
+the unit row vector of column cols[r], or zero when cols[r] is None.
+Products are compositions of these maps, one scalar product per row.
 """
 
 from __future__ import annotations
 
 
+def compose_row(a: "CycMatrix", b: "CycMatrix", r: int):
+    """Row r of the product a b as (column, coefficient), or (None, None).
+
+    Stored coefficients are nonzero, so a product of two is nonzero too.
+    """
+    t = a.cols[r]
+    if t is None:
+        return None, None
+    c = b.cols[t]
+    if c is None:
+        return None, None
+    return c, a.coeffs[r] * b.coeffs[t]
+
+
 class CycMatrix:
-    """Sparse d x d matrix over a fixed CyclotomicField."""
+    """d x d matrix over a fixed CyclotomicField, at most one entry per row:
+    row r is coeffs[r] at column cols[r], or zero when cols[r] is None."""
 
-    __slots__ = ("field", "dim", "rows")
+    __slots__ = ("field", "dim", "cols", "coeffs")
 
-    def __init__(self, field, dim, rows=None):
+    def __init__(self, field, dim, cols=None, coeffs=None):
         self.field = field
         self.dim = dim
-        self.rows = rows if rows is not None else {}
-
-    @classmethod
-    def identity(cls, field, dim):
-        one = field.one()
-        return cls(field, dim, {i: {i: one} for i in range(dim)})
-
-    @classmethod
-    def zero(cls, field, dim):
-        return cls(field, dim, {})
+        self.cols = cols if cols is not None else [None] * dim
+        self.coeffs = coeffs if coeffs is not None else [None] * dim
 
     def set(self, r, c, value):
+        """Make row r the single entry value at column c (zero clears it)."""
         if value.is_zero():
-            row = self.rows.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del self.rows[r]
+            self.cols[r] = self.coeffs[r] = None
         else:
-            self.rows.setdefault(r, {})[c] = value
+            self.cols[r], self.coeffs[r] = c, value
 
     def get(self, r, c):
-        return self.rows.get(r, {}).get(c, self.field.zero())
+        if self.cols[r] == c:
+            return self.coeffs[r]
+        return self.field.zero()
 
     def entries(self):
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                yield r, c, v
-
-    def is_zero(self) -> bool:
-        return not self.rows
+        for r, c in enumerate(self.cols):
+            if c is not None:
+                yield r, c, self.coeffs[r]
 
     def copy(self) -> "CycMatrix":
-        return CycMatrix(self.field, self.dim,
-                         {r: dict(row) for r, row in self.rows.items()})
-
-    def _check(self, other):
-        if self.field is not other.field or self.dim != other.dim:
-            raise ValueError("matrix shape or field mismatch")
+        return CycMatrix(self.field, self.dim, list(self.cols), list(self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
         return (self.field is other.field and self.dim == other.dim
-                and self.rows == other.rows)
-
-    def __add__(self, other):
-        self._check(other)
-        out = self.copy()
-        for r, row in other.rows.items():
-            for c, v in row.items():
-                out.set(r, c, out.get(r, c) + v)
-        return out
-
-    def __sub__(self, other):
-        self._check(other)
-        out = self.copy()
-        for r, row in other.rows.items():
-            for c, v in row.items():
-                out.set(r, c, out.get(r, c) - v)
-        return out
-
-    def __neg__(self):
-        return CycMatrix(self.field, self.dim,
-                         {r: {c: -v for c, v in row.items()}
-                          for r, row in self.rows.items()})
-
-    def scale(self, scalar) -> "CycMatrix":
-        if scalar.is_zero():
-            return CycMatrix.zero(self.field, self.dim)
-        return CycMatrix(self.field, self.dim,
-                         {r: {c: scalar * v for c, v in row.items()}
-                          for r, row in self.rows.items()})
+                and self.cols == other.cols and self.coeffs == other.coeffs)
 
     def __matmul__(self, other):
-        self._check(other)
+        """Composition, one scalar product per row."""
+        if self.field is not other.field or self.dim != other.dim:
+            raise ValueError("matrix shape or field mismatch")
         out = CycMatrix(self.field, self.dim)
-        for r, row in self.rows.items():
-            acc: dict = {}
-            for t, v in row.items():
-                brow = other.rows.get(t)
-                if not brow:
-                    continue
-                for c, w in brow.items():
-                    cur = acc.get(c)
-                    cur = v * w if cur is None else cur + v * w
-                    if cur.is_zero():
-                        acc.pop(c, None)
-                    else:
-                        acc[c] = cur
-            if acc:
-                out.rows[r] = acc
+        for r in range(self.dim):
+            out.cols[r], out.coeffs[r] = compose_row(self, other, r)
         return out
 
     def __pow__(self, e: int) -> "CycMatrix":
+        """e-fold composition.  The checks never form powers: the central
+        ones are read off the cycles of the map (verify.central_power)."""
         if e < 0:
             raise ValueError("negative matrix powers not supported")
-        result = CycMatrix.identity(self.field, self.dim)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
+        result = CycMatrix(self.field, self.dim, list(range(self.dim)),
+                           [self.field.one()] * self.dim)
+        for _ in range(e):
+            result = result @ self
         return result
 
-    def is_monomial(self) -> bool:
-        """At most one nonzero per row."""
-        return all(len(row) <= 1 for row in self.rows.values())
-
-    def is_diagonal(self) -> bool:
-        return all(set(row) <= {r} for r, row in self.rows.items())
-
-    def diagonal(self):
-        return [self.get(i, i) for i in range(self.dim)]
-
-    def as_scalar(self):
-        """The scalar c with self == c * I, or None (zero matrix gives 0)."""
-        if self.is_zero():
-            return self.field.zero()
-        if not self.is_diagonal() or len(self.rows) != self.dim:
-            return None
-        diag = self.diagonal()
-        first = diag[0]
-        if any(v != first for v in diag[1:]):
-            return None
-        return first
-
-    def permuted(self, perm) -> "CycMatrix":
-        """Conjugate by the basis relabeling i -> perm[i]."""
-        out = CycMatrix(self.field, self.dim)
-        for r, c, v in self.entries():
-            out.set(perm[r], perm[c], v)
-        return out
-
     def __repr__(self):
-        nnz = sum(len(row) for row in self.rows.values())
+        nnz = sum(c is not None for c in self.cols)
         return f"CycMatrix({self.dim}x{self.dim}, {nnz} nonzero)"
 
 

@@ -29,7 +29,7 @@ import random
 from math import gcd
 
 from .linalg import CycMatrix
-from .rewriter import all_gens, gen_index, gen_name, is_x, root_domain, xgen, ygen
+from .rewriter import all_gens, gen_index, gen_name, is_x, root_domain
 from .scalars import Cyclotomic, encode_cyclotomic, parse_cyclotomic
 
 DEFAULT_MAX_DIM = 512
@@ -320,25 +320,11 @@ class GeneratorMatrices:
             name_or_code = gen_name(name_or_code)
         return self.mats[name_or_code]
 
-    def omega_matrix(self, i: int) -> CycMatrix:
-        """Matrix of omega_i = sum_{l<=i} (1-q^-2) y_l x_l."""
-        params = self.params
-        total = CycMatrix.zero(params.domain.field, self.dim)
-        for l in range(1, i + 1):
-            prod = self.mat(ygen(l)) @ self.mat(xgen(l))
-            total = total + prod.scale(params.domain.correction)
-        return total
-
     def to_wire(self) -> dict:
         gens = {}
         for name in sorted(self.mats):
-            triplets = []
-            mat = self.mats[name]
-            for r in range(self.dim):
-                row = mat.rows.get(r, {})
-                for c in sorted(row):
-                    triplets.append([r, c, encode_cyclotomic(row[c])])
-            gens[name] = triplets
+            gens[name] = [[r, c, encode_cyclotomic(v)]
+                          for r, c, v in self.mats[name].entries()]
         wire = self.params.to_wire()
         wire.update({
             "case": self.case.tag,
@@ -358,17 +344,44 @@ class GeneratorMatrices:
         dim = params.m ** (params.n - 1)
         if data.get("dimension") != dim:
             raise ParamError("dimension field does not match m^(n-1)")
-        field = params.domain.field
-        mats = {}
-        for name, triplets in data["generators"].items():
-            mat = CycMatrix(field, dim)
-            for r, c, coeff in triplets:
-                mat.set(r, c, parse_cyclotomic(coeff, params.m, params.k))
-            mats[name] = mat
+        generators = data.get("generators")
+        if not isinstance(generators, dict):
+            raise ParamError("field 'generators' must be an object")
+        mats = {name: _monomial_from_wire(name, triplets, params, dim)
+                for name, triplets in generators.items()}
         expected = {gen_name(g) for g in all_gens(params.n)}
         if set(mats) != expected:
             raise ParamError("generator set incomplete in matrix file")
         return cls(params, case, mats)
+
+
+def _monomial_from_wire(name, triplets, params: ModuleParams, dim: int):
+    """One generator's [row, col, value] triplets, checked to be in range
+    and to hold at most one nonzero entry per row."""
+    if not isinstance(triplets, list):
+        raise ParamError(f"generator {name!r}: entries must be an array")
+    mat = CycMatrix(params.domain.field, dim)
+    for pos, triplet in enumerate(triplets):
+        if not isinstance(triplet, list) or len(triplet) != 3:
+            raise ParamError(f"generator {name!r}, entry {pos}: expected "
+                             f"[row, col, value], got {triplet!r}")
+        r, c, coeff = triplet
+        for what, index in (("row", r), ("column", c)):
+            if (not isinstance(index, int) or isinstance(index, bool)
+                    or not 0 <= index < dim):
+                raise ParamError(f"generator {name!r}, entry {pos}: {what} "
+                                 f"{index!r} is not an integer in [0, {dim})")
+        try:
+            value = parse_cyclotomic(coeff, params.m, params.k)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParamError(f"generator {name!r}, row {r}: {exc}") from exc
+        if value.is_zero():
+            continue
+        if mat.cols[r] is not None:
+            raise ParamError(f"generator {name!r}, row {r}: a second nonzero "
+                             f"entry; generator matrices must be monomial")
+        mat.set(r, c, value)
+    return mat
 
 
 def build_module(params: ModuleParams) -> GeneratorMatrices:

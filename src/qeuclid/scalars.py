@@ -219,6 +219,24 @@ def vec_mul(anums, aden, bnums, bden, red):
     return vec_normalize(res, aden * bden)
 
 
+def _power(base, e: int, one):
+    """base^e for e >= 0 by binary powering: start at the lowest set bit
+    and square no further than the top bit, so e = 3 costs 2 products."""
+    if e == 0:
+        return one
+    while not e & 1:
+        base = base * base
+        e >>= 1
+    result = base
+    e >>= 1
+    while e:
+        base = base * base
+        if e & 1:
+            result = result * base
+        e >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # the cyclotomic field and its elements
 # ---------------------------------------------------------------------------
@@ -398,14 +416,7 @@ class Cyclotomic:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.field.one())
 
     # -- equality / hashing / display ---------------------------------------
 
@@ -533,14 +544,7 @@ class QLaurent:
                 raise ValueError("only monomials are invertible in QLaurent")
             (exp, c), = self.terms.items()
             return QLaurent({exp * e: Fraction(1) / c ** (-e)})
-        result = QLaurent.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, QLaurent.const(1))
 
     def exact_div(self, other: "QLaurent"):
         """Quotient if ``other`` divides ``self`` exactly, else None."""
@@ -624,6 +628,22 @@ def tokenize(text: str):
 # "((1+q)^64)^64" is refused too.
 MAX_LITERAL_POWER = 256
 
+# Bound on the summed _product_size of all products in one literal, so
+# that a chain "(1+q)^128*(1+q)^128*..." is refused instead of computed.
+# (1+q)^128*(1+q)^128 (size 257 * 250) is the largest product of two
+# such powers it allows; a third factor is refused.
+MAX_LITERAL_PRODUCT = 65536
+
+
+def _shape(p: QLaurent) -> tuple[int, int]:
+    """(degree width, largest coefficient bit length); (0, 0) for 0 and q^a."""
+    if not p.terms or (len(p.terms) == 1 and 1 in p.terms.values()):
+        return 0, 0
+    width = max(p.terms) - min(p.terms) + 1
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in p.terms.values())
+    return width, bits
+
 
 def _power_size(p: QLaurent) -> int:
     """Degree width times the largest coefficient bit length; 0 for q^a.
@@ -632,12 +652,17 @@ def _power_size(p: QLaurent) -> int:
     bits per coefficient, so e * size bounds the work of the power.  A
     pure power of q stays one term with coefficient 1 at any exponent.
     """
-    if not p.terms or (len(p.terms) == 1 and 1 in p.terms.values()):
-        return 0
-    width = max(p.terms) - min(p.terms) + 1
-    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-               for c in p.terms.values())
+    width, bits = _shape(p)
     return width * bits
+
+
+def _product_size(a: QLaurent, b: QLaurent) -> int:
+    """Width times bits that bound a * b; 0 when either factor is 0 or a
+    pure power of q, since the product is then a shift."""
+    (wa, ba), (wb, bb) = _shape(a), _shape(b)
+    if not (wa and wb):
+        return 0
+    return (wa + wb - 1) * (ba + bb)
 
 
 class _ScalarParser:
@@ -646,12 +671,14 @@ class _ScalarParser:
     Grammar: sums/differences of products of factors; a factor is an
     integer, a rational a/b, q, any of those with ^exponent, or a
     parenthesized expression.  A power of anything but a pure power of q
-    is bounded by MAX_LITERAL_POWER.
+    is bounded by MAX_LITERAL_POWER, and the products of the whole
+    literal together by MAX_LITERAL_PRODUCT.
     """
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -690,7 +717,13 @@ class _ScalarParser:
         value = self.factor()
         while self.peek() == "*":
             self.take()
-            value = value * self.factor()
+            factor = self.factor()
+            self.work += _product_size(value, factor)
+            if self.work > MAX_LITERAL_PRODUCT:
+                raise ValueError(
+                    f"products too large: their summed size exceeds "
+                    f"{MAX_LITERAL_PRODUCT}")
+            value = value * factor
         return value
 
     def factor(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .linalg import CycMatrix, nullspace_dimension
+from .linalg import CycMatrix, compose_row, nullspace_dimension
 from .pidegree import pi_degree
 from .repmod import GeneratorMatrices, GuardError, ModuleParams, dimension
 from .rewriter import all_gens, gen_name, xgen, ygen
@@ -26,44 +26,98 @@ COMMUTANT_MAX_DIM = 27
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None):
+def _plus(row: dict, col: int, value) -> dict:
+    """A copy of the sparse row with value added at col, zeros dropped."""
+    out = dict(row)
+    cur = out.get(col)
+    total = value if cur is None else cur + value
+    if total.is_zero():
+        del out[col]
+    else:
+        out[col] = total
+    return out
+
+
+def _scaled(s, mat: CycMatrix) -> CycMatrix:
+    """s times mat, for a nonzero scalar s (the columns are shared)."""
+    return CycMatrix(mat.field, mat.dim, mat.cols,
+                     [None if v is None else s * v for v in mat.coeffs])
+
+
+@dataclass
+class OmegaRows:
+    """Rows of y_i x_i and of omega_i = sum_(l<=i) (1-q^-2) y_l x_l.
+
+    ``yx[i][r]`` is row r of y_i x_i as (column, coefficient) or
+    (None, None); ``omega[i][r]`` is row r of omega_i as a dict column ->
+    nonzero coefficient, summed exactly, and ``omega[0]`` is zero.
+    """
+    yx: dict
+    omega: list
+
+
+def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
+    """Compose each y_i x_i once; the running sums are the omegas and the
+    residual terms of the additive relations."""
+    if {mat.dim for mat in gm.mats.values()} != {gm.dim}:
+        raise ValueError("generator matrices have mismatched dimensions")
+    correction = gm.params.domain.correction
+    yx = {}
+    omega = [[{} for _ in range(gm.dim)]]
+    for i in range(1, gm.params.n + 1):
+        y, x = gm.mat(ygen(i)), gm.mat(xgen(i))
+        yx[i] = [compose_row(y, x, r) for r in range(gm.dim)]
+        omega.append([prev if c is None else _plus(prev, c, correction * v)
+                      for prev, (c, v) in zip(omega[-1], yx[i])])
+    return OmegaRows(yx, omega)
+
+
+def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
+                    omegas: OmegaRows | None = None):
     """Residuals of all four defining relation families; returns failures.
 
-    Every residual must be the exact zero matrix, e.g. for the additive
-    relation M_x_i M_y_i - M_y_i M_x_i - sum_{l<i} (1-q^-2) M_y_l M_x_l.
+    Every residual must be the exact zero matrix.  A q-commutation
+    A B = s B A holds row by row when both rows are zero or share their
+    column and coefficient; s B is formed once per generator, and as s
+    is a unit it keeps the zero rows of B.  The additive relation
+    x_i y_i = y_i x_i + omega_(i-1) is compared with the exactly summed
+    rows of ``omegas``.
     """
     params = params or gm.params
+    if omegas is None:
+        omegas = omega_rows(gm)
     dom = params.domain
     n = params.n
-    dims = {mat.dim for mat in gm.mats.values()}
-    if dims != {gm.dim}:
-        raise ValueError("generator matrices have mismatched dimensions")
+    x = {i: gm.mat(xgen(i)) for i in range(1, n + 1)}
+    y = {i: gm.mat(ygen(i)) for i in range(1, n + 1)}
+    qx = {i: _scaled(dom.q_pow(1), x[i]) for i in x}
+    qy = {i: _scaled(dom.q_pow(-1), y[i]) for i in y}
     failures = []
 
-    def residual(name, res):
-        if not res.is_zero():
-            failures.append(name)
+    def q_commute(name, a, b, sb):
+        for r in range(gm.dim):
+            if compose_row(a, b, r) != compose_row(sb, a, r):
+                failures.append(name)
+                return
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yi, yj = gm.mat(ygen(i)), gm.mat(ygen(j))
-            residual(f"y{i}*y{j} = q^-1*y{j}*y{i}",
-                     yi @ yj - (yj @ yi).scale(dom.q_pow(-1)))
-            xi, xj = gm.mat(xgen(i)), gm.mat(xgen(j))
-            residual(f"x{i}*x{j} = q*x{j}*x{i}",
-                     xi @ xj - (xj @ xi).scale(dom.q_pow(1)))
+            q_commute(f"y{i}*y{j} = q^-1*y{j}*y{i}", y[i], y[j], qy[j])
+            q_commute(f"x{i}*x{j} = q*x{j}*x{i}", x[i], x[j], qx[j])
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                xi, yj = gm.mat(xgen(i)), gm.mat(ygen(j))
-                residual(f"x{i}*y{j} = q^-1*y{j}*x{i}",
-                         xi @ yj - (yj @ xi).scale(dom.q_pow(-1)))
+                q_commute(f"x{i}*y{j} = q^-1*y{j}*x{i}", x[i], y[j], qy[j])
     for i in range(1, n + 1):
-        xi, yi = gm.mat(xgen(i)), gm.mat(ygen(i))
-        res = xi @ yi - yi @ xi
-        for l in range(1, i):
-            res = res - (gm.mat(ygen(l)) @ gm.mat(xgen(l))).scale(dom.correction)
-        residual(f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l", res)
+        yx, before = omegas.yx[i], omegas.omega[i - 1]
+        for r in range(gm.dim):
+            c, v = yx[r]
+            rhs = before[r] if c is None else _plus(before[r], c, v)
+            c, v = compose_row(x[i], y[i], r)
+            if ({} if c is None else {c: v}) != rhs:
+                failures.append(
+                    f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l")
+                break
     return failures
 
 
@@ -81,22 +135,25 @@ class OmegaCheck:
 
 
 def check_omega_action(gm: GeneratorMatrices,
-                       params: ModuleParams | None = None) -> list[OmegaCheck]:
+                       params: ModuleParams | None = None,
+                       omegas: OmegaRows | None = None) -> list[OmegaCheck]:
     """Each omega_i must act diagonally, with entry lambda_i on the seed
     row and no zero on the diagonal (torsionfreeness)."""
     params = params or gm.params
+    if omegas is None:
+        omegas = omega_rows(gm)
     out = []
     for i in range(1, params.n + 1):
-        om = gm.omega_matrix(i)
-        diagonal = om.is_diagonal()
-        seed = om.get(0, 0)
+        rows = omegas.omega[i]
+        diagonal = all(row.keys() <= {r} for r, row in enumerate(rows))
+        seed = rows[0].get(0, params.domain.field.zero())
         out.append(OmegaCheck(
             index=i,
             diagonal=diagonal,
             seed_eigenvalue=seed,
             seed_matches_lambda=(seed == params.lam_i(i)),
             all_entries_nonzero=diagonal and all(
-                not v.is_zero() for v in om.diagonal()),
+                r in row for r, row in enumerate(rows)),
         ))
     return out
 
@@ -125,6 +182,64 @@ def expected_central_values(params: ModuleParams) -> dict:
     return expected
 
 
+def central_power(mat: CycMatrix, m: int):
+    """The scalar c with mat^m = c I, or None, read off the map of mat.
+
+    On a permutation whose cycle lengths L divide m, mat^m is diagonal
+    with entry P^(m/L) on each cycle of coefficient product P.  Any other
+    map is singular, so mat^m can only be the scalar 0: every row must
+    reach a zero row within m steps.  Equal cycle products share one
+    power: a diagonal x_1 has only m distinct entries alpha_1 q^e.
+    """
+    cols = mat.cols
+    if None in cols or len(set(cols)) < mat.dim:
+        return mat.field.zero() if _dies_within(cols, m) else None
+    value = None
+    powers = {}
+    seen = [False] * mat.dim
+    for start in range(mat.dim):
+        if seen[start]:
+            continue
+        seen[start] = True
+        product, length, r = mat.coeffs[start], 1, cols[start]
+        while r != start:
+            seen[r] = True
+            product = product * mat.coeffs[r]
+            length += 1
+            r = cols[r]
+        if m % length:
+            return None
+        power = powers.get((product, length))
+        if power is None:
+            power = powers[product, length] = product ** (m // length)
+        if value is None:
+            value = power
+        elif power != value:
+            return None
+    return value
+
+
+def _dies_within(cols, m: int) -> bool:
+    """Does every path r -> cols[r] -> ... reach a zero row (None) within
+    m steps?  steps[r] counts the steps row r survives."""
+    steps = [None] * len(cols)
+    for start in range(len(cols)):
+        path, r = [], start
+        while r is not None and steps[r] is None:
+            steps[r] = -1                 # on the current path
+            path.append(r)
+            r = cols[r]
+        if r is not None and steps[r] < 0:
+            return False                  # a cycle survives forever
+        k = -1 if r is None else steps[r]
+        for p in reversed(path):
+            k += 1
+            if k >= m:
+                return False
+            steps[p] = k
+    return True
+
+
 def check_central_scalars(gm: GeneratorMatrices,
                           params: ModuleParams | None = None) -> list[CentralCheck]:
     params = params or gm.params
@@ -132,8 +247,7 @@ def check_central_scalars(gm: GeneratorMatrices,
     out = []
     for code in all_gens(params.n):
         name = gen_name(code)
-        power = gm.mat(code) ** params.m
-        value = power.as_scalar()
+        value = central_power(gm.mat(code), params.m)
         out.append(CentralCheck(
             generator=name,
             is_scalar=value is not None,
@@ -166,16 +280,32 @@ class JointSpectrum:
 
 
 def joint_spectrum(gm: GeneratorMatrices) -> JointSpectrum:
-    """Form each x_r y_r once, for the separation check and the commutant."""
+    """Compose each x_r y_r once, row by row, for the separation check and
+    the commutant."""
     diagonals = {}
     for r in range(2, gm.params.n + 1):
         x = gm.mats.get(gen_name(xgen(r)))
         y = gm.mats.get(gen_name(ygen(r)))
-        op = x @ y if x is not None and y is not None else None
-        diagonals[r] = op.diagonal() if op is not None and op.is_diagonal() else None
+        diagonals[r] = (None if x is None or y is None
+                        else _product_diagonal(x, y))
     columns = [diag for diag in diagonals.values() if diag is not None]
     keys = list(zip(*columns)) if columns else [()] * gm.dim
     return JointSpectrum(diagonals, keys)
+
+
+def _product_diagonal(x: CycMatrix, y: CycMatrix):
+    """The diagonal of x y, or None when x y is not diagonal."""
+    zero = x.field.zero()
+    diag = []
+    for i in range(x.dim):
+        c, v = compose_row(x, y, i)
+        if c is None:
+            diag.append(zero)
+        elif c == i:
+            diag.append(v)
+        else:
+            return None
+    return diag
 
 
 def commutant_dimension(gm: GeneratorMatrices, max_dim: int = COMMUTANT_MAX_DIM,
@@ -245,7 +375,8 @@ def _restricted_nullity(gm: GeneratorMatrices, keys, max_dim: int) -> int:
                 column.setdefault(c, []).append((r, v))
             eqs: dict = {}
             for (i, j), k in index.items():
-                for s, v in mat.rows.get(j, {}).items():
+                s, v = mat.cols[j], mat.coeffs[j]
+                if s is not None:
                     eq = eqs.setdefault((i, s), {})
                     eq[k] = eq[k] + v if k in eq else v
                 for r, v in column.get(i, ()):
@@ -400,14 +531,16 @@ def run_verification(gm: GeneratorMatrices,
                      commutant_cap: int = COMMUTANT_MAX_DIM) -> VerificationReport:
     """All checks on a built (or imported) instance.
 
-    The x_r y_r products are formed once and shared by the separation
-    check and the commutant.  An instance whose restricted commutant
-    system exceeds the guard runs every other check; the commutant
-    section is then reported as skipped rather than failed.
+    The y_i x_i rows and their running sums are formed once and shared
+    by the relations and the omega check; the x_r y_r diagonals likewise
+    by the separation check and the commutant.  An instance whose
+    restricted commutant system exceeds the guard runs every other check;
+    the commutant section is then reported as skipped rather than failed.
     """
     params = gm.params
-    relation_failures = check_relations(gm, params)
-    omega = check_omega_action(gm, params)
+    omegas = omega_rows(gm)
+    relation_failures = check_relations(gm, params, omegas)
+    omega = check_omega_action(gm, params, omegas)
     central = check_central_scalars(gm, params)
     spectrum = joint_spectrum(gm)
     separation = check_eigen_separation(gm, params, spectrum)
@@ -451,15 +584,11 @@ def tampered_copy(gm: GeneratorMatrices, name: str, row: int, col: int):
 def direct_sum(gm: GeneratorMatrices):
     """Block-diagonal doubling; its commutant is 4-dimensional (2 x 2
     matrices over the commutant of a simple module)."""
-    field = gm.params.domain.field
     d = gm.dim
     mats = {}
     for name, mat in gm.mats.items():
-        big = CycMatrix(field, 2 * d)
-        for r, c, v in mat.entries():
-            big.set(r, c, v)
-            big.set(r + d, c + d, v)
-        mats[name] = big
+        cols = mat.cols + [c if c is None else c + d for c in mat.cols]
+        mats[name] = CycMatrix(mat.field, 2 * d, cols, mat.coeffs * 2)
     doubled = GeneratorMatrices(gm.params, gm.case, mats)
     doubled.dim = 2 * d
     return doubled

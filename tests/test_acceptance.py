@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from oracles import DictMatrix
 from qeuclid.pidegree import brute_force_image, build_H, image_cardinality, pi_degree
 from qeuclid.repmod import (
     ModuleParams,
@@ -126,7 +127,7 @@ def test_criterion_6_case3_nilpotency():
             overlap = params.I_set & params.J_set
             assert overlap
             for j in sorted(overlap):
-                My = gm.mat(f"y{j}")
+                My = DictMatrix.of(gm.mat(f"y{j}"))
                 assert not (My ** (m - 1)).is_zero(), (n, m, j)
                 assert (My ** m).is_zero(), (n, m, j)
 

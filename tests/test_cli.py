@@ -131,6 +131,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "field 'alpha1': exponent" in err and err.count("\n") == 1
 
+    def test_product_chain_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m=21, alpha=["1"],
+                           alpha1="*".join(["(1+q)^128"] * 20))
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert "field 'alpha1': products too large" in err and err.count("\n") == 1
+
     def test_huge_power_of_q_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha1="q^99999999999")
         t0 = time.perf_counter()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import DictMatrix, omega_matrix
 from qeuclid.repmod import (
     GeneratorMatrices,
     GuardError,
@@ -113,7 +114,7 @@ class TestActCaseI:
         params = make_params()
         gm = build_module(params)
         dom = params.domain
-        assert gm.mat("x1").diagonal() == [dom.q_pow(0), dom.q_pow(-1),
+        assert DictMatrix.of(gm.mat("x1")).diagonal() == [dom.q_pow(0), dom.q_pow(-1),
                                            dom.q_pow(-2)]
 
     def test_seed_row_x1_eigenvalue(self):
@@ -169,7 +170,7 @@ class TestActCaseIIandIII:
         params = random_module_params("III", 2, 3, 1, seed=4)
         gm = build_module(params)
         j = sorted(params.I_set & params.J_set)[0]
-        My = gm.mat(f"y{j}")
+        My = DictMatrix.of(gm.mat(f"y{j}"))
         assert not (My ** (params.m - 1)).is_zero()
         assert (My ** params.m).is_zero()
 
@@ -177,7 +178,7 @@ class TestActCaseIIandIII:
         params = random_module_params("III", 3, 3, 1, seed=8)
         gm = build_module(params)
         for i in sorted(params.I_set):
-            assert (gm.mat(f"x{i}") ** params.m).is_zero()
+            assert (DictMatrix.of(gm.mat(f"x{i}")) ** params.m).is_zero()
 
 
 class TestMatrixShape:
@@ -187,8 +188,8 @@ class TestMatrixShape:
         params = random_module_params(case, n, m, 1, seed=6)
         gm = build_module(params)
         for code in all_gens(n):
-            mat = gm.mat(code)
-            assert mat.is_monomial()
+            mat = DictMatrix.of(gm.mat(code))
+            assert all(len(row) == 1 for row in mat.rows.values())
             # invertibly-acting generators: a permutation shape
             power = mat ** m
             scalar = power.as_scalar()
@@ -202,11 +203,15 @@ class TestMatrixShape:
         params = random_module_params("II", 3, 3, 1, seed=12)
         gm = build_module(params)
         m = params.m
-        assert (gm.mat("x1") ** m).as_scalar() == params.alpha1 ** m
+
+        def power(name):
+            return (DictMatrix.of(gm.mat(name)) ** m).as_scalar()
+
+        assert power("x1") == params.alpha1 ** m
         for i in range(2, params.n + 1):
-            actual = (gm.mat(f"x{i}") ** m).as_scalar()
+            actual = power(f"x{i}")
             assert actual == params.alpha_i(i)
-            actual_y = (gm.mat(f"y{i}") ** m).as_scalar()
+            actual_y = power(f"y{i}")
             if i in params.I_set:
                 assert actual_y == params.beta_i(i)
             else:
@@ -219,7 +224,7 @@ class TestMatrixShape:
         gm = build_module(params)
         dom = params.domain
         for i in range(1, params.n + 1):
-            om = gm.omega_matrix(i)
+            om = omega_matrix(gm, i)
             assert om.is_diagonal()
             for row, a in enumerate(basis_indices(params)):
                 tail = sum(a[j - 2] for j in range(i + 1, params.n + 1))
@@ -266,6 +271,45 @@ class TestWireFormat:
         wire["case"] = "III"
         with pytest.raises(ParamError, match="case tag"):
             GeneratorMatrices.from_wire(wire)
+
+
+class TestWireValidation:
+    """from_wire refuses matrix files the monomial type cannot hold."""
+
+    def wire(self):
+        return build_module(random_module_params("I", 2, 3, 1, seed=24)).to_wire()
+
+    @pytest.mark.parametrize("slot,bad", [
+        (0, -1), (0, 10 ** 6), (0, 3), (0, "0"), (0, 1.0), (0, True),
+        (1, -1), (1, 10 ** 6)])
+    def test_index_outside_dimension_rejected(self, slot, bad):
+        wire = self.wire()
+        wire["generators"]["x2"][1][slot] = bad
+        what = ("row", "column")[slot]
+        with pytest.raises(ParamError,
+                           match=rf"generator 'x2', entry 1: {what} .* \[0, 3\)"):
+            GeneratorMatrices.from_wire(wire)
+
+    @pytest.mark.parametrize("triplet", [[0, 0], [0, 0, ["1"], 1], "0 0 1", 7])
+    def test_malformed_triplet_rejected(self, triplet):
+        wire = self.wire()
+        wire["generators"]["y1"].append(triplet)
+        with pytest.raises(ParamError,
+                           match=r"generator 'y1', entry 3: expected \[row, col, value\]"):
+            GeneratorMatrices.from_wire(wire)
+
+    def test_second_nonzero_entry_in_a_row_rejected(self):
+        wire = self.wire()
+        wire["generators"]["x1"].append([2, 0, ["1", "0"]])
+        with pytest.raises(ParamError,
+                           match="generator 'x1', row 2: a second nonzero entry"):
+            GeneratorMatrices.from_wire(wire)
+
+    def test_zero_entries_are_dropped(self):
+        wire = self.wire()
+        wire["generators"]["x1"].append([2, 0, ["0", "0"]])
+        back = GeneratorMatrices.from_wire(wire)
+        assert back.mat("x1").cols == [0, 1, 2]
 
 
 class TestRandomDraws:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuclid import scalars
 from qeuclid.scalars import (
+    MAX_LITERAL_PRODUCT,
     CyclotomicField,
     QLaurent,
     _qpoly_divmod,
@@ -207,6 +209,70 @@ class TestMulOracle:
             _, rem = _qpoly_divmod(product, modulus)
             rem += [Fraction(0)] * (d - len(rem))
             assert (a * b).to_fractions() == tuple(rem)
+
+
+class TestPower:
+    """Binary powering starts at the lowest set bit and squares no further
+    than the top bit."""
+
+    @pytest.mark.parametrize("e,products", [(1, 0), (2, 1), (3, 2), (9, 4), (21, 6)])
+    def test_product_count(self, monkeypatch, e, products):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return vec_mul(*args)
+
+        vec_mul = scalars.vec_mul
+        base = CyclotomicField(9).element([1, 2, 0, -1, 0, 3], 5)
+        monkeypatch.setattr(scalars, "vec_mul", counting)
+        base ** e
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("m", [3, 9, 21])
+    def test_matches_repeated_multiplication(self, m):
+        rng = random.Random(m)
+        field = CyclotomicField(m)
+        for _ in range(3):
+            a = field.element([rng.randint(-5, 5) for _ in range(field.degree)],
+                              rng.randint(1, 6))
+            if a.is_zero():
+                continue
+            for e in (0, 1, 2, 3, 9, 21, -3):
+                expected = field.one()
+                for _ in range(abs(e)):
+                    expected = expected * a
+                if e < 0:
+                    expected = expected.inv()
+                assert a ** e == expected, (m, e)
+
+    def test_qlaurent_matches_repeated_multiplication(self):
+        p = QLaurent({-1: 2, 0: Fraction(1, 3), 2: -1})
+        for e in (0, 1, 2, 3, 9, 21):
+            expected = QLaurent.const(1)
+            for _ in range(e):
+                expected = expected * p
+            assert p ** e == expected, e
+
+
+class TestLiteralProductBudget:
+    def test_largest_allowed_product(self):
+        two = parse_qlaurent("(1+q)^128*(1+q)^128")
+        assert two == parse_qlaurent("(1+q)^128") ** 2
+
+    @pytest.mark.parametrize("factors", [3, 20])
+    def test_chain_refused(self, factors):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_LITERAL_PRODUCT}"):
+            parse_qlaurent("*".join(["(1+q)^128"] * factors))
+
+    def test_refused_inside_parentheses(self):
+        with pytest.raises(ValueError, match="products too large"):
+            parse_qlaurent("1+((1+q)^128*(1+q)^128)*(1+q)^128")
+
+    def test_shifts_and_small_products_are_free(self):
+        assert parse_qlaurent("*".join(["q"] * 500)) == QLaurent.q_pow(500)
+        assert parse_qlaurent("q^-2*(1/5-1/5*q^2+1/5*q^3)") == QLaurent(
+            {-2: Fraction(1, 5), 0: Fraction(-1, 5), 1: Fraction(1, 5)})
 
 
 def _elements(m):
