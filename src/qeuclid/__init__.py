@@ -19,7 +19,6 @@ from .rewriter import (
     check_local_confluence,
     multiply,
     omega,
-    parse_element,
     rewrite_rules,
     root_domain,
     straighten,
@@ -28,7 +27,6 @@ from .rewriter import (
 )
 from .pidegree import (
     DegreeReport,
-    brute_force_image,
     build_H,
     image_cardinality,
     kernel_basis,
@@ -62,9 +60,9 @@ __all__ = [
     "CyclotomicField", "Cyclotomic", "QLaurent", "Rational",
     "cyclotomic_polynomial", "root_of_unity",
     "GENERIC_Q", "NCPoly", "check_covariant", "check_local_confluence",
-    "multiply", "omega", "parse_element", "rewrite_rules", "root_domain",
+    "multiply", "omega", "rewrite_rules", "root_domain",
     "straighten", "verify_central_powers", "verify_remark_identities",
-    "DegreeReport", "brute_force_image", "build_H", "image_cardinality",
+    "DegreeReport", "build_H", "image_cardinality",
     "kernel_basis", "pi_degree", "smith_normal_form",
     "CaseTag", "GeneratorMatrices", "GuardError", "ModuleParams",
     "ParamError", "act", "build_module", "classify_case", "dimension",

@@ -28,7 +28,7 @@ from .rewriter import (
     verify_central_powers,
     verify_remark_identities,
 )
-from .verify import COMMUTANT_MAX_DIM, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,7 +127,7 @@ def _render_verification(params, case, vrep, drep) -> str:
         lines.append(f"  commutant dim       : skipped ({vrep.commutant_skipped})")
     else:
         lines.append(f"  commutant dim       : {vrep.commutant_dim}   "
-                     f"{_pf(vrep.commutant_dim == 1)} ({vrep.commutant_method})")
+                     f"{_pf(vrep.commutant_dim == 1)}")
     lines.append(f"  overall             : {_pf(vrep.ok)}")
     return "\n".join(lines) + "\n"
 
@@ -174,12 +174,11 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     params = parse_config(args.config, args.max_dim)
-    commutant_cap = COMMUTANT_MAX_DIM if args.max_dim is None else args.max_dim
     t0 = time.perf_counter()
     case = classify_case(params)
     gm = build_module(params)
-    vrep = run_verification(gm, commutant_cap=commutant_cap)
-    drep = pi_degree(params.n, params.m)
+    vrep = run_verification(gm)
+    drep = vrep.bound.degree_report
     elapsed = time.perf_counter() - t0
     if args.json:
         report = {"pi_degree": drep.to_dict(), "verification": vrep.to_dict()}

@@ -91,8 +91,8 @@ def nullspace_dimension(equations, ncols: int) -> int:
 
     ``equations`` is an iterable of sparse rows (dict col -> scalar) over
     one cyclotomic field.  Plain Gaussian elimination with exact field
-    arithmetic; rows here are tiny (commutation with monomial matrices
-    couples at most two unknowns) so sparsity is preserved naturally.
+    arithmetic.  No check calls it: it is the reference solver of the
+    tests' commutant oracle.
     """
     pivots: dict[int, dict] = {}
     for eq in equations:

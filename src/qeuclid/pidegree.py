@@ -4,18 +4,14 @@ Dropping the additive corrections from the defining relations leaves a
 q^h-commutation pattern recorded in a skew-symmetric integer matrix H
 (generator order x_1..x_n, y_1..y_n).  Viewing H as a homomorphism
 Z^(2n) -> (Z/mZ)^(2n), the PI-degree is the square root of the image
-cardinality; the kernel lattice indexes the central monomials.  Both the
-image cardinality (through the Smith normal form) and a brute-force
-enumeration oracle are provided so each can check the other.
+cardinality; the kernel lattice indexes the central monomials.  The
+image cardinality comes from the Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, isqrt
-
-BRUTE_FORCE_LIMIT = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +174,6 @@ def image_cardinality(H, m: int) -> int:
     for d in snf.diag:
         h *= m // gcd(d, m)
     return h
-
-
-def brute_force_image(H, m: int) -> int:
-    """Independent oracle: enumerate all of (Z/mZ)^s and collect H*a mod m."""
-    s = len(H)
-    if m ** s > BRUTE_FORCE_LIMIT:
-        raise ValueError("instance too large for oracle")
-    seen = set()
-    for a in product(range(m), repeat=s):
-        seen.add(tuple(sum(H[i][j] * a[j] for j in range(s)) % m
-                       for i in range(s)))
-    return len(seen)
 
 
 def _hermite_columns(B):

@@ -27,13 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import (
-    CyclotomicField,
-    QLaurent,
-    _ScalarParser,
-    root_of_unity,
-    tokenize,
-)
+from .scalars import CyclotomicField, QLaurent, root_of_unity
 
 
 # ---------------------------------------------------------------------------
@@ -462,89 +456,3 @@ def check_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
                 report.add(f"overlap {word}", res.is_zero(),
                            "" if res.is_zero() else f"residual {res!r}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# plain-text element syntax, e.g. "(1-q^-2)*y1*x1"
-# ---------------------------------------------------------------------------
-
-class _ElementParser(_ScalarParser):
-    """Extends the scalar grammar with generator letters x<i>, y<i>."""
-
-    def __init__(self, tokens, domain, n):
-        super().__init__(tokens)
-        self.domain = domain
-        self.n = n
-
-    def _wrap(self, scalar_or_poly):
-        if isinstance(scalar_or_poly, NCPoly):
-            return scalar_or_poly
-        coeff = self.domain.from_qlaurent(scalar_or_poly)
-        if coeff.is_zero():
-            return NCPoly(self.domain)
-        return NCPoly(self.domain, {(): coeff})
-
-    def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        value = self._wrap(self.term())
-        if sign < 0:
-            value = -value
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            rhs = self._wrap(self.term())
-            value = value + (-rhs if sign < 0 else rhs)
-        return value
-
-    def term(self):
-        value = self._wrap(self.factor())
-        while self.peek() == "*":
-            self.take()
-            value = multiply(value, self._wrap(self.factor()))
-        return value
-
-    def factor(self):
-        tok = self.peek()
-        if tok and tok[0] in "xy" and len(tok) > 1:
-            self.take()
-            i = int(tok[1:])
-            if not 1 <= i <= self.n:
-                raise ValueError(f"generator {tok} out of range for n={self.n}")
-            code = xgen(i) if tok[0] == "x" else ygen(i)
-            poly = NCPoly.gen(self.domain, code)
-            if self.peek() == "^":
-                self.take()
-                e = self.exponent()
-                if e < 0:
-                    raise ValueError("negative powers of generators not supported")
-                poly = power(poly, e)
-            return poly
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.exponent()
-            if isinstance(base, NCPoly):
-                if e < 0:
-                    raise ValueError("negative powers of elements not supported")
-                return power(base, e)
-            return base ** e
-        return base
-
-    def atom(self):
-        if self.peek() == "(":
-            self.take()
-            value = self.expr()
-            self.expect(")")
-            return value
-        return super().atom()
-
-
-def parse_element(text: str, n: int, dom=GENERIC_Q) -> NCPoly:
-    """Parse the plain-text element syntax into a straightened NCPoly."""
-    poly = _ElementParser(tokenize(text), dom, n).parse()
-    return straighten(poly)

@@ -628,11 +628,13 @@ def tokenize(text: str):
 # "((1+q)^64)^64" is refused too.
 MAX_LITERAL_POWER = 256
 
-# Bound on the summed _product_size of all products in one literal, so
-# that a chain "(1+q)^128*(1+q)^128*..." is refused instead of computed.
-# (1+q)^128*(1+q)^128 (size 257 * 250) is the largest product of two
-# such powers it allows; a third factor is refused.
-MAX_LITERAL_PRODUCT = 65536
+# Work budget of one literal: the summed _product_size of its products
+# plus the _power_size of every power and sum it forms, so that a chain
+# "(1+q)^128*(1+q)^128*..." or a sum "(1+q)^128+(1+q)^128+..." is
+# refused instead of computed.  (1+q)^128*(1+q)^128 (two powers of size
+# 129 * 125 and a product of size 257 * 250) is the largest product of
+# two such powers it allows; a third factor or a fifth term is refused.
+MAX_LITERAL_WORK = 131072
 
 
 def _shape(p: QLaurent) -> tuple[int, int]:
@@ -671,8 +673,8 @@ class _ScalarParser:
     Grammar: sums/differences of products of factors; a factor is an
     integer, a rational a/b, q, any of those with ^exponent, or a
     parenthesized expression.  A power of anything but a pure power of q
-    is bounded by MAX_LITERAL_POWER, and the products of the whole
-    literal together by MAX_LITERAL_PRODUCT.
+    is bounded by MAX_LITERAL_POWER, and the products, powers and sums of
+    the whole literal together by MAX_LITERAL_WORK.
     """
 
     def __init__(self, tokens):
@@ -687,6 +689,12 @@ class _ScalarParser:
         tok = self.peek()
         self.pos += 1
         return tok
+
+    def charge(self, what: str, size: int):
+        self.work += size
+        if self.work > MAX_LITERAL_WORK:
+            raise ValueError(f"{what} too large: the literal's summed work "
+                             f"exceeds {MAX_LITERAL_WORK}")
 
     def expect(self, tok):
         got = self.take()
@@ -711,6 +719,7 @@ class _ScalarParser:
                 if self.take() == "-":
                     sign = -sign
             value = value + self.term() * sign
+            self.charge("sums", _power_size(value))
         return value
 
     def term(self):
@@ -718,11 +727,7 @@ class _ScalarParser:
         while self.peek() == "*":
             self.take()
             factor = self.factor()
-            self.work += _product_size(value, factor)
-            if self.work > MAX_LITERAL_PRODUCT:
-                raise ValueError(
-                    f"products too large: their summed size exceeds "
-                    f"{MAX_LITERAL_PRODUCT}")
+            self.charge("products", _product_size(value, factor))
             value = value * factor
         return value
 
@@ -736,6 +741,7 @@ class _ScalarParser:
                     f"exponent {e} too large for its base: |exponent| times "
                     f"base size exceeds {MAX_LITERAL_POWER}")
             base = base ** e
+            self.charge("powers", _power_size(base))
         return base
 
     def exponent(self):

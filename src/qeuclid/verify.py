@@ -13,13 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .linalg import CycMatrix, compose_row, nullspace_dimension
-from .pidegree import pi_degree
+from .linalg import CycMatrix, compose_row
+from .pidegree import DegreeReport, pi_degree
 from .repmod import GeneratorMatrices, GuardError, ModuleParams, dimension
 from .rewriter import all_gens, gen_name, xgen, ygen
 from .scalars import encode_cyclotomic
-
-COMMUTANT_MAX_DIM = 27
 
 
 # ---------------------------------------------------------------------------
@@ -46,30 +44,33 @@ def _scaled(s, mat: CycMatrix) -> CycMatrix:
 
 @dataclass
 class OmegaRows:
-    """Rows of y_i x_i and of omega_i = sum_(l<=i) (1-q^-2) y_l x_l.
+    """The products x_i y_i and y_i x_i, and the rows of
+    omega_i = sum_(l<=i) (1-q^-2) y_l x_l.
 
-    ``yx[i][r]`` is row r of y_i x_i as (column, coefficient) or
-    (None, None); ``omega[i][r]`` is row r of omega_i as a dict column ->
-    nonzero coefficient, summed exactly, and ``omega[0]`` is zero.
+    ``xy[i]`` and ``yx[i]`` are the monomial products; ``omega[i][r]`` is
+    row r of omega_i as a dict column -> nonzero coefficient, summed
+    exactly, and ``omega[0]`` is zero.
     """
+    xy: dict
     yx: dict
     omega: list
 
 
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
-    """Compose each y_i x_i once; the running sums are the omegas and the
-    residual terms of the additive relations."""
+    """Compose each x_i y_i and y_i x_i once: both sides of the additive
+    relations, the x_r y_r diagonals of the joint spectrum, and the
+    running sums that are the omegas."""
     if {mat.dim for mat in gm.mats.values()} != {gm.dim}:
         raise ValueError("generator matrices have mismatched dimensions")
     correction = gm.params.domain.correction
-    yx = {}
+    xy, yx = {}, {}
     omega = [[{} for _ in range(gm.dim)]]
     for i in range(1, gm.params.n + 1):
         y, x = gm.mat(ygen(i)), gm.mat(xgen(i))
-        yx[i] = [compose_row(y, x, r) for r in range(gm.dim)]
+        xy[i], yx[i] = x @ y, y @ x
         omega.append([prev if c is None else _plus(prev, c, correction * v)
-                      for prev, (c, v) in zip(omega[-1], yx[i])])
-    return OmegaRows(yx, omega)
+                      for prev, c, v in zip(omega[-1], yx[i].cols, yx[i].coeffs)])
+    return OmegaRows(xy, yx, omega)
 
 
 def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
@@ -80,8 +81,8 @@ def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
     A B = s B A holds row by row when both rows are zero or share their
     column and coefficient; s B is formed once per generator, and as s
     is a unit it keeps the zero rows of B.  The additive relation
-    x_i y_i = y_i x_i + omega_(i-1) is compared with the exactly summed
-    rows of ``omegas``.
+    x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of ``omegas``,
+    with the running sums formed exactly.
     """
     params = params or gm.params
     if omegas is None:
@@ -109,12 +110,12 @@ def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
             if i != j:
                 q_commute(f"x{i}*y{j} = q^-1*y{j}*x{i}", x[i], y[j], qy[j])
     for i in range(1, n + 1):
-        yx, before = omegas.yx[i], omegas.omega[i - 1]
+        xy, yx, before = omegas.xy[i], omegas.yx[i], omegas.omega[i - 1]
         for r in range(gm.dim):
-            c, v = yx[r]
-            rhs = before[r] if c is None else _plus(before[r], c, v)
-            c, v = compose_row(x[i], y[i], r)
-            if ({} if c is None else {c: v}) != rhs:
+            c = yx.cols[r]
+            rhs = before[r] if c is None else _plus(before[r], c, yx.coeffs[r])
+            c = xy.cols[r]
+            if ({} if c is None else {c: xy.coeffs[r]}) != rhs:
                 failures.append(
                     f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l")
                 break
@@ -269,36 +270,30 @@ class JointSpectrum:
     diagonals: dict
     keys: list
 
-    @property
-    def simple(self) -> bool:
-        """No two rows share a key: the premise of the spectral commutant."""
-        return len(set(self.keys)) == len(self.keys)
 
-    @property
-    def commutant_method(self) -> str:
-        return "spectral" if self.simple else "restricted-elimination"
-
-
-def joint_spectrum(gm: GeneratorMatrices) -> JointSpectrum:
-    """Compose each x_r y_r once, row by row, for the separation check and
-    the commutant."""
+def joint_spectrum(gm: GeneratorMatrices,
+                   omegas: OmegaRows | None = None) -> JointSpectrum:
+    """The x_r y_r diagonals for the separation check and the commutant,
+    read off the products in ``omegas`` when given, else composed here."""
     diagonals = {}
     for r in range(2, gm.params.n + 1):
-        x = gm.mats.get(gen_name(xgen(r)))
-        y = gm.mats.get(gen_name(ygen(r)))
-        diagonals[r] = (None if x is None or y is None
-                        else _product_diagonal(x, y))
+        if omegas is not None:
+            xy = omegas.xy[r]
+        else:
+            x = gm.mats.get(gen_name(xgen(r)))
+            y = gm.mats.get(gen_name(ygen(r)))
+            xy = None if x is None or y is None else x @ y
+        diagonals[r] = None if xy is None else _diagonal(xy)
     columns = [diag for diag in diagonals.values() if diag is not None]
     keys = list(zip(*columns)) if columns else [()] * gm.dim
     return JointSpectrum(diagonals, keys)
 
 
-def _product_diagonal(x: CycMatrix, y: CycMatrix):
-    """The diagonal of x y, or None when x y is not diagonal."""
-    zero = x.field.zero()
+def _diagonal(mat: CycMatrix):
+    """The diagonal of mat, or None when mat is not diagonal."""
+    zero = mat.field.zero()
     diag = []
-    for i in range(x.dim):
-        c, v = compose_row(x, y, i)
+    for i, (c, v) in enumerate(zip(mat.cols, mat.coeffs)):
         if c is None:
             diag.append(zero)
         elif c == i:
@@ -308,86 +303,136 @@ def _product_diagonal(x: CycMatrix, y: CycMatrix):
     return diag
 
 
-def commutant_dimension(gm: GeneratorMatrices, max_dim: int = COMMUTANT_MAX_DIM,
+def commutant_dimension(gm: GeneratorMatrices,
                         spectrum: JointSpectrum | None = None) -> int:
     """Dimension over Q(zeta_m) of {X : X M_g = M_g X for all generators}.
 
     X commutes with every diagonal x_r y_r, so X_ij (nu_j - nu_i) = 0:
-    X vanishes between rows whose eigenvalue keys differ.  When the joint
-    spectrum is simple X is diagonal, and a diagonal X commutes with M
-    exactly when X_r = X_c on every nonzero entry (r, c) of M, so the
-    dimension is the number of connected components of those edges.
-    Otherwise the unknowns are the pairs of rows with equal keys, solved
-    by exact elimination; more than max_dim^2 of them raise GuardError.
+    the unknowns are the entries X_ij between rows with equal eigenvalue
+    keys, and every other entry is zero.  For a monomial M whose row t
+    holds c_t at column s(t), entry (r, s) of X M = M X reads
+
+        sum over t with s(t) = s of  c_t X_rt  =  c_r X_(s(r), s)
+
+    (the right side is 0 on a zero row r).  Unless M maps two rows of one
+    key class into one column, at most two unknowns remain: two make an
+    edge X_rt = (c_r / c_t) X_(s(r), s) of a weighted union-find, one is
+    forced to zero.  The dimension is the number of components neither
+    forced to zero nor closing a cycle whose gain is not 1.  On a simple
+    spectrum the unknowns are the X_rr and every gain is c_r / c_r = 1.
+
+    GuardError (the commutant is undecided): the equal-key pairs exceed
+    4 * max_dim, the pairs of a direct sum of two modules at the build
+    guard; or an equation has more than two unknowns.
 
     A verified instance must return 1 (only scalars commute), which is
     absolute irreducibility by the Schur criterion.
     """
     if spectrum is None:
         spectrum = joint_spectrum(gm)
-    if spectrum.simple:
-        return _edge_components(gm)
-    return _restricted_nullity(gm, spectrum.keys, max_dim)
-
-
-def _edge_components(gm: GeneratorMatrices) -> int:
-    """Union-find over the nonzero entries of all generators."""
-    parent = list(range(gm.dim))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    components = gm.dim
-    for mat in gm.mats.values():
-        for r, c, _ in mat.entries():
-            a, b = find(r), find(c)
-            if a != b:
-                parent[a] = b
-                components -= 1
-    return components
-
-
-def _restricted_nullity(gm: GeneratorMatrices, keys, max_dim: int) -> int:
-    """Nullity of the commutation equations in the unknowns X_ij with
-    key_i == key_j; every other entry of X is zero."""
     classes: dict = {}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(spectrum.keys):
         classes.setdefault(key, []).append(i)
-    unknowns = sum(len(rows) ** 2 for rows in classes.values())
-    if unknowns > max_dim ** 2:
+    pairs = sum(len(rows) ** 2 for rows in classes.values())
+    cap = 4 * gm.params.max_dim
+    if pairs > cap:
         raise GuardError(
-            f"commutant guard: {unknowns} unknowns with equal eigenvalue keys "
-            f"exceed cap {max_dim}^2; pass a larger max_dim to override")
-    index = {}
+            f"commutant guard: {pairs} pairs of rows with equal eigenvalue "
+            f"keys exceed 4 * max_dim = {cap}")
+    node = {}
     for rows in classes.values():
         for i in rows:
             for j in rows:
-                index[i, j] = len(index)
+                node[i, j] = len(node)
+    forest = _GainForest(len(node))
+    for name, mat in gm.mats.items():
+        cols, coeffs = mat.cols, mat.coeffs
+        sources = [[] for _ in range(gm.dim)]
+        for t, s in enumerate(cols):
+            if s is not None:
+                sources[s].append(t)
 
-    def equations():
-        # (XM - MX)_rs = sum_t X_rt M_ts - sum_t M_rt X_ts
-        for mat in gm.mats.values():
-            column: dict = {}
-            for r, c, v in mat.entries():
-                column.setdefault(c, []).append((r, v))
-            eqs: dict = {}
-            for (i, j), k in index.items():
-                s, v = mat.cols[j], mat.coeffs[j]
-                if s is not None:
-                    eq = eqs.setdefault((i, s), {})
-                    eq[k] = eq[k] + v if k in eq else v
-                for r, v in column.get(i, ()):
-                    eq = eqs.setdefault((r, j), {})
-                    eq[k] = eq[k] - v if k in eq else -v
-            for eq in eqs.values():
-                eq = {k: v for k, v in eq.items() if not v.is_zero()}
-                if eq:
-                    yield eq
+        def left_terms(r, s):
+            return [(node[r, t], coeffs[t]) for t in sources[s] if (r, t) in node]
 
-    return nullspace_dimension(equations(), len(index))
+        # each equation (r, s) with an unknown on its right is visited
+        # once, from that unknown; one with unknowns on its left only is
+        # visited from each of them, which repeats a consistent relation
+        for (i, j), u in node.items():
+            for r in sources[i]:
+                forest.impose(name, j, left_terms(r, j), (u, coeffs[r]))
+            s, si = cols[j], cols[i]
+            if s is not None and (si is None or (si, s) not in node):
+                forest.impose(name, s, left_terms(i, s), None)
+    return forest.free_components()
+
+
+def _times(a, b):
+    """a * b, where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+class _GainForest:
+    """Weighted union-find over unknowns: X_u = weight[u] * X_parent[u],
+    a weight of None meaning 1, so gains of 1 cost no scalar product.
+    ``zero[root]`` marks a component whose unknowns must all vanish."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.weight = [None] * size
+        self.zero = [False] * size
+
+    def find(self, u):
+        """(root, w) with X_u = w X_root; compresses the path."""
+        parent, weight = self.parent, self.weight
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        w = None
+        for p in reversed(path):
+            w = weight[p] = _times(weight[p], w)
+            parent[p] = u
+        return u, w
+
+    def impose(self, name, column, left, right):
+        """Impose one equation: the sum of a X_u over (u, a) in ``left``
+        equals b X_v for ``right`` = (v, b), or 0 when ``right`` is None.
+        ``name`` and ``column`` label an undecided equation."""
+        terms = len(left) + (right is not None)
+        if terms > 2:
+            raise GuardError(
+                f"commutant undecided: {name} maps {len(left)} rows of one "
+                f"eigenvalue class into column {column}, so an equation "
+                f"couples more than two unknowns")
+        if terms == 1:
+            u = left[0][0] if left else right[0]
+            self.zero[self.find(u)[0]] = True
+        elif right is None:                    # a X_u + b X_v = 0
+            (u, a), (v, b) = left
+            self.relate(u, a, v, -b)
+        else:
+            self.relate(*left[0], *right)
+
+    def relate(self, u, a, v, b):
+        """Impose a X_u = b X_v for nonzero scalars a, b."""
+        ru, wu = self.find(u)
+        rv, wv = self.find(v)
+        left, right = _times(a, wu), _times(b, wv)   # left X_ru = right X_rv
+        same = left is right or left == right
+        if ru == rv:
+            if not same:                       # a cycle whose gain is not 1
+                self.zero[ru] = True
+            return
+        self.parent[ru] = rv
+        self.weight[ru] = None if same else right / left
+        self.zero[rv] = self.zero[rv] or self.zero[ru]
+
+    def free_components(self) -> int:
+        return sum(1 for u, p in enumerate(self.parent)
+                   if p == u and not self.zero[u])
 
 
 @dataclass
@@ -439,6 +484,7 @@ class DimensionBound:
     pi_degree: int
     within_bound: bool
     saturated: bool
+    degree_report: DegreeReport | None = None   # the PI-degree computation
 
     @property
     def ok(self):
@@ -447,9 +493,10 @@ class DimensionBound:
 
 def check_dimension_bound(params: ModuleParams) -> DimensionBound:
     d = dimension(params)
-    deg = pi_degree(params.n, params.m).degree
-    return DimensionBound(dimension=d, pi_degree=deg,
-                          within_bound=d <= deg, saturated=d == deg)
+    report = pi_degree(params.n, params.m)
+    deg = report.degree
+    return DimensionBound(dimension=d, pi_degree=deg, within_bound=d <= deg,
+                          saturated=d == deg, degree_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +514,6 @@ class VerificationReport:
     bound: DimensionBound
     commutant_dim: int | None
     commutant_skipped: str = ""
-    commutant_method: str = ""
     sections: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -523,33 +569,34 @@ class VerificationReport:
             },
             "commutant_dim": self.commutant_dim,
             "commutant_skipped": self.commutant_skipped,
-            "commutant_method": self.commutant_method,
         }
 
 
 def run_verification(gm: GeneratorMatrices,
-                     commutant_cap: int = COMMUTANT_MAX_DIM) -> VerificationReport:
+                     commutant_cap=None) -> VerificationReport:
     """All checks on a built (or imported) instance.
 
-    The y_i x_i rows and their running sums are formed once and shared
-    by the relations and the omega check; the x_r y_r diagonals likewise
-    by the separation check and the commutant.  An instance whose
-    restricted commutant system exceeds the guard runs every other check;
-    the commutant section is then reported as skipped rather than failed.
+    The x_i y_i and y_i x_i rows and the running sums are formed once and
+    shared by the relations, the omega check and the joint spectrum; the
+    x_r y_r diagonals likewise by the separation check and the commutant.
+    An instance whose commutant is undecided runs every other check; the
+    commutant section is then reported as skipped rather than failed.
+
+    ``commutant_cap`` is accepted and ignored: the commutant's only
+    bound is the build guard ``params.max_dim``, and the benchmark's
+    worker still passes the keyword.
     """
     params = gm.params
     omegas = omega_rows(gm)
     relation_failures = check_relations(gm, params, omegas)
     omega = check_omega_action(gm, params, omegas)
     central = check_central_scalars(gm, params)
-    spectrum = joint_spectrum(gm)
+    spectrum = joint_spectrum(gm, omegas)
     separation = check_eigen_separation(gm, params, spectrum)
     bound = check_dimension_bound(params)
-    commutant, method, skipped = None, "", ""
+    commutant, skipped = None, ""
     try:
-        commutant = commutant_dimension(gm, max_dim=commutant_cap,
-                                        spectrum=spectrum)
-        method = spectrum.commutant_method
+        commutant = commutant_dimension(gm, spectrum)
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(
@@ -562,7 +609,6 @@ def run_verification(gm: GeneratorMatrices,
         bound=bound,
         commutant_dim=commutant,
         commutant_skipped=skipped,
-        commutant_method=method,
     )
 
 

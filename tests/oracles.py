@@ -6,14 +6,31 @@ repeated squaring.  The ``oracle_*`` functions decide the relation,
 omega and central-power checks the direct way: form every product and
 residual matrix and test it for zero or for a scalar.
 ``full_commutant_dimension`` solves for all d^2 entries of a commuting
-matrix by Gaussian elimination.
+matrix by Gaussian elimination.  ``brute_force_image`` enumerates the
+image of the PI-degree matrix, and ``parse_element`` reads plain-text
+algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from qeuclid.linalg import CycMatrix, nullspace_dimension
-from qeuclid.rewriter import all_gens, gen_name, xgen, ygen
+from qeuclid.rewriter import (
+    GENERIC_Q,
+    NCPoly,
+    all_gens,
+    gen_name,
+    multiply,
+    power,
+    straighten,
+    xgen,
+    ygen,
+)
+from qeuclid.scalars import _ScalarParser, tokenize
 from qeuclid.verify import expected_central_values
+
+BRUTE_FORCE_LIMIT = 10 ** 6
 
 
 class DictMatrix:
@@ -231,3 +248,101 @@ def full_commutant_dimension(gm):
                         yield eq
 
     return nullspace_dimension(equations(), d * d)
+
+
+def brute_force_image(H, m: int) -> int:
+    """Independent oracle: enumerate all of (Z/mZ)^s and collect H*a mod m."""
+    s = len(H)
+    if m ** s > BRUTE_FORCE_LIMIT:
+        raise ValueError("instance too large for oracle")
+    seen = set()
+    for a in product(range(m), repeat=s):
+        seen.add(tuple(sum(H[i][j] * a[j] for j in range(s)) % m
+                       for i in range(s)))
+    return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# plain-text element syntax, e.g. "(1-q^-2)*y1*x1"
+# ---------------------------------------------------------------------------
+
+class _ElementParser(_ScalarParser):
+    """Extends the scalar grammar with generator letters x<i>, y<i>."""
+
+    def __init__(self, tokens, domain, n):
+        super().__init__(tokens)
+        self.domain = domain
+        self.n = n
+
+    def _wrap(self, scalar_or_poly):
+        if isinstance(scalar_or_poly, NCPoly):
+            return scalar_or_poly
+        coeff = self.domain.from_qlaurent(scalar_or_poly)
+        if coeff.is_zero():
+            return NCPoly(self.domain)
+        return NCPoly(self.domain, {(): coeff})
+
+    def expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        value = self._wrap(self.term())
+        if sign < 0:
+            value = -value
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.take() == "-":
+                    sign = -sign
+            rhs = self._wrap(self.term())
+            value = value + (-rhs if sign < 0 else rhs)
+        return value
+
+    def term(self):
+        value = self._wrap(self.factor())
+        while self.peek() == "*":
+            self.take()
+            value = multiply(value, self._wrap(self.factor()))
+        return value
+
+    def factor(self):
+        tok = self.peek()
+        if tok and tok[0] in "xy" and len(tok) > 1:
+            self.take()
+            i = int(tok[1:])
+            if not 1 <= i <= self.n:
+                raise ValueError(f"generator {tok} out of range for n={self.n}")
+            code = xgen(i) if tok[0] == "x" else ygen(i)
+            poly = NCPoly.gen(self.domain, code)
+            if self.peek() == "^":
+                self.take()
+                e = self.exponent()
+                if e < 0:
+                    raise ValueError("negative powers of generators not supported")
+                poly = power(poly, e)
+            return poly
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            e = self.exponent()
+            if isinstance(base, NCPoly):
+                if e < 0:
+                    raise ValueError("negative powers of elements not supported")
+                return power(base, e)
+            return base ** e
+        return base
+
+    def atom(self):
+        if self.peek() == "(":
+            self.take()
+            value = self.expr()
+            self.expect(")")
+            return value
+        return super().atom()
+
+
+def parse_element(text: str, n: int, dom=GENERIC_Q) -> NCPoly:
+    """Parse the plain-text element syntax into a straightened NCPoly."""
+    poly = _ElementParser(tokenize(text), dom, n).parse()
+    return straighten(poly)

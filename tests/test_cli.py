@@ -7,6 +7,7 @@ import pytest
 
 from qeuclid import scalars
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
+from qeuclid.pidegree import pi_degree
 from qeuclid.repmod import GeneratorMatrices
 from qeuclid.verify import run_verification
 
@@ -140,6 +141,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "field 'alpha1': products too large" in err and err.count("\n") == 1
 
+    def test_sum_of_powers_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m=21, alpha=["1"],
+                           alpha1="+".join(["(1+q)^128"] * 200))
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert "field 'alpha1': sums too large" in err and err.count("\n") == 1
+
     def test_huge_power_of_q_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha1="q^99999999999")
         t0 = time.perf_counter()
@@ -184,8 +194,8 @@ class TestVerifyCommand:
         # flipping a section on an otherwise real report
         import qeuclid.cli as cli_mod
 
-        def failing(gm, commutant_cap):
-            report = run_verification(gm, commutant_cap=commutant_cap)
+        def failing(gm):
+            report = run_verification(gm)
             report.sections["relations"] = False
             return report
 
@@ -213,8 +223,24 @@ class TestVerifyCommand:
         human = capsys.readouterr().out
         assert f"dimension m^(n-1)   : {verification['dimension']}" in human
         assert f"commutant dim       : {verification['commutant_dim']}" in human
-        assert verification["commutant_method"] == "spectral"
-        assert f"({verification['commutant_method']})" in human
+
+    def test_pi_degree_computed_once(self, tmp_path, capsys, monkeypatch):
+        import qeuclid.cli as cli_mod
+        import qeuclid.verify as verify_mod
+
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return pi_degree(n, m)
+
+        monkeypatch.setattr(cli_mod, "pi_degree", counted)
+        monkeypatch.setattr(verify_mod, "pi_degree", counted)
+        cfg = write_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == [(2, 3)]
+        assert doc["report"]["pi_degree"]["degree"] == 3
 
 
 class TestBuildCommand:

@@ -5,9 +5,9 @@ from math import gcd
 
 import pytest
 
+from oracles import brute_force_image
 from qeuclid.pidegree import (
     DegreeReport,
-    brute_force_image,
     build_H,
     image_cardinality,
     kernel_basis,

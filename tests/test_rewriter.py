@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_element
 from qeuclid.rewriter import (
     GENERIC_Q,
     NCPoly,
@@ -15,7 +16,6 @@ from qeuclid.rewriter import (
     gen_name,
     multiply,
     omega,
-    parse_element,
     power,
     root_domain,
     straighten,

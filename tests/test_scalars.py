@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qeuclid import scalars
 from qeuclid.scalars import (
-    MAX_LITERAL_PRODUCT,
+    MAX_LITERAL_WORK,
     CyclotomicField,
     QLaurent,
     _qpoly_divmod,
@@ -262,8 +262,17 @@ class TestLiteralProductBudget:
 
     @pytest.mark.parametrize("factors", [3, 20])
     def test_chain_refused(self, factors):
-        with pytest.raises(ValueError, match=f"exceeds {MAX_LITERAL_PRODUCT}"):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_LITERAL_WORK}"):
             parse_qlaurent("*".join(["(1+q)^128"] * factors))
+
+    def test_sums_and_powers_are_charged(self):
+        assert parse_qlaurent("+".join(["(1+q)^128"] * 4)) == \
+            parse_qlaurent("(1+q)^128") * 4
+        with pytest.raises(ValueError, match=f"sums too large.*{MAX_LITERAL_WORK}"):
+            parse_qlaurent("+".join(["(1+q)^128"] * 5))
+        # a zero sum costs nothing, its powers still do
+        with pytest.raises(ValueError, match="powers too large"):
+            parse_qlaurent("+".join(["(1+q)^128-(1+q)^128"] * 4))
 
     def test_refused_inside_parentheses(self):
         with pytest.raises(ValueError, match="products too large"):

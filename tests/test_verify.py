@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     DictMatrix,
@@ -16,6 +18,7 @@ from qeuclid.linalg import CycMatrix, nullspace_dimension
 from qeuclid.repmod import (
     GeneratorMatrices,
     GuardError,
+    ModuleParams,
     build_module,
     random_module_params,
 )
@@ -39,6 +42,7 @@ from qeuclid.verify import (
     commutant_dimension,
     direct_sum,
     joint_spectrum,
+    omega_rows,
     run_verification,
     tampered_copy,
 )
@@ -115,6 +119,82 @@ class TestCentralScalars:
                 or any(not c.ok for c in check_central_scalars(bad)))
 
 
+def conjugated(gm, rng):
+    """D M D^-1 for every generator M, D diagonal with random units."""
+    field = gm.params.domain.field
+    scales = [field.scalar(rng.choice([1, -2, 3])) * field.zeta_pow(rng.randrange(9))
+              for _ in range(gm.dim)]
+    mats = {}
+    for name, mat in gm.mats.items():
+        out = CycMatrix(field, gm.dim)
+        for r, c, v in mat.entries():
+            out.set(r, c, v * scales[r] / scales[c])
+        mats[name] = out
+    conj = GeneratorMatrices(gm.params, gm.case, mats)
+    conj.dim = gm.dim
+    return conj
+
+
+def block_sum(a, b):
+    """The block-diagonal sum of two modules of one shape."""
+    d = a.dim
+    mats = {}
+    for name, mat in a.mats.items():
+        other = b.mats[name]
+        cols = mat.cols + [c if c is None else c + d for c in other.cols]
+        mats[name] = CycMatrix(mat.field, 2 * d, cols, mat.coeffs + other.coeffs)
+    pair = GeneratorMatrices(a.params, a.case, mats)
+    pair.dim = 2 * d
+    return pair
+
+
+def with_alpha_doubled(params, i):
+    """params with alpha_i (alpha1 for i = 1) doubled and the forced
+    beta_j re-derived: a module not isomorphic to the original."""
+    alpha1, alpha = params.alpha1, list(params.alpha)
+    if i == 1:
+        alpha1 = alpha1 * 2
+    else:
+        alpha[i - 2] = alpha[i - 2] * 2
+    args = (params.m, params.k, params.n, alpha1, alpha)
+    draft = ModuleParams(*args, params.beta, params.lam)
+    beta = [draft.beta_i(j) if j in draft.I_set else draft.derived_beta(j)
+            for j in range(2, params.n + 1)]
+    return ModuleParams(*args, beta, params.lam)
+
+
+@st.composite
+def generator_stubs(draw, injective=True):
+    """A d <= 9 stub of an n = 2 module: x2 and y2 diagonal over a small
+    spectrum, so key classes of every size occur; x1 and y1 partial maps
+    (injective unless asked otherwise) with coefficients whose ratios
+    give gains of 1 and other gains."""
+    params, gm = STUB_BASE
+    field = params.domain.field
+    units = [field.one(), -field.one(), field.scalar(2), params.domain.q]
+    d = draw(st.integers(1, 9))
+    mats = {}
+    for name in ("x2", "y2"):
+        diag = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=d, max_size=d))
+        mats[name] = CycMatrix(field, d, [i if v else None for i, v in enumerate(diag)],
+                               [field.scalar(v) if v else None for v in diag])
+    for name in ("x1", "y1"):
+        if injective:
+            cols = draw(st.permutations(range(d)))
+        else:
+            cols = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+        keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        coeffs = draw(st.lists(st.sampled_from(units), min_size=d, max_size=d))
+        mats[name] = CycMatrix(field, d, [c if k else None for c, k in zip(cols, keep)],
+                               [v if k else None for v, k in zip(coeffs, keep)])
+    stub = GeneratorMatrices(params, gm.case, mats)
+    stub.dim = d
+    return stub
+
+
+STUB_BASE = build("I", 2, 3, seed=65)
+
+
 class TestCommutant:
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (3, 3)])
@@ -127,10 +207,11 @@ class TestCommutant:
         assert commutant_dimension(direct_sum(gm)) == 4
 
     def test_guard(self):
-        _, gm = build("I", 3, 3, seed=38)   # dim 9
-        # the sum of dimension 18 keeps 2 x 2 = 4 unknowns per key: 36 > 5^2
+        params, gm = build("I", 3, 3, seed=38)   # dim 9
+        # the sum of dimension 18 keeps 2 x 2 = 4 unknowns per key: 36 > 4 * 8
+        params.max_dim = 8
         with pytest.raises(GuardError, match="commutant guard"):
-            commutant_dimension(direct_sum(gm), max_dim=5)
+            commutant_dimension(direct_sum(gm))
 
     def test_identity_only_solution_is_exact(self):
         # sanity-check the eliminator itself on a tiny handmade system
@@ -155,19 +236,21 @@ class TestCommutant:
         assert commutant_dimension(stub) == 1
 
     def test_spectral_path_needs_no_guard(self):
-        _, gm = build("I", 3, 3, seed=38)
-        assert joint_spectrum(gm).simple
-        assert commutant_dimension(gm, max_dim=1) == 1
+        # a module at the build guard and its direct sum stay within the
+        # commutant's bound of 4 * max_dim equal-key pairs
+        params, gm = build("I", 3, 3, seed=38)
+        params.max_dim = gm.dim
+        assert commutant_dimension(gm) == 1
+        assert commutant_dimension(direct_sum(gm)) == 4
 
 
 class TestCommutantOracle:
-    """The spectral and restricted paths against the d^2-unknown solve."""
+    """The gain-graph solver against the d^2-unknown solve."""
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("n,m", SHAPES)
+    @pytest.mark.parametrize("n,m", SHAPES + [(2, 7)])
     def test_genuine_instances(self, case, n, m):
         _, gm = build(case, n, m, seed=51)
-        assert joint_spectrum(gm).commutant_method == "spectral"
         assert commutant_dimension(gm) == full_commutant_dimension(gm) == 1
 
     def test_spectral_path_counts_components(self):
@@ -180,10 +263,23 @@ class TestCommutantOracle:
             mats["y2"].set(i, i, field.one())
         mats["x1"].set(0, 1, field.one())
         stub = GeneratorMatrices(params, gm.case, mats)
-        assert joint_spectrum(stub).commutant_method == "spectral"
         assert commutant_dimension(stub) == full_commutant_dimension(stub) == 2
         mats["y1"].set(2, 1, params.domain.q)
         assert commutant_dimension(stub) == full_commutant_dimension(stub) == 1
+
+    def test_zero_forcing(self):
+        # one key class {0, 1}; x1 = E_00 forces X_01 = X_10 = 0: a zero
+        # row 1 and a column 1 that no row reaches
+        params, gm = build("I", 2, 3, seed=54)
+        field = params.domain.field
+        mats = {name: CycMatrix(field, 2) for name in ("x1", "y1", "x2", "y2")}
+        for i in range(2):
+            mats["x2"].set(i, i, field.one())
+            mats["y2"].set(i, i, field.one())
+        mats["x1"].set(0, 0, field.one())
+        stub = GeneratorMatrices(params, gm.case, mats)
+        stub.dim = 2
+        assert commutant_dimension(stub) == full_commutant_dimension(stub) == 2
 
     @pytest.mark.parametrize("case", CASES)
     def test_every_single_entry_tampered_copy(self, case):
@@ -208,17 +304,71 @@ class TestCommutantOracle:
     def test_direct_sums(self, case, n, m):
         _, gm = build(case, n, m, seed=51)
         doubled = direct_sum(gm)
-        assert joint_spectrum(doubled).commutant_method == "restricted-elimination"
         assert commutant_dimension(doubled) == full_commutant_dimension(doubled) == 4
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_conjugated_direct_sums(self, case, n, m):
+        # D (M + M) D^-1 for a random diagonal D: gains other than 1
+        _, gm = build(case, n, m, seed=62)
+        conj = conjugated(direct_sum(gm), random.Random(63))
+        assert commutant_dimension(conj) == full_commutant_dimension(conj) == 4
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_non_isomorphic_sums(self, case, n, m):
+        # doubling alpha_1 breaks a self-loop, doubling alpha_i (i >= 2,
+        # outside I) the gain of an x_i cycle; Hom between the two is 0
+        params, gm = build(case, n, m, seed=64)
+        for i in [1] + [i for i in range(2, n + 1) if i not in params.I_set]:
+            pair = block_sum(gm, build_module(with_alpha_doubled(params, i)))
+            assert commutant_dimension(pair) == full_commutant_dimension(pair) == 2, i
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_undecided_inputs_fail_separation(self, case):
+        # a moved entry can make x_r y_r non-diagonal, merge key classes
+        # and map two rows of one class into one column
+        _, gm = build(case, 3, 3, seed=58)
+        undecided = 0
+        for name in sorted(gm.mats):
+            for r, c, _ in list(gm.mats[name].entries()):
+                for edited in (edited_copy(gm, name, r, (c + 1) % gm.dim),
+                               edited_copy(gm, name, r)):
+                    try:
+                        dim = commutant_dimension(edited)
+                    except GuardError as exc:
+                        assert "commutant undecided" in str(exc)
+                        assert not all(s.ok for s in check_eigen_separation(edited))
+                        undecided += 1
+                    else:
+                        assert dim == full_commutant_dimension(edited), (name, r)
+        assert undecided
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_stubs())
+    def test_random_partial_injections(self, stub):
+        assert commutant_dimension(stub) == full_commutant_dimension(stub)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_stubs(injective=False))
+    def test_random_partial_maps_agree_or_are_undecided(self, stub):
+        try:
+            dim = commutant_dimension(stub)
+        except GuardError as exc:
+            assert "commutant undecided" in str(exc)
+        else:
+            assert dim == full_commutant_dimension(stub)
 
     def test_d729_commutant_is_decided(self):
         params = random_module_params("I", 4, 9, 1, seed=53)
         params.max_dim = 729
-        report = run_verification(build_module(params))
+        gm = build_module(params)
+        report = run_verification(gm)
         assert report.dimension == 729
         assert report.commutant_dim == 1 and report.commutant_skipped == ""
-        assert report.commutant_method == "spectral"
         assert report.ok
+        doubled = run_verification(direct_sum(gm))
+        assert doubled.commutant_dim == 4 and doubled.commutant_skipped == ""
 
 
 def edited_copy(gm, name, row, col=None):
@@ -241,10 +391,11 @@ def assert_checks_agree(gm):
     for central in (check_central_scalars(gm), report.central):
         assert [(c.generator, c.value, c.expected)
                 for c in central] == oracle_central(gm)
-    diagonals = joint_spectrum(gm).diagonals
-    for r in range(2, gm.params.n + 1):
-        op = DictMatrix.of(gm.mat(xgen(r))) @ DictMatrix.of(gm.mat(ygen(r)))
-        assert diagonals[r] == (op.diagonal() if op.is_diagonal() else None)
+    for spectrum in (joint_spectrum(gm), joint_spectrum(gm, omega_rows(gm))):
+        for r in range(2, gm.params.n + 1):
+            op = DictMatrix.of(gm.mat(xgen(r))) @ DictMatrix.of(gm.mat(ygen(r)))
+            assert spectrum.diagonals[r] == (op.diagonal() if op.is_diagonal()
+                                             else None)
     return report
 
 
@@ -351,7 +502,7 @@ class TestEigenSeparation:
         checks = check_eigen_separation(direct_sum(gm))
         assert all(c.diagonal for c in checks)
         assert not any(c.separated for c in checks)
-        report = run_verification(direct_sum(gm), commutant_cap=2 * gm.dim)
+        report = run_verification(direct_sum(gm))
         assert not report.sections["eigen_separation"]
         assert report.commutant_dim == 4
 
@@ -387,23 +538,16 @@ class TestFullReport:
         json.dumps(doc)  # must be serializable as-is
 
     def test_commutant_skip_keeps_other_sections(self):
-        _, gm = build("I", 3, 3, seed=44)
-        # a genuine module takes the unguarded spectral path; the direct
-        # sum's restricted system (36 unknowns) exceeds the cap 4^2
-        report = run_verification(direct_sum(gm), commutant_cap=4)
+        params, gm = build("I", 3, 3, seed=44)
+        # the direct sum's 36 equal-key pairs exceed 4 * 8
+        params.max_dim = 8
+        report = run_verification(direct_sum(gm))
         assert report.commutant_dim is None
         assert "commutant guard" in report.commutant_skipped
-        assert report.commutant_method == ""
         assert report.sections["commutant"]  # skipped, not failed
         # a sum is a representation; only its separation fails
         assert [name for name, ok in report.sections.items() if not ok] \
             == ["eigen_separation"]
-
-    def test_commutant_method_reported(self):
-        _, gm = build("II", 2, 3, seed=43)
-        assert run_verification(gm).to_dict()["commutant_method"] == "spectral"
-        doubled = run_verification(direct_sum(gm))
-        assert doubled.to_dict()["commutant_method"] == "restricted-elimination"
 
     def test_failing_instance_reports_sections(self):
         _, gm = build("I", 2, 3, seed=45)
