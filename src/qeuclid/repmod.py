@@ -107,9 +107,15 @@ class ModuleParams:
         self.inv_correction = self.domain.correction.inv()
         self._inv_q2_minus_1 = (self.domain.q_pow(2) - self.domain.one).inv()
         self._alpha1_inv = alpha1.inv()
+        self._alpha_inv = tuple(None if v.is_zero() else v.inv()
+                                for v in self.alpha)
 
     def alpha_i(self, i: int) -> Cyclotomic:
         return self.alpha[i - 2]
+
+    def alpha_inv_i(self, i: int) -> Cyclotomic:
+        """alpha_i^(-1) for i outside I, computed once per instance."""
+        return self._alpha_inv[i - 2]
 
     def beta_i(self, i: int) -> Cyclotomic:
         return self.beta[i - 2]
@@ -122,7 +128,7 @@ class ModuleParams:
         if i in self.I_set:
             raise ValueError(f"beta_{i} is a free parameter (i in I)")
         diff = self.lam_i(i) ** self.m - self.lam_i(i - 1) ** self.m
-        return self.alpha_i(i).inv() * self.inv_correction ** self.m * diff
+        return self.alpha_inv_i(i) * self.inv_correction ** self.m * diff
 
     def derived_beta1(self) -> Cyclotomic:
         """The value y_1^m takes (never configured; index 1 has no beta)."""
@@ -162,7 +168,8 @@ class ModuleParams:
         if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 1:
             raise ParamError("field 'max_dim' must be a positive integer")
         # before any scalar builds Q(zeta_m): phi(m) < m <= m^(n-1) for n >= 2,
-        # so the cap on the module also bounds the field's reduction table
+        # so the cap on the module also bounds the field's wrap table and
+        # its m stored powers of zeta
         check_dimension(m, n, max_dim)
 
         def scalar(key, value):
@@ -263,7 +270,7 @@ def act(a: tuple, code: int, params: ModuleParams):
         coeff = ((params.lam_i(i) - dom.q_pow(-2 * ai(i)) * params.lam_i(i - 1))
                  * params.inv_correction * dom.q_pow(exp))
         if ai(i) == 0:
-            coeff = coeff * params.alpha_i(i).inv()
+            coeff = coeff * params.alpha_inv_i(i)
             target = a[:pos] + (m - 1,) + a[pos + 1:]
         else:
             target = a[:pos] + (ai(i) - 1,) + a[pos + 1:]

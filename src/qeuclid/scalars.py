@@ -160,8 +160,10 @@ def _qpoly_xgcd(a, b):
 # (power-basis coordinates modulo the m-th cyclotomic polynomial) and
 # ``den`` is a positive common denominator.  The pair is normalized: the
 # gcd of all numerators and the denominator is 1, and the zero vector has
-# den == 1.  ``red`` is the field's reduction table: ``red[t]`` gives the
-# integer coordinates of zeta^(d+t) for t = 0 .. d-2 (Phi_m is monic over Z).
+# den == 1.  ``wrap`` is the field's sparse wrap table: ``wrap[k - phi]``
+# holds the nonzero (column, coefficient) pairs of zeta^k for
+# phi <= k < m (Phi_m is monic over Z, so they are integers).  Degrees
+# >= m fold for free, since zeta^m = 1.
 
 def vec_normalize(nums, den):
     """Reduce (nums, den) to canonical form: den > 0, content coprime to den."""
@@ -198,25 +200,41 @@ def vec_sub(anums, aden, bnums, bden):
         [a * bden - b * aden for a, b in zip(anums, bnums)], aden * bden)
 
 
-def vec_mul(anums, aden, bnums, bden, red):
-    """Product in the power basis: convolve, then fold degrees >= d via red."""
+def _fold(res, high, wrap):
+    """Add high[t] * zeta^(phi + t) into res through the wrap table."""
+    for t, c in enumerate(high):
+        if c:
+            for col, coef in wrap[t]:
+                res[col] += c * coef
+    return res
+
+
+def vec_mul(anums, aden, bnums, bden, wrap):
+    """Product in the power basis: convolve the nonzero entries, fold
+    degrees >= m mod x^m - 1, then fold the rest through ``wrap``."""
     d = len(anums)
+    m = d + len(wrap)
+    bnz = [(j, b) for j, b in enumerate(bnums) if b]
     conv = [0] * (2 * d - 1)
     for i, a in enumerate(anums):
         if a:
-            for j, b in enumerate(bnums):
-                if b:
-                    conv[i + j] += a * b
-    res = conv[:d]
-    for t in range(d - 1):
-        c = conv[d + t]
-        if c:
-            row = red[t]
-            for j in range(d):
-                rv = row[j]
-                if rv:
-                    res[j] += c * rv
-    return vec_normalize(res, aden * bden)
+            for j, b in bnz:
+                conv[i + j] += a * b
+    for k in range(m, 2 * d - 1):
+        conv[k - m] += conv[k]
+    return vec_normalize(_fold(conv[:d], conv[d:m], wrap), aden * bden)
+
+
+def vec_rotate(nums, e, wrap):
+    """zeta^e times the element with coordinates nums (0 <= e < m): lift
+    into Z[x]/(x^m - 1), rotate by e, fold back through ``wrap``.  A unit
+    of Z[zeta] keeps the content, so the denominator carries over and the
+    result is already canonical."""
+    d = len(nums)
+    lifted = list(nums) + [0] * len(wrap)
+    cut = len(lifted) - e
+    rotated = lifted[cut:] + lifted[:cut]
+    return tuple(_fold(rotated[:d], rotated[d:], wrap))
 
 
 def _power(base, e: int, one):
@@ -245,12 +263,13 @@ _FIELD_CACHE: dict[int, "CyclotomicField"] = {}
 
 
 class CyclotomicField:
-    """Q(zeta_m) for odd m >= 3, with precomputed reduction data.
+    """Q(zeta_m) for odd m >= 3, with its wrap table and the m powers of
+    zeta precomputed.
 
     Instances are interned per m, so field identity checks are cheap.
     """
 
-    __slots__ = ("m", "degree", "modulus", "reduction", "_zeta_cache")
+    __slots__ = ("m", "degree", "modulus", "wrap", "_zeta_powers", "_zeta_exps")
 
     def __new__(cls, m: int):
         if m in _FIELD_CACHE:
@@ -263,19 +282,20 @@ class CyclotomicField:
         d = len(phi) - 1
         self.degree = d
         self.modulus = phi
-        # reduction[t] = coordinates of zeta^(d+t), t = 0 .. d-2
-        rows = []
-        rep = [-c for c in phi[:d]]
-        rows.append(tuple(rep))
-        for _ in range(d - 2):
-            top = rep[d - 1]
-            rep = [0] + rep[:d - 1]
-            if top:
-                for j in range(d):
-                    rep[j] += top * rows[0][j]
-            rows.append(tuple(rep))
-        self.reduction = tuple(rows)
-        self._zeta_cache = {}
+        # powers[k] = coordinates of zeta^k, k = 0 .. m-1; past the basis
+        # each is the previous one times zeta, with zeta^d = -(phi[:d])
+        powers = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+        top = rep = tuple(-c for c in phi[:d])
+        for _ in range(d, m):
+            powers.append(rep)
+            c = rep[d - 1]
+            rep = (0,) + rep[:d - 1]
+            if c:
+                rep = tuple(r + c * t for r, t in zip(rep, top))
+        self.wrap = tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                          for row in powers[d:])
+        self._zeta_powers = tuple(Cyclotomic(self, row, 1) for row in powers)
+        self._zeta_exps = {row: k for k, row in enumerate(powers)}
         _FIELD_CACHE[m] = self
         return self
 
@@ -309,17 +329,11 @@ class CyclotomicField:
 
     def zeta_pow(self, e: int) -> "Cyclotomic":
         """zeta^e reduced into the power basis (e arbitrary integer)."""
-        e %= self.m
-        if e not in self._zeta_cache:
-            if e < self.degree:
-                nums = [0] * self.degree
-                nums[e] = 1
-                self._zeta_cache[e] = self.element(nums)
-            else:
-                prev = self.zeta_pow(e - 1)
-                zeta = self.zeta_pow(1)
-                self._zeta_cache[e] = prev * zeta
-        return self._zeta_cache[e]
+        return self._zeta_powers[e % self.m]
+
+    def zeta_exponent(self, c: "Cyclotomic"):
+        """e with c == zeta^e, or None when c is no power of zeta."""
+        return self._zeta_exps.get(c.nums) if c.den == 1 else None
 
 
 class Cyclotomic:
@@ -380,8 +394,15 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.field, *vec_mul(
-            self.nums, self.den, other.nums, other.den, self.field.reduction))
+        field = self.field
+        e = field.zeta_exponent(other)
+        if e is not None:
+            return Cyclotomic(field, vec_rotate(self.nums, e, field.wrap), self.den)
+        e = field.zeta_exponent(self)
+        if e is not None:
+            return Cyclotomic(field, vec_rotate(other.nums, e, field.wrap), other.den)
+        return Cyclotomic(field, *vec_mul(
+            self.nums, self.den, other.nums, other.den, field.wrap))
 
     __rmul__ = __mul__
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .linalg import CycMatrix, compose_row
 from .pidegree import DegreeReport, pi_degree
 from .repmod import GeneratorMatrices, GuardError, ModuleParams, dimension
-from .rewriter import all_gens, gen_name, xgen, ygen
+from .rewriter import all_gens, gen_name, is_x, xgen, ygen
 from .scalars import encode_cyclotomic
 
 
@@ -79,10 +79,12 @@ def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
 
     Every residual must be the exact zero matrix.  A q-commutation
     A B = s B A holds row by row when both rows are zero or share their
-    column and coefficient; s B is formed once per generator, and as s
-    is a unit it keeps the zero rows of B.  The additive relation
-    x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of ``omegas``,
-    with the running sums formed exactly.
+    column and coefficient.  s B is formed for one right-hand generator
+    B at a time and checked against every relation that uses it; as s is
+    a power of q, each of its products is a rotation, and it keeps the
+    zero rows of B.  The additive relation x_i y_i = y_i x_i + omega_(i-1)
+    is compared on the rows of ``omegas``, with the running sums formed
+    exactly.
     """
     params = params or gm.params
     if omegas is None:
@@ -91,24 +93,34 @@ def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
     n = params.n
     x = {i: gm.mat(xgen(i)) for i in range(1, n + 1)}
     y = {i: gm.mat(ygen(i)) for i in range(1, n + 1)}
-    qx = {i: _scaled(dom.q_pow(1), x[i]) for i in x}
-    qy = {i: _scaled(dom.q_pow(-1), y[i]) for i in y}
-    failures = []
-
-    def q_commute(name, a, b, sb):
-        for r in range(gm.dim):
-            if compose_row(a, b, r) != compose_row(sb, a, r):
-                failures.append(name)
-                return
-
+    # (name, A, code of B) for every A B = s B A, in report order
+    commutations = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            q_commute(f"y{i}*y{j} = q^-1*y{j}*y{i}", y[i], y[j], qy[j])
-            q_commute(f"x{i}*x{j} = q*x{j}*x{i}", x[i], x[j], qx[j])
+            commutations.append((f"y{i}*y{j} = q^-1*y{j}*y{i}", y[i], ygen(j)))
+            commutations.append((f"x{i}*x{j} = q*x{j}*x{i}", x[i], xgen(j)))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                q_commute(f"x{i}*y{j} = q^-1*y{j}*x{i}", x[i], y[j], qy[j])
+                commutations.append(
+                    (f"x{i}*y{j} = q^-1*y{j}*x{i}", x[i], ygen(j)))
+
+    def failing(code):
+        """Positions of the failed relations whose right-hand B is code."""
+        uses = [(pos, a) for pos, (_, a, right) in enumerate(commutations)
+                if right == code]
+        if not uses:
+            return []
+        b = gm.mat(code)
+        sb = _scaled(dom.q_pow(1 if is_x(code) else -1), b)
+        return [pos for pos, a in uses
+                if any(compose_row(a, b, r) != compose_row(sb, a, r)
+                       for r in range(gm.dim))]
+
+    failed = []
+    for code in all_gens(n):
+        failed += failing(code)
+    failures = [commutations[pos][0] for pos in sorted(failed)]
     for i in range(1, n + 1):
         xy, yx, before = omegas.xy[i], omegas.yx[i], omegas.omega[i - 1]
         for r in range(gm.dim):

@@ -19,6 +19,8 @@ from qeuclid.repmod import (
     random_module_params,
 )
 from qeuclid.rewriter import all_gens, gen_name, root_domain, xgen, ygen
+from qeuclid.scalars import Cyclotomic
+from qeuclid.verify import run_verification
 
 
 def make_params(m=3, k=1, n=2, alpha1=1, alpha=None, beta=None, lam=None,
@@ -151,6 +153,41 @@ class TestActCaseI:
                         * (params.lam_i(2) - params.lam_i(1))
                         * params.inv_correction)
             assert coeff == expected
+
+
+class TestAlphaInverses:
+    """The alpha_i inverses are computed once per instance, not per row."""
+
+    @staticmethod
+    def _build_counting_inversions(monkeypatch, n, m):
+        params = random_module_params("I", n, m, 1, seed=n)
+        calls = []
+        inv = Cyclotomic.inv
+
+        def counting(self):
+            calls.append(1)
+            return inv(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Cyclotomic, "inv", counting)
+            gm = build_module(params)
+        return params, gm, len(calls)
+
+    def test_build_inverts_nothing_per_row(self, monkeypatch):
+        counts = [self._build_counting_inversions(monkeypatch, n, 3)[2]
+                  for n in (3, 5)]
+        assert counts == [0, 0]
+
+    def test_cached_inverses_change_nothing(self, monkeypatch):
+        params, gm, _ = self._build_counting_inversions(monkeypatch, 3, 5)
+        monkeypatch.setattr(ModuleParams, "alpha_inv_i",
+                            lambda self, i: self.alpha_i(i).inv())
+        fresh = build_module(params)
+        assert fresh.to_wire() == gm.to_wire()
+        assert (run_verification(fresh).to_dict()
+                == run_verification(gm).to_dict())
+        for i in range(2, params.n + 1):
+            assert params.derived_beta(i) == params.beta_i(i)
 
 
 class TestActCaseIIandIII:

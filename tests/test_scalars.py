@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuclid import scalars
+from qeuclid import rewriter, scalars
 from qeuclid.scalars import (
     MAX_LITERAL_WORK,
     CyclotomicField,
@@ -206,9 +206,98 @@ class TestMulOracle:
             for i, x in enumerate(fa):
                 for j, y in enumerate(fb):
                     product[i + j] += x * y
-            _, rem = _qpoly_divmod(product, modulus)
-            rem += [Fraction(0)] * (d - len(rem))
-            assert (a * b).to_fractions() == tuple(rem)
+            assert (a * b).to_fractions() == _reduced(product, modulus, d)
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 15, 21, 105])
+    def test_rotation_matches_oracle_and_general_path(self, m):
+        # a power of zeta on either side takes the rotation path; it must
+        # equal x^e * a(x) mod Phi_m and the general product bit for bit
+        field = CyclotomicField(m)
+        d = field.degree
+        modulus = [Fraction(c) for c in field.modulus]
+        rng = random.Random(m)
+        operands = [field.zero()] + [
+            field.element([rng.randint(-10 ** 4, 10 ** 4) for _ in range(d)],
+                          rng.randint(1, 60))
+            for _ in range(2)]
+        for e in range(m):
+            z = field.zeta_pow(e)
+            for a in operands:
+                expected = _reduced([Fraction(0)] * e + list(a.to_fractions()),
+                                    modulus, d)
+                general = scalars.vec_mul(a.nums, a.den, z.nums, z.den, field.wrap)
+                for product in (z * a, a * z):
+                    assert product.to_fractions() == expected, (m, e)
+                    assert (product.nums, product.den) == general, (m, e)
+
+    @pytest.mark.parametrize("m", [9, 105])
+    def test_scaled_powers_take_the_general_path(self, monkeypatch, m):
+        field = CyclotomicField(m)
+        d = field.degree
+        modulus = [Fraction(c) for c in field.modulus]
+        rng = random.Random(m)
+        a = field.element([rng.randint(-99, 99) for _ in range(d)], 7)
+        calls = _count_calls(monkeypatch)
+        for e in (0, 1, d, m - 1):
+            for scale in (-1, Fraction(1, 2)):
+                z = field.zeta_pow(e) * scale
+                expected = _reduced(
+                    [Fraction(0)] * e + [c * scale for c in a.to_fractions()],
+                    modulus, d)
+                assert (z * a).to_fractions() == expected
+                assert (a * z).to_fractions() == expected
+        assert len(calls) == 16
+
+    def test_zeta_pow_matches_repeated_multiplication(self):
+        # the chain runs through the general product, not the lookup
+        field = CyclotomicField(105)
+        zeta = field.zeta_pow(1)
+        nums, den = field.one().nums, 1
+        for e in range(2 * field.m + 1):
+            assert (field.zeta_pow(e).nums, field.zeta_pow(e).den) == (nums, den), e
+            assert field.zeta_pow(-e) * field.zeta_pow(e) == field.one()
+            nums, den = scalars.vec_mul(nums, den, zeta.nums, zeta.den, field.wrap)
+
+
+def _reduced(poly, modulus, d):
+    """poly mod the cyclotomic modulus, padded to d coordinates."""
+    _, rem = _qpoly_divmod(poly, modulus)
+    return tuple(rem + [Fraction(0)] * (d - len(rem)))
+
+
+def _count_calls(monkeypatch, name="vec_mul"):
+    """Route scalars.<name> through a counter; returns the call list."""
+    calls = []
+    original = getattr(scalars, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(scalars, name, counting)
+    return calls
+
+
+class TestRotationGuard:
+    """Products by a power of zeta never reach the general product."""
+
+    def test_powers_of_zeta_at_m61(self, monkeypatch):
+        field = CyclotomicField(61)
+        rng = random.Random(61)
+        a = field.element([rng.randint(-3, 3) for _ in range(field.degree)], 4)
+        calls = _count_calls(monkeypatch)
+        for e in range(field.m):
+            z = field.zeta_pow(e)
+            assert z * a == a * z
+        assert calls == []
+
+    def test_central_powers_run_no_general_product(self, monkeypatch):
+        # a fresh normal-form memo, so the rewriter really multiplies
+        monkeypatch.setattr(rewriter, "_NF_CACHE", {})
+        rotations = _count_calls(monkeypatch, "vec_rotate")
+        calls = _count_calls(monkeypatch)
+        assert rewriter.verify_central_powers(2, 31, 1).ok
+        assert calls == [] and rotations
 
 
 class TestPower:
@@ -217,15 +306,8 @@ class TestPower:
 
     @pytest.mark.parametrize("e,products", [(1, 0), (2, 1), (3, 2), (9, 4), (21, 6)])
     def test_product_count(self, monkeypatch, e, products):
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return vec_mul(*args)
-
-        vec_mul = scalars.vec_mul
         base = CyclotomicField(9).element([1, 2, 0, -1, 0, 3], 5)
-        monkeypatch.setattr(scalars, "vec_mul", counting)
+        calls = _count_calls(monkeypatch)
         base ** e
         assert len(calls) == products
 
