@@ -21,7 +21,6 @@ from .repmod import (
     ModuleParams,
     ParamError,
     build_module,
-    classify_case,
 )
 from .rewriter import (
     check_local_confluence,
@@ -175,7 +174,6 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     params = parse_config(args.config, args.max_dim)
     t0 = time.perf_counter()
-    case = classify_case(params)
     gm = build_module(params)
     vrep = run_verification(gm)
     drep = vrep.bound.degree_report
@@ -184,7 +182,7 @@ def cmd_verify(args) -> int:
         report = {"pi_degree": drep.to_dict(), "verification": vrep.to_dict()}
         _emit(_envelope("verify", params.to_wire(), report, elapsed), args.out)
     else:
-        _emit(_render_verification(params, case, vrep, drep), args.out)
+        _emit(_render_verification(params, gm.case, vrep, drep), args.out)
     return EXIT_OK if vrep.ok else EXIT_VERIFY
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .rewriter import all_gens, q_exponent
+
 
 # ---------------------------------------------------------------------------
 # the defining matrix
@@ -21,34 +23,15 @@ from math import gcd, isqrt
 def build_H(n: int) -> list[list[int]]:
     """Skew-symmetric exponent matrix of the q-commutation pattern.
 
-    Order (x_1..x_n, y_1..y_n): H[xi][xj] = +1 for i<j, H[yi][yj] = -1
-    for i<j, H[xi][yj] = -1 for i != j, and H[xi][yi] = 0 since the
-    x_i y_i relation has leading coefficient 1 (its additive correction
-    is dropped here).
+    H[a][b] = rewriter.q_exponent(a, b) over the generators in the order
+    x_1..x_n, y_1..y_n: a b = q^H[a][b] b a, with H[x_i][y_i] = 0 since
+    the x_i y_i relation has leading coefficient 1 (its additive
+    correction is dropped here).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = 2 * n
-    H = [[0] * size for _ in range(size)]
-
-    def x(i):
-        return i - 1
-
-    def y(i):
-        return n + i - 1
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            H[x(i)][x(j)] = 1
-            H[x(j)][x(i)] = -1
-            H[y(i)][y(j)] = -1
-            H[y(j)][y(i)] = 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                H[x(i)][y(j)] = -1
-                H[y(j)][x(i)] = 1
-    return H
+    gens = all_gens(n)
+    return [[q_exponent(a, b) for b in gens] for a in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +47,6 @@ class SnfResult:
 
 def _mat_identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _mat_mul(A, B):
-    cols = len(B[0])
-    inner = len(B)
-    return [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(cols)]
-            for i in range(len(A))]
 
 
 def smith_normal_form(M) -> SnfResult:
@@ -169,9 +145,12 @@ def image_cardinality(H, m: int) -> int:
     """|image of H : Z^s -> (Z/mZ)^s| = prod of m/gcd(d_i, m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    snf = smith_normal_form(H)
+    return _image_size(smith_normal_form(H).diag, m)
+
+
+def _image_size(diag, m: int) -> int:
     h = 1
-    for d in snf.diag:
+    for d in diag:
         h *= m // gcd(d, m)
     return h
 
@@ -224,8 +203,11 @@ def kernel_basis(H, m: int) -> list[tuple[int, ...]]:
     Hermite reduction is used instead).  Every vector is verified to lie
     in K before returning.
     """
+    return _kernel_from_snf(H, m, smith_normal_form(H))
+
+
+def _kernel_from_snf(H, m: int, snf: SnfResult) -> list[tuple[int, ...]]:
     s = len(H)
-    snf = smith_normal_form(H)
     diag = list(snf.diag) + [0] * (s - len(snf.diag))
     basis_matrix = [[snf.V[r][c] * (m // gcd(diag[c], m)) for c in range(s)]
                     for r in range(s)]
@@ -282,9 +264,7 @@ def pi_degree(n: int, m: int) -> DegreeReport:
         raise ValueError("m must be odd >= 3 (or 1 for the degenerate check)")
     H = build_H(n)
     snf = smith_normal_form(H)
-    h = 1
-    for d in snf.diag:
-        h *= m // gcd(d, m)
+    h = _image_size(snf.diag, m)
     degree = isqrt(h)
     if degree * degree != h:
         raise ArithmeticError(
@@ -292,4 +272,4 @@ def pi_degree(n: int, m: int) -> DegreeReport:
             "skew-symmetry violated internally")
     return DegreeReport(
         m=m, n=n, h=h, degree=degree, expected=m ** (n - 1),
-        kernel=kernel_basis(H, m), divisors=snf.diag)
+        kernel=_kernel_from_snf(H, m, snf), divisors=snf.diag)

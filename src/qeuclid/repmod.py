@@ -106,7 +106,8 @@ class ModuleParams:
         # cached constants used by every action coefficient
         self.inv_correction = self.domain.correction.inv()
         self._inv_q2_minus_1 = (self.domain.q_pow(2) - self.domain.one).inv()
-        self._alpha1_inv = alpha1.inv()
+        # y_1 acts on every row by y1_coeff times a power of q
+        self.y1_coeff = alpha1.inv() * self.lam_i(1) * self.inv_correction
         self._alpha_inv = tuple(None if v.is_zero() else v.inv()
                                 for v in self.alpha)
 
@@ -132,7 +133,7 @@ class ModuleParams:
 
     def derived_beta1(self) -> Cyclotomic:
         """The value y_1^m takes (never configured; index 1 has no beta)."""
-        return (self._alpha1_inv * self.lam_i(1) * self.inv_correction) ** self.m
+        return self.y1_coeff ** self.m
 
     # -- wire form ----------------------------------------------------------
 
@@ -148,7 +149,7 @@ class ModuleParams:
         }
 
     @classmethod
-    def from_config(cls, cfg: dict, max_dim=DEFAULT_MAX_DIM) -> "ModuleParams":
+    def from_config(cls, cfg: dict) -> "ModuleParams":
         """Build from a parsed JSON config with field-precise errors."""
         for key in ("m", "k", "n", "alpha1", "alpha", "beta", "lambda"):
             if key not in cfg:
@@ -164,7 +165,7 @@ class ModuleParams:
         for key in ("alpha", "beta", "lambda"):
             if not isinstance(cfg[key], list):
                 raise ParamError(f"field {key!r} must be an array")
-        max_dim = cfg.get("max_dim", max_dim)
+        max_dim = cfg.get("max_dim", DEFAULT_MAX_DIM)
         if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 1:
             raise ParamError("field 'max_dim' must be a positive integer")
         # before any scalar builds Q(zeta_m): phi(m) < m <= m^(n-1) for n >= 2,
@@ -236,9 +237,7 @@ def act(a: tuple, code: int, params: ModuleParams):
         exp = sum(ai(j) if j in I else -ai(j) for j in range(2, n + 1))
         if is_x(code):
             return params.alpha1 * dom.q_pow(exp), a
-        coeff = (params._alpha1_inv * params.lam_i(1) * params.inv_correction
-                 * dom.q_pow(exp))
-        return coeff, a
+        return params.y1_coeff * dom.q_pow(exp), a
 
     pos = i - 2
     if is_x(code):

@@ -15,12 +15,12 @@ canonical order; straightening rewrites any descent
     y_i x_j -> q    x_j y_i          (j < i)
     x_i y_i -> y_i x_i + sum_{l<i} (1-q^-2) y_l x_l
 
-until none remains.  Termination: the q-swaps keep the letter multiset and
-strictly decrease inversions, while the x_i y_i rule strictly decreases
-the multiset of letter indices; the lexicographic pair (index multiset,
-inversions) therefore drops at every step.  Confluence is not assumed: it
-is checked on all length-3 overlap ambiguities by
-:func:`check_local_confluence`.
+until none remains; :func:`q_exponent` states the q-swap exponents.
+Termination: the q-swaps keep the letter multiset and strictly decrease
+inversions, while the x_i y_i rule strictly decreases the multiset of
+letter indices; the lexicographic pair (index multiset, inversions)
+therefore drops at every step.  Confluence is not assumed: it is checked
+on all length-3 overlap ambiguities by :func:`check_local_confluence`.
 """
 
 from __future__ import annotations
@@ -134,16 +134,28 @@ def root_domain(m: int, k: int) -> RootOfUnityDomain:
 _NF_CACHE: dict[object, dict] = {}
 
 
+def q_exponent(a: int, b: int) -> int:
+    """The e with a b = q^e b a in the leading term of the relation
+    between generators a and b; 0 for a == b and for the additive pair
+    x_i, y_i.  The one statement of the q-commutation pattern: the
+    rewrite rules, the matrix relation check and the PI-degree matrix H
+    read it.  On a descent (a after b in the canonical order), moving an
+    x left costs q^-1 and moving a y left costs q."""
+    if gen_index(a) == gen_index(b):
+        return 0
+    if a < b:
+        return -q_exponent(b, a)
+    return -1 if is_x(a) else 1
+
+
 def _rewrite_pair(u: int, v: int, dom) -> list[tuple[object, tuple[int, ...]]]:
     """One rule application to the descent u.v; returns (scalar, word) terms."""
-    ux = is_x(u)
-    if ux and not is_x(v) and gen_index(u) == gen_index(v):
+    if gen_index(u) == gen_index(v):
         out = [(dom.one, (v, u))]
         for l in range(1, gen_index(u)):
             out.append((dom.correction, (ygen(l), xgen(l))))
         return out
-    # q-swaps: moving an x left costs q^-1, moving a y left costs q
-    return [(dom.q_pow(-1 if ux else 1), (v, u))]
+    return [(dom.q_pow(q_exponent(u, v)), (v, u))]
 
 
 def _first_descent(word: tuple[int, ...]) -> int:

@@ -801,24 +801,39 @@ def parse_qlaurent(text: str) -> QLaurent:
     return _ScalarParser(tokenize(text)).parse()
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _coordinate(value) -> Fraction:
+    """One zeta-basis coordinate: an int (not a bool) or a rational
+    string such as "-2/3" or "5"; floats, exponents and anything else
+    are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        return Fraction(value)
+    raise ValueError(f"coordinate {value!r} is not an integer or a "
+                     f"rational string such as \"-2/3\"")
+
+
 def parse_cyclotomic(value, m: int, k: int) -> Cyclotomic:
     """Decode a config-file scalar.
 
-    Accepts either an array of rational strings (coordinates in the zeta
-    basis, e.g. ["1", "-2/3"]) or a string holding a q-expression such as
-    "q^2" or "(1-q^-2)", evaluated at q = zeta_m^k.
+    Accepts an array of coordinates in the zeta basis (ints or rational
+    strings, e.g. ["1", "-2/3"]), an int, or a string holding a
+    q-expression such as "q^2" or "(1-q^-2)", evaluated at q = zeta_m^k.
     """
     field = CyclotomicField(m)
     if isinstance(value, (list, tuple)):
-        fracs = [Fraction(s) for s in value]
-        if len(fracs) > field.degree:
+        if len(value) > field.degree:
             raise ValueError(
                 f"coefficient vector longer than phi({m}) = {field.degree}")
+        fracs = [_coordinate(s) for s in value]
         return field.from_fractions(
             fracs + [Fraction(0)] * (field.degree - len(fracs)))
     if isinstance(value, str):
         return parse_qlaurent(value).substitute(m, k)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return field.scalar(value)
     raise ValueError(f"cannot parse cyclotomic literal {value!r}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .linalg import CycMatrix, compose_row
 from .pidegree import DegreeReport, pi_degree
 from .repmod import GeneratorMatrices, GuardError, ModuleParams, dimension
-from .rewriter import all_gens, gen_name, is_x, xgen, ygen
+from .rewriter import all_gens, gen_name, q_exponent, xgen, ygen
 from .scalars import encode_cyclotomic
 
 
@@ -73,54 +73,43 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     return OmegaRows(xy, yx, omega)
 
 
-def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
-                    omegas: OmegaRows | None = None):
+def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     """Residuals of all four defining relation families; returns failures.
 
     Every residual must be the exact zero matrix.  A q-commutation
-    A B = s B A holds row by row when both rows are zero or share their
-    column and coefficient.  s B is formed for one right-hand generator
-    B at a time and checked against every relation that uses it; as s is
-    a power of q, each of its products is a rotation, and it keeps the
-    zero rows of B.  The additive relation x_i y_i = y_i x_i + omega_(i-1)
-    is compared on the rows of ``omegas``, with the running sums formed
-    exactly.
+    A B = q^e B A, with e = q_exponent(A, B), holds row by row when both
+    rows are zero or share their column and coefficient.  q^e B is formed
+    for one right-hand generator B at a time and checked against every
+    relation that uses it; each of its products is a rotation, and it
+    keeps the zero rows of B.  The additive relation
+    x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of ``omegas``,
+    with the running sums formed exactly.
     """
-    params = params or gm.params
     if omegas is None:
         omegas = omega_rows(gm)
-    dom = params.domain
-    n = params.n
-    x = {i: gm.mat(xgen(i)) for i in range(1, n + 1)}
-    y = {i: gm.mat(ygen(i)) for i in range(1, n + 1)}
-    # (name, A, code of B) for every A B = s B A, in report order
-    commutations = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            commutations.append((f"y{i}*y{j} = q^-1*y{j}*y{i}", y[i], ygen(j)))
-            commutations.append((f"x{i}*x{j} = q*x{j}*x{i}", x[i], xgen(j)))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                commutations.append(
-                    (f"x{i}*y{j} = q^-1*y{j}*x{i}", x[i], ygen(j)))
-
-    def failing(code):
-        """Positions of the failed relations whose right-hand B is code."""
-        uses = [(pos, a) for pos, (_, a, right) in enumerate(commutations)
-                if right == code]
-        if not uses:
-            return []
-        b = gm.mat(code)
-        sb = _scaled(dom.q_pow(1 if is_x(code) else -1), b)
-        return [pos for pos, a in uses
-                if any(compose_row(a, b, r) != compose_row(sb, a, r)
-                       for r in range(gm.dim))]
+    dom = gm.params.domain
+    n = gm.params.n
+    # (A, B) for every q-commutation A B = q^e B A, in report order
+    pairs = [(g(i), g(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             for g in (ygen, xgen)]
+    pairs += [(xgen(i), ygen(j)) for i in range(1, n + 1)
+              for j in range(1, n + 1) if i != j]
 
     failed = []
     for code in all_gens(n):
-        failed += failing(code)
-    failures = [commutations[pos][0] for pos in sorted(failed)]
+        b = gm.mat(code)
+        scaled = {}                   # q^e B, formed once per exponent e
+        for pos, (left, right) in enumerate(pairs):
+            if right != code:
+                continue
+            e = q_exponent(left, right)
+            if e not in scaled:
+                scaled[e] = _scaled(dom.q_pow(e), b)
+            a = gm.mat(left)
+            if any(compose_row(a, b, r) != compose_row(scaled[e], a, r)
+                   for r in range(gm.dim)):
+                failed.append(pos)
+    failures = [_commutation_name(*pairs[pos]) for pos in sorted(failed)]
     for i in range(1, n + 1):
         xy, yx, before = omegas.xy[i], omegas.yx[i], omegas.omega[i - 1]
         for r in range(gm.dim):
@@ -132,6 +121,12 @@ def check_relations(gm: GeneratorMatrices, params: ModuleParams | None = None,
                     f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l")
                 break
     return failures
+
+
+def _commutation_name(a: int, b: int) -> str:
+    e = q_exponent(a, b)
+    scalar = "q" if e == 1 else f"q^{e}"
+    return f"{gen_name(a)}*{gen_name(b)} = {scalar}*{gen_name(b)}*{gen_name(a)}"
 
 
 @dataclass
@@ -148,11 +143,10 @@ class OmegaCheck:
 
 
 def check_omega_action(gm: GeneratorMatrices,
-                       params: ModuleParams | None = None,
                        omegas: OmegaRows | None = None) -> list[OmegaCheck]:
     """Each omega_i must act diagonally, with entry lambda_i on the seed
     row and no zero on the diagonal (torsionfreeness)."""
-    params = params or gm.params
+    params = gm.params
     if omegas is None:
         omegas = omega_rows(gm)
     out = []
@@ -253,9 +247,8 @@ def _dies_within(cols, m: int) -> bool:
     return True
 
 
-def check_central_scalars(gm: GeneratorMatrices,
-                          params: ModuleParams | None = None) -> list[CentralCheck]:
-    params = params or gm.params
+def check_central_scalars(gm: GeneratorMatrices) -> list[CentralCheck]:
+    params = gm.params
     expected = expected_central_values(params)
     out = []
     for code in all_gens(params.n):
@@ -459,7 +452,6 @@ class SeparationCheck:
 
 
 def check_eigen_separation(gm: GeneratorMatrices,
-                           params: ModuleParams | None = None,
                            spectrum: JointSpectrum | None = None
                            ) -> list[SeparationCheck]:
     """For r = 2..n the operator x_r y_r is diagonal; basis rows that
@@ -472,7 +464,7 @@ def check_eigen_separation(gm: GeneratorMatrices,
     m^(r-2) rows, the number of basis vectors sharing (a_r, ..., a_n).
     At r = 2 this says the joint spectrum is simple.
     """
-    params = params or gm.params
+    params = gm.params
     if spectrum is None:
         spectrum = joint_spectrum(gm)
     diagonals = spectrum.diagonals
@@ -598,14 +590,13 @@ def run_verification(gm: GeneratorMatrices,
     bound is the build guard ``params.max_dim``, and the benchmark's
     worker still passes the keyword.
     """
-    params = gm.params
     omegas = omega_rows(gm)
-    relation_failures = check_relations(gm, params, omegas)
-    omega = check_omega_action(gm, params, omegas)
-    central = check_central_scalars(gm, params)
+    relation_failures = check_relations(gm, omegas)
+    omega = check_omega_action(gm, omegas)
+    central = check_central_scalars(gm)
     spectrum = joint_spectrum(gm, omegas)
-    separation = check_eigen_separation(gm, params, spectrum)
-    bound = check_dimension_bound(params)
+    separation = check_eigen_separation(gm, spectrum)
+    bound = check_dimension_bound(gm.params)
     commutant, skipped = None, ""
     try:
         commutant = commutant_dimension(gm, spectrum)

@@ -150,6 +150,23 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "field 'alpha1': sums too large" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha1", [
+        ["1e200000"], ["1e2000000"], ["0.5"], [" 1"], ["+1"], [0.1], [["1"]],
+        [None], [{"a": 1}], [True], True, None])
+    def test_malformed_coordinate_rejected(self, tmp_path, capsys, alpha1):
+        cfg = write_config(tmp_path, alpha1=alpha1)
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'alpha1': ")
+        assert err.count("\n") == 1
+
+    def test_integer_coordinates_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha1=[1, "0"], beta=[[0, "-0/5"]])
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+
     def test_huge_power_of_q_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha1="q^99999999999")
         t0 = time.perf_counter()

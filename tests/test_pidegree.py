@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from oracles import brute_force_image
+from qeuclid import pidegree
 from qeuclid.pidegree import (
     DegreeReport,
     build_H,
@@ -261,6 +262,20 @@ class TestPiDegree:
     def test_even_m_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             pi_degree(2, 4)
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 5), (4, 1), (5, 9)])
+    def test_one_smith_form_per_call(self, n, m, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(pidegree, "smith_normal_form", counting)
+        rep = pi_degree(n, m)
+        assert len(calls) == 1
+        assert rep.kernel == kernel_basis(build_H(n), m)
+        assert rep.h == image_cardinality(build_H(n), m)
 
     def test_report_shape(self):
         rep = pi_degree(2, 3)

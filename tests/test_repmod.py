@@ -1,6 +1,7 @@
 """Module construction: case bookkeeping, action formulas, matrices."""
 
 import json
+import time
 
 import pytest
 
@@ -334,6 +335,17 @@ class TestWireValidation:
         with pytest.raises(ParamError,
                            match=r"generator 'y1', entry 3: expected \[row, col, value\]"):
             GeneratorMatrices.from_wire(wire)
+
+    @pytest.mark.parametrize("value", [
+        ["1e200000"], ["1e2000000"], ["0.5"], [0.1], [["1"]], [None],
+        [{"a": 1}], [True], True, None])
+    def test_malformed_coordinate_rejected(self, value):
+        wire = self.wire()
+        wire["generators"]["x2"][1][2] = value
+        t0 = time.perf_counter()
+        with pytest.raises(ParamError, match=r"generator 'x2', row \d+: "):
+            GeneratorMatrices.from_wire(wire)
+        assert time.perf_counter() - t0 < 2.0
 
     def test_second_nonzero_entry_in_a_row_rejected(self):
         wire = self.wire()

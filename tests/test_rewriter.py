@@ -17,6 +17,7 @@ from qeuclid.rewriter import (
     multiply,
     omega,
     power,
+    q_exponent,
     root_domain,
     straighten,
     verify_central_powers,
@@ -239,6 +240,22 @@ class TestRuleTable:
             assert u > v
             assert rhs.is_normal()
             assert straighten(word(u, v)) == rhs
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_q_swaps_match_the_defining_relations(self, n):
+        # every descent u v (u after v) of two letters with different
+        # indices, with the exponent read off the relations by hand
+        for i in range(2, n + 1):
+            for j in range(1, i):
+                for u, v, e in [(xgen(i), xgen(j), -1),   # x_j x_i = q x_i x_j
+                                (ygen(i), ygen(j), 1),    # y_j y_i = q^-1 y_i y_j
+                                (xgen(i), ygen(j), -1),   # x_i y_j = q^-1 y_j x_i
+                                (ygen(i), xgen(j), 1)]:   # x_j y_i = q^-1 y_i x_j
+                    assert straighten(word(u, v)) == NCPoly.word(D, (v, u), D.q_pow(e))
+                    assert (q_exponent(u, v), q_exponent(v, u)) == (e, -e)
+        for i in range(1, n + 1):
+            assert q_exponent(xgen(i), ygen(i)) == q_exponent(ygen(i), xgen(i)) == 0
+            assert q_exponent(xgen(i), xgen(i)) == q_exponent(ygen(i), ygen(i)) == 0
 
     def test_additive_rule_carries_correction(self):
         from qeuclid.rewriter import rewrite_rules

@@ -1,6 +1,7 @@
 """Verification suite: relations, omega, centrals, commutant, separation."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,13 @@ from qeuclid.repmod import (
     GuardError,
     ModuleParams,
     build_module,
+    classify_case,
     random_module_params,
 )
 from qeuclid.rewriter import (
     NCPoly,
     all_gens,
+    gen_name,
     multiply,
     omega,
     root_domain,
@@ -72,6 +75,31 @@ class TestRelations:
         _, gm = build("I", 2, 3, seed=1)
         bad = tampered_copy(gm, "x2", 0, 1)
         assert check_relations(bad) != []
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_generator_pair_checked_once(self, n):
+        # d = 2 stubs: x1 swaps the two rows, every other generator is
+        # diagonal, and all entries are distinct primes, so no q-power
+        # relates them and every relation fails, x1 y1 = y1 x1 included
+        params = random_module_params("I", n, 3, 1, seed=n)
+        field = params.domain.field
+        primes = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                       47, 53, 59, 61, 67, 71])
+        mats = {}
+        for code in all_gens(n):
+            coeffs = [field.scalar(next(primes)) for _ in range(2)]
+            cols = [1, 0] if code == xgen(1) else [0, 1]
+            mats[gen_name(code)] = CycMatrix(field, 2, cols, coeffs)
+        stub = GeneratorMatrices(params, classify_case(params), mats)
+        stub.dim = 2
+        failures = check_relations(stub)
+        pairs = Counter(frozenset(name.split(" = ")[0].split("*"))
+                        for name in failures)
+        expected = {frozenset((gen_name(a), gen_name(b)))
+                    for a in all_gens(n) for b in all_gens(n) if a != b}
+        assert len(expected) == n * (2 * n - 1)
+        assert set(pairs) == expected and set(pairs.values()) == {1}
+        assert failures == oracle_relations(stub)
 
     def test_dimension_mismatch_rejected(self):
         params, gm = build("I", 2, 3, seed=1)
