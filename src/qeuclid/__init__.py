@@ -34,14 +34,12 @@ from .pidegree import (
     smith_normal_form,
 )
 from .repmod import (
-    CaseTag,
     GeneratorMatrices,
     GuardError,
     ModuleParams,
     ParamError,
     act,
     build_module,
-    classify_case,
     dimension,
     random_module_params,
 )
@@ -64,9 +62,8 @@ __all__ = [
     "straighten", "verify_central_powers", "verify_remark_identities",
     "DegreeReport", "build_H", "image_cardinality",
     "kernel_basis", "pi_degree", "smith_normal_form",
-    "CaseTag", "GeneratorMatrices", "GuardError", "ModuleParams",
-    "ParamError", "act", "build_module", "classify_case", "dimension",
-    "random_module_params",
+    "GeneratorMatrices", "GuardError", "ModuleParams", "ParamError",
+    "act", "build_module", "dimension", "random_module_params",
     "VerificationReport", "check_central_scalars", "check_dimension_bound",
     "check_eigen_separation", "check_omega_action", "check_relations",
     "commutant_dimension", "run_verification",

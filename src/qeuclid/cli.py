@@ -107,10 +107,10 @@ def _render_suites(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_verification(params, case, vrep, drep) -> str:
+def _render_verification(params, vrep, drep) -> str:
     lines = [
-        f"module instance: case {case.tag} (n={params.n}, m={params.m}, "
-        f"k={params.k}), I={sorted(case.I_set)}, J={sorted(case.J_set)}",
+        f"module instance: case {params.case} (n={params.n}, m={params.m}, "
+        f"k={params.k}), I={sorted(params.I_set)}, J={sorted(params.J_set)}",
         f"  dimension m^(n-1)   : {vrep.dimension}",
         f"  PI-degree           : {drep.degree} (expected {drep.expected})   "
         f"{_pf(drep.matches_expected)}",
@@ -156,13 +156,13 @@ def cmd_build(args) -> int:
     payload = json.dumps(wire, sort_keys=True, indent=2) + "\n"
     if args.out:
         _emit(payload, args.out)
-        summary = (f"case {gm.case.tag} module (n={params.n}, m={params.m}, "
+        summary = (f"case {params.case} module (n={params.n}, m={params.m}, "
                    f"k={params.k}), dimension {gm.dim}; "
                    f"matrices written to {args.out}\n")
         if args.json:
             sys.stdout.write(_envelope(
                 "build", params.to_wire(),
-                {"case": gm.case.tag, "dimension": gm.dim, "out": args.out},
+                {"case": params.case, "dimension": gm.dim, "out": args.out},
                 elapsed))
         else:
             sys.stdout.write(summary)
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
         report = {"pi_degree": drep.to_dict(), "verification": vrep.to_dict()}
         _emit(_envelope("verify", params.to_wire(), report, elapsed), args.out)
     else:
-        _emit(_render_verification(params, gm.case, vrep, drep), args.out)
+        _emit(_render_verification(params, vrep, drep), args.out)
     return EXIT_OK if vrep.ok else EXIT_VERIFY
 
 

@@ -9,20 +9,6 @@ Products are compositions of these maps, one scalar product per row.
 from __future__ import annotations
 
 
-def compose_row(a: "CycMatrix", b: "CycMatrix", r: int):
-    """Row r of the product a b as (column, coefficient), or (None, None).
-
-    Stored coefficients are nonzero, so a product of two is nonzero too.
-    """
-    t = a.cols[r]
-    if t is None:
-        return None, None
-    c = b.cols[t]
-    if c is None:
-        return None, None
-    return c, a.coeffs[r] * b.coeffs[t]
-
-
 class CycMatrix:
     """d x d matrix over a fixed CyclotomicField, at most one entry per row:
     row r is coeffs[r] at column cols[r], or zero when cols[r] is None."""
@@ -62,12 +48,15 @@ class CycMatrix:
                 and self.cols == other.cols and self.coeffs == other.coeffs)
 
     def __matmul__(self, other):
-        """Composition, one scalar product per row."""
+        """Composition, one scalar product per row: row r follows
+        cols[r] into the other map.  Stored coefficients are nonzero, so
+        a product of two is nonzero too."""
         if self.field is not other.field or self.dim != other.dim:
             raise ValueError("matrix shape or field mismatch")
         out = CycMatrix(self.field, self.dim)
-        for r in range(self.dim):
-            out.cols[r], out.coeffs[r] = compose_row(self, other, r)
+        for r, (t, a) in enumerate(zip(self.cols, self.coeffs)):
+            if t is not None and other.cols[t] is not None:
+                out.cols[r], out.coeffs[r] = other.cols[t], a * other.coeffs[t]
         return out
 
     def __pow__(self, e: int) -> "CycMatrix":

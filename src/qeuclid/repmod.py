@@ -8,8 +8,9 @@ and-shift on that index lattice, so each generator matrix is monomial.
 
 Case bookkeeping follows the zero pattern of the central values:
 I = {i >= 2 : alpha_i = 0} (those basis directions are built with y_i
-instead of x_i) and J = {i >= 2 : beta_i = 0}; tag I/II/III according to
-whether I, respectively I  intersect J, is empty.
+instead of x_i) and J = {i >= 2 : beta_i = 0}; ``ModuleParams.case`` is
+I, II or III according to whether I, respectively I intersect J, is
+empty.
 
 Two consistency facts are enforced on the parameters because the action
 formulas force them (both follow from commuting a generator past the
@@ -34,6 +35,12 @@ from .scalars import Cyclotomic, encode_cyclotomic, parse_cyclotomic
 
 DEFAULT_MAX_DIM = 512
 
+# Bound on the bit length of every numerator and denominator of a parsed
+# config scalar, so that a 1000-digit coordinate is refused before any
+# check multiplies it.  The largest literal the parser accepts,
+# "(1+q)^128*(1+q)^128", has coordinates of at most 254 bits.
+MAX_SCALAR_BITS = 512
+
 
 class ParamError(ValueError):
     """Invalid or inconsistent module parameters."""
@@ -41,25 +48,6 @@ class ParamError(ValueError):
 
 class GuardError(RuntimeError):
     """A configured resource guard was exceeded."""
-
-
-class CaseTag:
-    """Case I/II/III with the index sets that decide it."""
-
-    __slots__ = ("tag", "I_set", "J_set")
-
-    def __init__(self, tag, I_set, J_set):
-        self.tag = tag
-        self.I_set = frozenset(I_set)
-        self.J_set = frozenset(J_set)
-
-    def __repr__(self):
-        return (f"CaseTag({self.tag}, I={sorted(self.I_set)}, "
-                f"J={sorted(self.J_set)})")
-
-    def __eq__(self, other):
-        return (isinstance(other, CaseTag) and self.tag == other.tag
-                and self.I_set == other.I_set and self.J_set == other.J_set)
 
 
 class ModuleParams:
@@ -124,6 +112,13 @@ class ModuleParams:
     def lam_i(self, i: int) -> Cyclotomic:
         return self.lam[i - 1]
 
+    @property
+    def case(self) -> str:
+        """Case I when I is empty, II when I and J are disjoint, else III."""
+        if not self.I_set:
+            return "I"
+        return "III" if self.I_set & self.J_set else "II"
+
     def derived_beta(self, i: int) -> Cyclotomic:
         """The value y_i^m must take for i outside I (forced by the action)."""
         if i in self.I_set:
@@ -175,24 +170,20 @@ class ModuleParams:
 
         def scalar(key, value):
             try:
-                return parse_cyclotomic(value, m, k)
+                value = parse_cyclotomic(value, m, k)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParamError(f"field {key!r}: {exc}") from exc
+            bits = max(v.bit_length() for v in value.nums + (value.den,))
+            if bits > MAX_SCALAR_BITS:
+                raise ParamError(f"field {key!r}: {bits}-bit coordinates exceed "
+                                 f"the bound of {MAX_SCALAR_BITS} bits")
+            return value
 
         alpha1 = scalar("alpha1", cfg["alpha1"])
         alpha = [scalar(f"alpha[{i}]", v) for i, v in enumerate(cfg["alpha"])]
         beta = [scalar(f"beta[{i}]", v) for i, v in enumerate(cfg["beta"])]
         lam = [scalar(f"lambda[{i}]", v) for i, v in enumerate(cfg["lambda"])]
         return cls(m, k, n, alpha1, alpha, beta, lam, max_dim=max_dim)
-
-
-def classify_case(params: ModuleParams) -> CaseTag:
-    """Assign Case I/II/III from the zero patterns of alpha and beta."""
-    if not params.I_set:
-        return CaseTag("I", params.I_set, params.J_set)
-    if not (params.I_set & params.J_set):
-        return CaseTag("II", params.I_set, params.J_set)
-    return CaseTag("III", params.I_set, params.J_set)
 
 
 def dimension(params: ModuleParams) -> int:
@@ -313,13 +304,23 @@ def basis_rank(a: tuple, m: int) -> int:
 class GeneratorMatrices:
     """The 2n monomial matrices of one module instance, right action on
     row vectors: e(a) . g = sum_b M_g[a][b] e(b), so words act as
-    M_(gh) = M_g M_h."""
+    M_(gh) = M_g M_h.
 
-    def __init__(self, params: ModuleParams, case: CaseTag, mats: dict):
+    ``mats`` must hold exactly the 2n generators of ``params.n``, all of
+    one dimension, which becomes ``dim``; the checks rely on both.
+    """
+
+    def __init__(self, params: ModuleParams, mats: dict):
+        names = {gen_name(g) for g in all_gens(params.n)}
+        if set(mats) != names:
+            raise ParamError(f"generators {sorted(mats)} are not the "
+                             f"{len(names)} generators of n = {params.n}")
+        dims = {mat.dim for mat in mats.values()}
+        if len(dims) != 1:
+            raise ParamError("generator matrices have mismatched dimensions")
         self.params = params
-        self.case = case
         self.mats = mats
-        self.dim = params.m ** (params.n - 1)
+        (self.dim,) = dims
 
     def mat(self, name_or_code) -> CycMatrix:
         if isinstance(name_or_code, int):
@@ -333,7 +334,7 @@ class GeneratorMatrices:
                           for r, c, v in self.mats[name].entries()]
         wire = self.params.to_wire()
         wire.update({
-            "case": self.case.tag,
+            "case": self.params.case,
             "dimension": self.dim,
             "generators": gens,
         })
@@ -342,11 +343,10 @@ class GeneratorMatrices:
     @classmethod
     def from_wire(cls, data: dict) -> "GeneratorMatrices":
         params = ModuleParams.from_config(data)
-        case = classify_case(params)
-        if data.get("case") != case.tag:
+        if data.get("case") != params.case:
             raise ParamError(
                 f"case tag {data.get('case')!r} does not match parameters "
-                f"({case.tag})")
+                f"({params.case})")
         dim = params.m ** (params.n - 1)
         if data.get("dimension") != dim:
             raise ParamError("dimension field does not match m^(n-1)")
@@ -355,10 +355,7 @@ class GeneratorMatrices:
             raise ParamError("field 'generators' must be an object")
         mats = {name: _monomial_from_wire(name, triplets, params, dim)
                 for name, triplets in generators.items()}
-        expected = {gen_name(g) for g in all_gens(params.n)}
-        if set(mats) != expected:
-            raise ParamError("generator set incomplete in matrix file")
-        return cls(params, case, mats)
+        return cls(params, mats)
 
 
 def _monomial_from_wire(name, triplets, params: ModuleParams, dim: int):
@@ -392,7 +389,6 @@ def _monomial_from_wire(name, triplets, params: ModuleParams, dim: int):
 
 def build_module(params: ModuleParams) -> GeneratorMatrices:
     """Aggregate the single-row action over all rows into the matrices."""
-    case = classify_case(params)
     dim = check_dimension(params.m, params.n, params.max_dim)
     field = params.domain.field
     indices = basis_indices(params)
@@ -404,7 +400,7 @@ def build_module(params: ModuleParams) -> GeneratorMatrices:
             if coeff is not None:
                 mat.set(r, basis_rank(target, params.m), coeff)
         mats[gen_name(code)] = mat
-    return GeneratorMatrices(params, case, mats)
+    return GeneratorMatrices(params, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ denominator, arbitrary precision).
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -838,6 +840,26 @@ def parse_cyclotomic(value, m: int, k: int) -> Cyclotomic:
     raise ValueError(f"cannot parse cyclotomic literal {value!r}")
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on int-to-str digits (where it has one) for
+    the duration of the block; the limit stays on for parsing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def encode_cyclotomic(c: Cyclotomic) -> list[str]:
-    """Canonical wire form: rational strings for all phi(m) coordinates."""
-    return [str(f) for f in c.to_fractions()]
+    """Canonical wire form: rational strings for all phi(m) coordinates.
+
+    Computed values such as alpha_1^m can have more digits than Python
+    converts by default, so they are written with the limit lifted.
+    """
+    with _unlimited_int_digits():
+        return [str(f) for f in c.to_fractions()]

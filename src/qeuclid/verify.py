@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .linalg import CycMatrix, compose_row
+from .linalg import CycMatrix
 from .pidegree import DegreeReport, pi_degree
 from .repmod import GeneratorMatrices, GuardError, ModuleParams, dimension
 from .rewriter import all_gens, gen_name, q_exponent, xgen, ygen
@@ -60,8 +60,6 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     """Compose each x_i y_i and y_i x_i once: both sides of the additive
     relations, the x_r y_r diagonals of the joint spectrum, and the
     running sums that are the omegas."""
-    if {mat.dim for mat in gm.mats.values()} != {gm.dim}:
-        raise ValueError("generator matrices have mismatched dimensions")
     correction = gm.params.domain.correction
     xy, yx = {}, {}
     omega = [[{} for _ in range(gm.dim)]]
@@ -77,11 +75,11 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     """Residuals of all four defining relation families; returns failures.
 
     Every residual must be the exact zero matrix.  A q-commutation
-    A B = q^e B A, with e = q_exponent(A, B), holds row by row when both
-    rows are zero or share their column and coefficient.  q^e B is formed
-    for one right-hand generator B at a time and checked against every
-    relation that uses it; each of its products is a rotation, and it
-    keeps the zero rows of B.  The additive relation
+    A B = q^e B A, with e = q_exponent(A, B), holds when the two monomial
+    products are equal maps.  q^e B is formed for one right-hand
+    generator B at a time and checked against every relation that uses
+    it; each of its products is a rotation, and it keeps the zero rows of
+    B.  The additive relation
     x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of ``omegas``,
     with the running sums formed exactly.
     """
@@ -106,8 +104,7 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
             if e not in scaled:
                 scaled[e] = _scaled(dom.q_pow(e), b)
             a = gm.mat(left)
-            if any(compose_row(a, b, r) != compose_row(scaled[e], a, r)
-                   for r in range(gm.dim)):
+            if a @ b != scaled[e] @ a:
                 failed.append(pos)
     failures = [_commutation_name(*pairs[pos]) for pos in sorted(failed)]
     for i in range(1, n + 1):
@@ -269,7 +266,7 @@ class JointSpectrum:
     """Diagonals of the products x_r y_r (r = 2..n) over every row.
 
     ``diagonals[r]`` lists the eigenvalues of x_r y_r, or is None where
-    the product is missing or not diagonal.  ``keys[i]`` is row i's tuple
+    the product is not diagonal.  ``keys[i]`` is row i's tuple
     of eigenvalues over the diagonal products only.
     """
     diagonals: dict
@@ -282,13 +279,9 @@ def joint_spectrum(gm: GeneratorMatrices,
     read off the products in ``omegas`` when given, else composed here."""
     diagonals = {}
     for r in range(2, gm.params.n + 1):
-        if omegas is not None:
-            xy = omegas.xy[r]
-        else:
-            x = gm.mats.get(gen_name(xgen(r)))
-            y = gm.mats.get(gen_name(ygen(r)))
-            xy = None if x is None or y is None else x @ y
-        diagonals[r] = None if xy is None else _diagonal(xy)
+        xy = (omegas.xy[r] if omegas is not None
+              else gm.mat(xgen(r)) @ gm.mat(ygen(r)))
+        diagonals[r] = _diagonal(xy)
     columns = [diag for diag in diagonals.values() if diag is not None]
     keys = list(zip(*columns)) if columns else [()] * gm.dim
     return JointSpectrum(diagonals, keys)
@@ -470,11 +463,11 @@ def check_eigen_separation(gm: GeneratorMatrices,
     diagonals = spectrum.diagonals
     out = []
     for r in range(2, params.n + 1):
-        diagonal = diagonals.get(r) is not None
+        diagonal = diagonals[r] is not None
         separated = True
         if diagonal:
             columns = [diagonals[s] for s in range(r, params.n + 1)
-                       if diagonals.get(s) is not None]
+                       if diagonals[s] is not None]
             sizes = Counter(zip(*columns)).values()
             separated = all(size == params.m ** (r - 2) for size in sizes)
         out.append(SeparationCheck(position=r, diagonal=diagonal,
@@ -603,7 +596,7 @@ def run_verification(gm: GeneratorMatrices,
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(
-        case=gm.case.tag,
+        case=gm.params.case,
         dimension=gm.dim,
         relation_failures=relation_failures,
         omega=omega,
@@ -627,7 +620,7 @@ def tampered_copy(gm: GeneratorMatrices, name: str, row: int, col: int):
     if value.is_zero():
         raise ValueError(f"{name}[{row},{col}] is zero; tamper a nonzero entry")
     mat.set(row, col, value * gm.params.domain.q)
-    return GeneratorMatrices(gm.params, gm.case, mats)
+    return GeneratorMatrices(gm.params, mats)
 
 
 def direct_sum(gm: GeneratorMatrices):
@@ -638,6 +631,4 @@ def direct_sum(gm: GeneratorMatrices):
     for name, mat in gm.mats.items():
         cols = mat.cols + [c if c is None else c + d for c in mat.cols]
         mats[name] = CycMatrix(mat.field, 2 * d, cols, mat.coeffs * 2)
-    doubled = GeneratorMatrices(gm.params, gm.case, mats)
-    doubled.dim = 2 * d
-    return doubled
+    return GeneratorMatrices(gm.params, mats)

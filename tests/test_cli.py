@@ -152,7 +152,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("alpha1", [
         ["1e200000"], ["1e2000000"], ["0.5"], [" 1"], ["+1"], [0.1], [["1"]],
-        [None], [{"a": 1}], [True], True, None])
+        [None], [{"a": 1}], [True], True, None, ["9" * 1000, "1"]])
     def test_malformed_coordinate_rejected(self, tmp_path, capsys, alpha1):
         cfg = write_config(tmp_path, alpha1=alpha1)
         t0 = time.perf_counter()
@@ -232,14 +232,18 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
 
     def test_json_and_human_agree(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["verify", "--config", cfg, "--json"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        verification = doc["report"]["verification"]
-        assert main(["verify", "--config", cfg]) == EXIT_OK
-        human = capsys.readouterr().out
-        assert f"dimension m^(n-1)   : {verification['dimension']}" in human
-        assert f"commutant dim       : {verification['commutant_dim']}" in human
+        # the second config's alpha_1^61 has more digits than Python
+        # converts to text by default; --json must still write it
+        for cfg in (write_config(tmp_path),
+                    write_config(tmp_path, name="m61.json", m=61,
+                                 alpha1=str(10 ** 74 + 7))):
+            assert main(["verify", "--config", cfg, "--json"]) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            verification = doc["report"]["verification"]
+            assert main(["verify", "--config", cfg]) == EXIT_OK
+            human = capsys.readouterr().out
+            assert f"dimension m^(n-1)   : {verification['dimension']}" in human
+            assert f"commutant dim       : {verification['commutant_dim']}" in human
 
     def test_pi_degree_computed_once(self, tmp_path, capsys, monkeypatch):
         import qeuclid.cli as cli_mod

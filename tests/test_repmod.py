@@ -1,5 +1,6 @@
 """Module construction: case bookkeeping, action formulas, matrices."""
 
+import itertools
 import json
 import time
 
@@ -15,13 +16,12 @@ from qeuclid.repmod import (
     basis_indices,
     basis_rank,
     build_module,
-    classify_case,
     dimension,
     random_module_params,
 )
 from qeuclid.rewriter import all_gens, gen_name, root_domain, xgen, ygen
 from qeuclid.scalars import Cyclotomic
-from qeuclid.verify import run_verification
+from qeuclid.verify import direct_sum, run_verification
 
 
 def make_params(m=3, k=1, n=2, alpha1=1, alpha=None, beta=None, lam=None,
@@ -69,7 +69,7 @@ class TestParamsValidation:
         with pytest.raises(ParamError, match="inconsistent lambda_2"):
             make_params(alpha=[0], beta=[1], lam=[1, 1])
         ok = make_params(alpha=[0], beta=[1], lam=[dom.field.one(), dom.q_pow(-2)])
-        assert classify_case(ok).tag == "II"
+        assert ok.case == "II"
 
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ParamError, match="alpha and beta"):
@@ -78,24 +78,40 @@ class TestParamsValidation:
 
 class TestClassifyCase:
     def test_case1(self):
-        tag = classify_case(make_params(alpha=[1]))
-        assert tag.tag == "I" and tag.I_set == frozenset()
+        params = make_params(alpha=[1])
+        assert params.case == "I" and params.I_set == frozenset()
 
     def test_case2(self):
         dom = root_domain(3, 1)
         params = make_params(alpha=[0], beta=[1],
                              lam=[dom.field.one(), dom.q_pow(-2)])
-        tag = classify_case(params)
-        assert tag.tag == "II"
-        assert tag.I_set == frozenset({2}) and not (tag.I_set & tag.J_set)
+        assert params.case == "II"
+        assert params.I_set == frozenset({2}) and not (params.I_set & params.J_set)
 
     def test_case3(self):
         dom = root_domain(3, 1)
         params = make_params(alpha=[0], beta=[0],
                              lam=[dom.field.one(), dom.q_pow(-2)])
-        tag = classify_case(params)
-        assert tag.tag == "III"
-        assert tag.I_set & tag.J_set == frozenset({2})
+        assert params.case == "III"
+        assert params.I_set & params.J_set == frozenset({2})
+
+    @pytest.mark.parametrize("alpha", itertools.product([0, 1], repeat=2))
+    @pytest.mark.parametrize("beta", itertools.product([0, 1], repeat=2))
+    def test_every_zero_pattern_at_n3(self, alpha, beta):
+        # the paper's rule: Case I when every alpha_i is nonzero; Case III
+        # when some alpha_i and beta_i vanish together; Case II otherwise
+        dom = root_domain(3, 1)
+        lam = [dom.field.one()]
+        for a in alpha:
+            lam.append(dom.q_pow(-2) * lam[-1] if a == 0 else dom.field.scalar(5))
+        params = make_params(n=3, alpha=list(alpha), beta=list(beta), lam=lam)
+        if all(alpha):
+            expected = "I"
+        elif any(a == 0 and b == 0 for a, b in zip(alpha, beta)):
+            expected = "III"
+        else:
+            expected = "II"
+        assert params.case == expected
 
 
 class TestDimension:
@@ -287,7 +303,7 @@ class TestWireFormat:
         wire = gm.to_wire()
         text = json.dumps(wire, sort_keys=True)
         back = GeneratorMatrices.from_wire(json.loads(text))
-        assert back.case.tag == gm.case.tag
+        assert back.params.case == gm.params.case
         assert back.dim == gm.dim
         for name in gm.mats:
             assert back.mat(name) == gm.mat(name)
@@ -354,6 +370,16 @@ class TestWireValidation:
                            match="generator 'x1', row 2: a second nonzero entry"):
             GeneratorMatrices.from_wire(wire)
 
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_generator_set_must_be_complete(self, edit):
+        wire = self.wire()
+        if edit == "missing":
+            del wire["generators"]["y2"]
+        else:
+            wire["generators"]["x3"] = []
+        with pytest.raises(ParamError, match="are not the 4 generators of n = 2"):
+            GeneratorMatrices.from_wire(wire)
+
     def test_zero_entries_are_dropped(self):
         wire = self.wire()
         wire["generators"]["x1"].append([2, 0, ["0", "0"]])
@@ -361,13 +387,36 @@ class TestWireValidation:
         assert back.mat("x1").cols == [0, 1, 2]
 
 
+class TestGeneratorSet:
+    """GeneratorMatrices holds exactly the 2n generators, of one size."""
+
+    def module(self):
+        return build_module(random_module_params("II", 3, 3, 1, seed=25))
+
+    def test_missing_generator_rejected(self):
+        gm = self.module()
+        mats = {name: mat for name, mat in gm.mats.items() if name != "x3"}
+        with pytest.raises(ParamError, match="are not the 6 generators of n = 3"):
+            GeneratorMatrices(gm.params, mats)
+
+    def test_extra_generator_rejected(self):
+        gm = self.module()
+        mats = {**gm.mats, "x4": gm.mat("x3")}
+        with pytest.raises(ParamError, match="are not the 6 generators of n = 3"):
+            GeneratorMatrices(gm.params, mats)
+
+    def test_dimension_is_read_from_the_matrices(self):
+        gm = self.module()
+        assert gm.dim == dimension(gm.params) == 9
+        assert direct_sum(gm).dim == 2 * gm.dim
+
+
 class TestRandomDraws:
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     def test_case_pattern(self, case):
         for seed in range(5):
             params = random_module_params(case, 3, 3, 1, seed=seed)
-            tag = classify_case(params)
-            assert tag.tag == case
+            assert params.case == case
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(zeta_m) and in generic-q Laurent polynomials."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -470,6 +471,16 @@ class TestTextEncoding:
             e = field.element([rng.randint(-9, 9) for _ in range(field.degree)],
                               rng.randint(1, 9))
             assert parse_cyclotomic(encode_cyclotomic(e), 9, 1) == e
+
+    def test_int_digit_limit_lifted_only_while_encoding(self):
+        # a computed value longer than Python's default int-to-str limit
+        # is written in full, and the limit still refuses such text
+        limit = sys.get_int_max_str_digits()
+        big = CyclotomicField(3).scalar(10 ** 5000 + 1)
+        assert encode_cyclotomic(big) == ["1" + "0" * 4999 + "1", "0"]
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError, match="limit"):
+            parse_cyclotomic(["1" + "0" * 4999 + "1"], 3, 1)
 
     def test_vector_too_long_rejected(self):
         with pytest.raises(ValueError, match="longer than phi"):

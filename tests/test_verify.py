@@ -20,8 +20,8 @@ from qeuclid.repmod import (
     GeneratorMatrices,
     GuardError,
     ModuleParams,
+    ParamError,
     build_module,
-    classify_case,
     random_module_params,
 )
 from qeuclid.rewriter import (
@@ -90,8 +90,7 @@ class TestRelations:
             coeffs = [field.scalar(next(primes)) for _ in range(2)]
             cols = [1, 0] if code == xgen(1) else [0, 1]
             mats[gen_name(code)] = CycMatrix(field, 2, cols, coeffs)
-        stub = GeneratorMatrices(params, classify_case(params), mats)
-        stub.dim = 2
+        stub = GeneratorMatrices(params, mats)
         failures = check_relations(stub)
         pairs = Counter(frozenset(name.split(" = ")[0].split("*"))
                         for name in failures)
@@ -105,9 +104,8 @@ class TestRelations:
         params, gm = build("I", 2, 3, seed=1)
         mats = {name: mat.copy() for name, mat in gm.mats.items()}
         mats["x1"] = CycMatrix(params.domain.field, gm.dim + 1)
-        broken = GeneratorMatrices(params, gm.case, mats)
-        with pytest.raises(ValueError, match="mismatched dimensions"):
-            check_relations(broken)
+        with pytest.raises(ParamError, match="mismatched dimensions"):
+            GeneratorMatrices(params, mats)
 
 
 class TestOmegaAction:
@@ -158,9 +156,7 @@ def conjugated(gm, rng):
         for r, c, v in mat.entries():
             out.set(r, c, v * scales[r] / scales[c])
         mats[name] = out
-    conj = GeneratorMatrices(gm.params, gm.case, mats)
-    conj.dim = gm.dim
-    return conj
+    return GeneratorMatrices(gm.params, mats)
 
 
 def block_sum(a, b):
@@ -171,9 +167,7 @@ def block_sum(a, b):
         other = b.mats[name]
         cols = mat.cols + [c if c is None else c + d for c in other.cols]
         mats[name] = CycMatrix(mat.field, 2 * d, cols, mat.coeffs + other.coeffs)
-    pair = GeneratorMatrices(a.params, a.case, mats)
-    pair.dim = 2 * d
-    return pair
+    return GeneratorMatrices(a.params, mats)
 
 
 def with_alpha_doubled(params, i):
@@ -197,7 +191,7 @@ def generator_stubs(draw, injective=True):
     spectrum, so key classes of every size occur; x1 and y1 partial maps
     (injective unless asked otherwise) with coefficients whose ratios
     give gains of 1 and other gains."""
-    params, gm = STUB_BASE
+    params, _ = STUB_BASE
     field = params.domain.field
     units = [field.one(), -field.one(), field.scalar(2), params.domain.q]
     d = draw(st.integers(1, 9))
@@ -215,9 +209,7 @@ def generator_stubs(draw, injective=True):
         coeffs = draw(st.lists(st.sampled_from(units), min_size=d, max_size=d))
         mats[name] = CycMatrix(field, d, [c if k else None for c, k in zip(cols, keep)],
                                [v if k else None for v, k in zip(coeffs, keep)])
-    stub = GeneratorMatrices(params, gm.case, mats)
-    stub.dim = d
-    return stub
+    return GeneratorMatrices(params, mats)
 
 
 STUB_BASE = build("I", 2, 3, seed=65)
@@ -250,17 +242,17 @@ class TestCommutant:
         assert nullspace_dimension(eqs, 3) == 1
 
     def test_one_dimensional_stub(self):
-        # a 1x1 "module" (everything scalar, as in the commutative n=1
-        # algebra) must report a 1-dimensional commutant
-        params, gm = build("I", 2, 3, seed=50)
+        # a 1x1 "module" (every generator a scalar) must report a
+        # 1-dimensional commutant
+        params, _ = build("I", 2, 3, seed=50)
         field = params.domain.field
         mats = {}
-        for name, value in (("x1", field.scalar(2)), ("y1", params.domain.q)):
+        for name, value in (("x1", field.scalar(2)), ("y1", params.domain.q),
+                            ("x2", field.scalar(3)), ("y2", field.one())):
             mat = CycMatrix(field, 1)
             mat.set(0, 0, value)
             mats[name] = mat
-        stub = GeneratorMatrices(params, gm.case, mats)
-        stub.dim = 1
+        stub = GeneratorMatrices(params, mats)
         assert commutant_dimension(stub) == 1
 
     def test_spectral_path_needs_no_guard(self):
@@ -283,14 +275,14 @@ class TestCommutantOracle:
 
     def test_spectral_path_counts_components(self):
         # x2 y2 = diag(1, 2, 3) is a simple spectrum; x1 joins rows 0 and 1
-        params, gm = build("I", 2, 3, seed=54)
+        params, _ = build("I", 2, 3, seed=54)
         field = params.domain.field
         mats = {name: CycMatrix(field, 3) for name in ("x1", "y1", "x2", "y2")}
         for i in range(3):
             mats["x2"].set(i, i, field.scalar(i + 1))
             mats["y2"].set(i, i, field.one())
         mats["x1"].set(0, 1, field.one())
-        stub = GeneratorMatrices(params, gm.case, mats)
+        stub = GeneratorMatrices(params, mats)
         assert commutant_dimension(stub) == full_commutant_dimension(stub) == 2
         mats["y1"].set(2, 1, params.domain.q)
         assert commutant_dimension(stub) == full_commutant_dimension(stub) == 1
@@ -298,15 +290,14 @@ class TestCommutantOracle:
     def test_zero_forcing(self):
         # one key class {0, 1}; x1 = E_00 forces X_01 = X_10 = 0: a zero
         # row 1 and a column 1 that no row reaches
-        params, gm = build("I", 2, 3, seed=54)
+        params, _ = build("I", 2, 3, seed=54)
         field = params.domain.field
         mats = {name: CycMatrix(field, 2) for name in ("x1", "y1", "x2", "y2")}
         for i in range(2):
             mats["x2"].set(i, i, field.one())
             mats["y2"].set(i, i, field.one())
         mats["x1"].set(0, 0, field.one())
-        stub = GeneratorMatrices(params, gm.case, mats)
-        stub.dim = 2
+        stub = GeneratorMatrices(params, mats)
         assert commutant_dimension(stub) == full_commutant_dimension(stub) == 2
 
     @pytest.mark.parametrize("case", CASES)
@@ -405,7 +396,7 @@ def edited_copy(gm, name, row, col=None):
     mat = mats[name]
     value = mat.coeffs[row] if col is not None else gm.params.domain.field.zero()
     mat.set(row, col, value)
-    return GeneratorMatrices(gm.params, gm.case, mats)
+    return GeneratorMatrices(gm.params, mats)
 
 
 def assert_checks_agree(gm):
@@ -467,7 +458,7 @@ class TestFastChecksOracle:
         q = params.domain.q
         for cols in ([1, 2, 1], [1, 2, None], [1, 1, 1], [0, 1, 1]):
             x2 = CycMatrix(q.field, 3, cols, [None if c is None else q for c in cols])
-            edited = GeneratorMatrices(params, gm.case, {**gm.mats, "x2": x2})
+            edited = GeneratorMatrices(params, {**gm.mats, "x2": x2})
             assert not assert_checks_agree(edited).ok
 
     def test_central_power_on_random_maps(self):
@@ -539,7 +530,7 @@ class TestEigenSeparation:
         perm = list(range(gm.dim))
         random.Random(5).shuffle(perm)
         mats = {name: permuted(mat, perm) for name, mat in gm.mats.items()}
-        conj = GeneratorMatrices(gm.params, gm.case, mats)
+        conj = GeneratorMatrices(gm.params, mats)
         assert all(c.ok for c in check_eigen_separation(conj))
 
 
@@ -608,7 +599,7 @@ class TestBasisOrderIndependence:
         rng.shuffle(rest)
         perm = [0] + rest
         mats = {name: permuted(mat, perm) for name, mat in gm.mats.items()}
-        conj = GeneratorMatrices(params, gm.case, mats)
+        conj = GeneratorMatrices(params, mats)
         base, moved = run_verification(gm), run_verification(conj)
         assert base.sections == moved.sections
         assert base.commutant_dim == moved.commutant_dim
