@@ -67,14 +67,18 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _envelope(command: str, config_echo, report: dict, elapsed: float) -> str:
+def _envelope(command: str, config_echo, report: dict, elapsed: float,
+              stages=None) -> str:
+    timing = {"seconds": round(elapsed, 6)}
+    if stages:
+        timing["stages"] = {name: round(s, 6) for name, s in stages.items()}
     doc = {
         "tool": "qeuclid",
         "version": __version__,
         "command": command,
         "config": config_echo,
         "report": report,
-        "timing": {"seconds": round(elapsed, 6)},
+        "timing": timing,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -172,15 +176,19 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = parse_config(args.config, args.max_dim)
     t0 = time.perf_counter()
+    params = parse_config(args.config, args.max_dim)
+    t1 = time.perf_counter()
     gm = build_module(params)
+    t2 = time.perf_counter()
     vrep = run_verification(gm)
     drep = vrep.bound.degree_report
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t1
     if args.json:
         report = {"pi_degree": drep.to_dict(), "verification": vrep.to_dict()}
-        _emit(_envelope("verify", params.to_wire(), report, elapsed), args.out)
+        stages = {"parse": t1 - t0, "build": t2 - t1, **vrep.seconds}
+        _emit(_envelope("verify", params.to_wire(), report, elapsed, stages),
+              args.out)
     else:
         _emit(_render_verification(params, vrep, drep), args.out)
     return EXIT_OK if vrep.ok else EXIT_VERIFY

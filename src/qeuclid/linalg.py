@@ -1,62 +1,191 @@
-"""Monomial exact matrices over a cyclotomic field, plus null-space dimension.
+"""Monomial exact matrices over a cyclotomic field, their coefficient
+table, plus null-space dimension.
 
 Every module generator acts by scale-and-shift on the basis, so its
-matrix has at most one nonzero entry per row: row r is coeffs[r] times
-the unit row vector of column cols[r], or zero when cols[r] is None.
-Products are compositions of these maps, one scalar product per row.
+matrix has at most one nonzero entry per row: row r is the coefficient
+with code codes[r] times the unit row vector of column cols[r], or zero
+when cols[r] is None.  Products are compositions of these maps, one
+product of codes per row.
+
+A code is the integer b*m + e and means zeta^e * bases[b] in the
+:class:`ScalarTable` that the matrices of one module share.  Products of
+codes add exponents mod m and look the product of the two bases up in a
+memo, so a module whose coefficients are few bases times powers of q
+needs few scalar products however many rows it has.
 """
 
 from __future__ import annotations
 
+from .scalars import Cyclotomic, vec_rotate
+
+
+class ScalarTable:
+    """The nonzero coefficients of one module's matrices, hash-consed.
+
+    ``bases`` holds each distinct base value once, keyed on its canonical
+    (nums, den); base 0 is 1, and a power of zeta is coded on it, so
+    code e (0 <= e < m) means zeta^e.  Equal codes mean equal values.
+    Unequal codes can still mean equal values, when one base is a power
+    of zeta times another: :meth:`equal` then compares the materialized
+    values, so the split into bases costs time at worst, never a wrong
+    answer.  Products of bases (on unordered pairs), powers of bases and
+    materialized values are memoized here, and the table only grows, so
+    matrices that share it stay valid.
+    """
+
+    __slots__ = ("field", "m", "bases", "_codes", "_values", "_products",
+                 "_powers")
+
+    def __init__(self, field):
+        one = field.one()
+        self.field = field
+        self.m = field.m
+        self.bases = [one]
+        self._codes = {(one.nums, one.den): 0}
+        self._values = {0: one}
+        self._products = {}
+        self._powers = {}
+
+    def intern(self, value: Cyclotomic) -> int:
+        """The code of a nonzero value: zeta^e is e, anything else is
+        (a new or the equal) base times zeta^0."""
+        key = (value.nums, value.den)
+        code = self._codes.get(key)
+        if code is None:
+            code = self.field.zeta_exponent(value)
+            if code is None:
+                code = len(self.bases) * self.m
+                self.bases.append(value)
+            self._codes[key] = code
+        return code
+
+    def value(self, code: int) -> Cyclotomic:
+        """The value of a code, materialized once by a rotation."""
+        value = self._values.get(code)
+        if value is None:
+            b, e = divmod(code, self.m)
+            base = self.bases[b]
+            value = Cyclotomic(self.field, vec_rotate(base.nums, e, self.field.wrap),
+                               base.den)
+            self._values[code] = value
+        return value
+
+    def shift(self, code: int, j: int) -> int:
+        """The code of zeta^j times the value of code."""
+        return code - code % self.m + (code + j) % self.m
+
+    def mul(self, a: int, b: int) -> int:
+        """The code of a product: exponents add, bases multiply once."""
+        m = self.m
+        ea, eb = a % m, b % m
+        ka, kb = a - ea, b - eb
+        key = (ka, kb) if ka <= kb else (kb, ka)
+        p = self._products.get(key)
+        if p is None:
+            p = self._products[key] = self.intern(
+                self.bases[ka // m] * self.bases[kb // m])
+        return p - p % m + (p + ea + eb) % m
+
+    def power(self, code: int, k: int) -> int:
+        """The code of value^k for k >= 1: (zeta^e B)^k = zeta^(ek) B^k,
+        with B^k formed once per base and k."""
+        e = code % self.m
+        key = (code - e, k)
+        p = self._powers.get(key)
+        if p is None:
+            p = self._powers[key] = self.intern(self.bases[key[0] // self.m] ** k)
+        return self.shift(p, e * k)
+
+    def equal(self, a: int, b: int) -> bool:
+        """Do two codes mean equal values?  Equal codes do; unequal
+        ones are compared by value."""
+        return a == b or self.value(a) == self.value(b)
+
 
 class CycMatrix:
-    """d x d matrix over a fixed CyclotomicField, at most one entry per row:
-    row r is coeffs[r] at column cols[r], or zero when cols[r] is None."""
+    """d x d matrix over the field of a ScalarTable, at most one entry per
+    row: row r is the value of codes[r] at column cols[r], or zero when
+    cols[r] is None."""
 
-    __slots__ = ("field", "dim", "cols", "coeffs")
+    __slots__ = ("table", "dim", "cols", "codes")
 
-    def __init__(self, field, dim, cols=None, coeffs=None):
-        self.field = field
+    def __init__(self, table: ScalarTable, dim, cols=None, codes=None):
+        self.table = table
         self.dim = dim
         self.cols = cols if cols is not None else [None] * dim
-        self.coeffs = coeffs if coeffs is not None else [None] * dim
+        self.codes = codes if codes is not None else [None] * dim
+
+    @property
+    def field(self):
+        return self.table.field
 
     def set(self, r, c, value):
         """Make row r the single entry value at column c (zero clears it)."""
         if value.is_zero():
-            self.cols[r] = self.coeffs[r] = None
+            self.cols[r] = self.codes[r] = None
         else:
-            self.cols[r], self.coeffs[r] = c, value
+            self.cols[r], self.codes[r] = c, self.table.intern(value)
 
     def get(self, r, c):
         if self.cols[r] == c:
-            return self.coeffs[r]
+            return self.table.value(self.codes[r])
         return self.field.zero()
 
     def entries(self):
+        value = self.table.value
         for r, c in enumerate(self.cols):
             if c is not None:
-                yield r, c, self.coeffs[r]
+                yield r, c, value(self.codes[r])
 
     def copy(self) -> "CycMatrix":
-        return CycMatrix(self.field, self.dim, list(self.cols), list(self.coeffs))
+        return CycMatrix(self.table, self.dim, list(self.cols), list(self.codes))
+
+    def rotated(self, j: int) -> "CycMatrix":
+        """zeta^j times the matrix, as a shift of every code; the columns
+        are shared."""
+        shift = self.table.shift
+        return CycMatrix(self.table, self.dim, self.cols,
+                         [None if c is None else shift(c, j) for c in self.codes])
 
     def __eq__(self, other):
+        """Equal maps with equal coefficients: equal codes are equal
+        values, unequal ones are compared by value."""
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        return (self.field is other.field and self.dim == other.dim
-                and self.cols == other.cols and self.coeffs == other.coeffs)
+        if (self.field is not other.field or self.dim != other.dim
+                or self.cols != other.cols):
+            return False
+        if self.table is other.table:
+            if self.codes == other.codes:
+                return True
+            equal = self.table.equal
+        else:
+            mine, theirs = self.table.value, other.table.value
+
+            def equal(a, b):
+                return mine(a) == theirs(b)
+        return all(equal(a, b) for a, b in zip(self.codes, other.codes)
+                   if a is not None)
 
     def __matmul__(self, other):
-        """Composition, one scalar product per row: row r follows
+        """Composition, one product of codes per row: row r follows
         cols[r] into the other map.  Stored coefficients are nonzero, so
-        a product of two is nonzero too."""
-        if self.field is not other.field or self.dim != other.dim:
-            raise ValueError("matrix shape or field mismatch")
-        out = CycMatrix(self.field, self.dim)
-        for r, (t, a) in enumerate(zip(self.cols, self.coeffs)):
-            if t is not None and other.cols[t] is not None:
-                out.cols[r], out.coeffs[r] = other.cols[t], a * other.coeffs[t]
+        a product of two is nonzero too.  Rows repeat few code pairs, so
+        each pair's product is looked up once per composition."""
+        if self.table is not other.table or self.dim != other.dim:
+            raise ValueError("matrix shape or scalar table mismatch")
+        mul = self.table.mul
+        ocols, ocodes = other.cols, other.codes
+        out = CycMatrix(self.table, self.dim)
+        cols, codes = out.cols, out.codes
+        pairs = {}
+        for r, (t, a) in enumerate(zip(self.cols, self.codes)):
+            if t is not None and ocols[t] is not None:
+                key = (a, ocodes[t])
+                c = pairs.get(key)
+                if c is None:
+                    c = pairs[key] = mul(*key)
+                cols[r], codes[r] = ocols[t], c
         return out
 
     def __pow__(self, e: int) -> "CycMatrix":
@@ -64,8 +193,8 @@ class CycMatrix:
         ones are read off the cycles of the map (verify.central_power)."""
         if e < 0:
             raise ValueError("negative matrix powers not supported")
-        result = CycMatrix(self.field, self.dim, list(range(self.dim)),
-                           [self.field.one()] * self.dim)
+        result = CycMatrix(self.table, self.dim, list(range(self.dim)),
+                           [0] * self.dim)
         for _ in range(e):
             result = result @ self
         return result

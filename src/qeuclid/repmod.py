@@ -27,9 +27,11 @@ violated):
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
-from .linalg import CycMatrix
+from .linalg import CycMatrix, ScalarTable
 from .rewriter import all_gens, gen_index, gen_name, is_x, root_domain
 from .scalars import Cyclotomic, encode_cyclotomic, parse_cyclotomic
 
@@ -126,9 +128,12 @@ class ModuleParams:
         diff = self.lam_i(i) ** self.m - self.lam_i(i - 1) ** self.m
         return self.alpha_inv_i(i) * self.inv_correction ** self.m * diff
 
-    def derived_beta1(self) -> Cyclotomic:
-        """The value y_1^m takes (never configured; index 1 has no beta)."""
-        return self.y1_coeff ** self.m
+    @cached_property
+    def rules(self) -> dict:
+        """generator code -> GeneratorRule, the one statement of the
+        action that both ``act`` and ``build_module`` read; each kappa
+        entry is computed once per instance."""
+        return {code: _generator_rule(code, self) for code in all_gens(self.n)}
 
     # -- wire form ----------------------------------------------------------
 
@@ -209,97 +214,79 @@ def check_dimension(m: int, n: int, max_dim: int) -> int:
 # the action on basis vectors
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class GeneratorRule:
+    """How one generator acts on the index lattice, as data:
+
+        e(a) . g = kappa[a_i] * q^<weight, a> * e(a + step at position pos)
+
+    with index arithmetic mod m, and zero when kappa[a_i] is None.
+    ``pos`` is the position i - 2 of the generator's own coordinate and
+    ``kappa`` has m entries that depend on a_i only; they fold in the
+    central value of the basis-building generator where a move crosses
+    the wrap (its inverse when stepping down through zero) and the rows
+    the generator kills.  x_1 and y_1 have a constant kappa and step 0.
+    """
+
+    pos: int
+    kappa: tuple
+    weight: tuple
+    step: int
+
+
+def _generator_rule(code: int, params: ModuleParams) -> GeneratorRule:
+    m, n, dom = params.m, params.n, params.domain
+    I = params.I_set
+    i = gen_index(code)
+    if i == 1:
+        kappa = params.alpha1 if is_x(code) else params.y1_coeff
+        weight = tuple(1 if j in I else -1 for j in range(2, n + 1))
+        return GeneratorRule(0, (kappa,) * m, weight, 0)
+    # every move weighs the coordinates below i by +1 (x) or -1 (y); a
+    # lowering move also weighs those above i by 2 (in I) or -2
+    lowering = is_x(code) == (i in I)
+    sign = 1 if is_x(code) else -1
+    weight = tuple(sign if j < i else 0 if j == i or not lowering
+                   else 2 if j in I else -2 for j in range(2, n + 1))
+    one = dom.one
+    if not lowering:
+        # raising along an x-built (y-built) direction; the wrap from m-1
+        # to 0 multiplies by alpha_i (beta_i)
+        top = params.alpha_i(i) if is_x(code) else params.beta_i(i)
+        kappa = (one,) * (m - 1) + (top,)
+    elif is_x(code):
+        # lowering along a y-built direction; kills the bottom rung
+        kappa = tuple(params.lam_i(i - 1) * (one - dom.q_pow(2 * ai))
+                      * params._inv_q2_minus_1 for ai in range(m))
+    else:
+        # lowering along an x-built direction; the wrap through zero
+        # multiplies by alpha_i^(-1)
+        kappa = tuple((params.lam_i(i) - dom.q_pow(-2 * ai) * params.lam_i(i - 1))
+                      * params.inv_correction for ai in range(m))
+        kappa = (kappa[0] * params.alpha_inv_i(i),) + kappa[1:]
+    kappa = tuple(None if v.is_zero() else v for v in kappa)
+    return GeneratorRule(i - 2, kappa, weight, -1 if lowering else 1)
+
+
 def act(a: tuple, code: int, params: ModuleParams):
     """Apply one generator to the basis vector e(a).
 
     Returns (coefficient, target index tuple), or (None, None) when the
-    vector is annihilated.  Index arithmetic is mod m; crossing the wrap
-    multiplies by the central value of the basis-building generator for
-    that direction (its inverse when stepping down through zero).
+    vector is annihilated; read off the generator's rule.
     """
-    m, n, dom = params.m, params.n, params.domain
-    I = params.I_set
-    i = gen_index(code)
-
-    def ai(j):
-        return a[j - 2]
-
-    if i == 1:
-        exp = sum(ai(j) if j in I else -ai(j) for j in range(2, n + 1))
-        if is_x(code):
-            return params.alpha1 * dom.q_pow(exp), a
-        return params.y1_coeff * dom.q_pow(exp), a
-
-    pos = i - 2
-    if is_x(code):
-        if i not in I:
-            # raising along an x-built direction
-            coeff = dom.q_pow(sum(ai(j) for j in range(2, i)))
-            if ai(i) == m - 1:
-                coeff = coeff * params.alpha_i(i)
-                return coeff, a[:pos] + (0,) + a[pos + 1:]
-            return coeff, a[:pos] + (ai(i) + 1,) + a[pos + 1:]
-        # lowering along a y-built direction; kills the bottom rung
-        if ai(i) == 0:
-            return None, None
-        exp = sum(ai(j) for j in range(2, i))
-        exp += sum(2 * ai(j) if j in I else -2 * ai(j)
-                   for j in range(i + 1, n + 1))
-        coeff = (params.lam_i(i - 1) * (dom.one - dom.q_pow(2 * ai(i)))
-                 * params._inv_q2_minus_1 * dom.q_pow(exp))
-        if coeff.is_zero():
-            return None, None
-        return coeff, a[:pos] + (ai(i) - 1,) + a[pos + 1:]
-
-    # y_i, i >= 2
-    if i not in I:
-        # lowering along an x-built direction
-        exp = -sum(ai(j) for j in range(2, i))
-        exp += sum(2 * ai(j) if j in I else -2 * ai(j)
-                   for j in range(i + 1, n + 1))
-        coeff = ((params.lam_i(i) - dom.q_pow(-2 * ai(i)) * params.lam_i(i - 1))
-                 * params.inv_correction * dom.q_pow(exp))
-        if ai(i) == 0:
-            coeff = coeff * params.alpha_inv_i(i)
-            target = a[:pos] + (m - 1,) + a[pos + 1:]
-        else:
-            target = a[:pos] + (ai(i) - 1,) + a[pos + 1:]
-        if coeff.is_zero():
-            return None, None
-        return coeff, target
-    # raising along a y-built direction
-    coeff = dom.q_pow(-sum(ai(j) for j in range(2, i)))
-    if ai(i) == m - 1:
-        coeff = coeff * params.beta_i(i)
-        if coeff.is_zero():
-            return None, None
-        return coeff, a[:pos] + (0,) + a[pos + 1:]
-    return coeff, a[:pos] + (ai(i) + 1,) + a[pos + 1:]
+    rule = params.rules[code]
+    ai = a[rule.pos]
+    kappa = rule.kappa[ai]
+    if kappa is None:
+        return None, None
+    exp = sum(w * v for w, v in zip(rule.weight, a))
+    target = a[:rule.pos] + ((ai + rule.step) % params.m,) + a[rule.pos + 1:]
+    return kappa * params.domain.q_pow(exp), target
 
 
 # ---------------------------------------------------------------------------
 # generator matrices
 # ---------------------------------------------------------------------------
-
-def basis_indices(params: ModuleParams):
-    """Enumerate (a_2, ..., a_n); a_2 varies fastest, row 0 is the seed."""
-    m, n = params.m, params.n
-    out = []
-    for r in range(m ** (n - 1)):
-        a, rem = [], r
-        for _ in range(n - 1):
-            a.append(rem % m)
-            rem //= m
-        out.append(tuple(a))
-    return out
-
-
-def basis_rank(a: tuple, m: int) -> int:
-    r = 0
-    for v in reversed(a):
-        r = r * m + v
-    return r
-
 
 class GeneratorMatrices:
     """The 2n monomial matrices of one module instance, right action on
@@ -307,7 +294,8 @@ class GeneratorMatrices:
     M_(gh) = M_g M_h.
 
     ``mats`` must hold exactly the 2n generators of ``params.n``, all of
-    one dimension, which becomes ``dim``; the checks rely on both.
+    one dimension, which becomes ``dim``, and with one ScalarTable, which
+    becomes ``table``; the checks rely on all three.
     """
 
     def __init__(self, params: ModuleParams, mats: dict):
@@ -318,9 +306,13 @@ class GeneratorMatrices:
         dims = {mat.dim for mat in mats.values()}
         if len(dims) != 1:
             raise ParamError("generator matrices have mismatched dimensions")
+        tables = {id(mat.table): mat.table for mat in mats.values()}
+        if len(tables) != 1:
+            raise ParamError("generator matrices do not share one scalar table")
         self.params = params
         self.mats = mats
         (self.dim,) = dims
+        (self.table,) = tables.values()
 
     def mat(self, name_or_code) -> CycMatrix:
         if isinstance(name_or_code, int):
@@ -353,17 +345,19 @@ class GeneratorMatrices:
         generators = data.get("generators")
         if not isinstance(generators, dict):
             raise ParamError("field 'generators' must be an object")
-        mats = {name: _monomial_from_wire(name, triplets, params, dim)
+        table = ScalarTable(params.domain.field)
+        mats = {name: _monomial_from_wire(name, triplets, params, table, dim)
                 for name, triplets in generators.items()}
         return cls(params, mats)
 
 
-def _monomial_from_wire(name, triplets, params: ModuleParams, dim: int):
+def _monomial_from_wire(name, triplets, params: ModuleParams,
+                        table: ScalarTable, dim: int):
     """One generator's [row, col, value] triplets, checked to be in range
     and to hold at most one nonzero entry per row."""
     if not isinstance(triplets, list):
         raise ParamError(f"generator {name!r}: entries must be an array")
-    mat = CycMatrix(params.domain.field, dim)
+    mat = CycMatrix(table, dim)
     for pos, triplet in enumerate(triplets):
         if not isinstance(triplet, list) or len(triplet) != 3:
             raise ParamError(f"generator {name!r}, entry {pos}: expected "
@@ -388,19 +382,37 @@ def _monomial_from_wire(name, triplets, params: ModuleParams, dim: int):
 
 
 def build_module(params: ModuleParams) -> GeneratorMatrices:
-    """Aggregate the single-row action over all rows into the matrices."""
+    """The matrices of the generator rules over all rows, in one scalar
+    table: each kappa entry is interned once and each row's coefficient
+    is its code shifted by the integer exponent k * <weight, a>.
+
+    Row r is the index a = (a_2, ..., a_n) with r = sum a_j m^(j-2), so
+    a_2 varies fastest and row 0 is the seed."""
     dim = check_dimension(params.m, params.n, params.max_dim)
-    field = params.domain.field
-    indices = basis_indices(params)
+    m, k = params.m, params.k
+    table = ScalarTable(params.domain.field)
+    shift = table.shift
     mats = {}
-    for code in all_gens(params.n):
-        mat = CycMatrix(field, dim)
-        for r, a in enumerate(indices):
-            coeff, target = act(a, code, params)
-            if coeff is not None:
-                mat.set(r, basis_rank(target, params.m), coeff)
-        mats[gen_name(code)] = mat
+    for code, rule in params.rules.items():
+        kcodes = [None if v is None else table.intern(v) for v in rule.kappa]
+        stride = m ** rule.pos
+        cols, codes = [None] * dim, [None] * dim
+        for r, form in enumerate(_lattice_forms(rule.weight, m)):
+            ai = r // stride % m
+            kcode = kcodes[ai]
+            if kcode is not None:
+                cols[r] = r + ((ai + rule.step) % m - ai) * stride
+                codes[r] = shift(kcode, k * form)
+        mats[gen_name(code)] = CycMatrix(table, dim, cols, codes)
     return GeneratorMatrices(params, mats)
+
+
+def _lattice_forms(weight: tuple, m: int) -> list:
+    """<weight, a> for every basis index a, in basis order."""
+    forms = [0]
+    for w in weight:
+        forms = [f + w * v for v in range(m) for f in forms]
+    return forms
 
 
 # ---------------------------------------------------------------------------

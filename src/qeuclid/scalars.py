@@ -111,7 +111,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Q[x] helpers with Fraction coefficients, for inversion mod Phi_m
+# Q[x] division with Fraction coefficients, for QLaurent.exact_div
 # ---------------------------------------------------------------------------
 
 def _qpoly_trim(p):
@@ -133,25 +133,6 @@ def _qpoly_divmod(a, b):
             for j, bv in enumerate(b):
                 a[k + j] -= c * bv
     return _qpoly_trim(q), _qpoly_trim(a)
-
-
-def _qpoly_xgcd(a, b):
-    """(g, u) with u*a = g mod b, g the monic-free gcd (a constant here)."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _qpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        nu = list(u0)
-        for i, qc in enumerate(q):
-            if qc:
-                while len(nu) < i + len(u1):
-                    nu.append(Fraction(0))
-                for j, uc in enumerate(u1):
-                    if uc:
-                        nu[i + j] -= qc * uc
-        u0, u1 = u1, _qpoly_trim(nu)
-    return r0, u0
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +192,9 @@ def _fold(res, high, wrap):
     return res
 
 
-def vec_mul(anums, aden, bnums, bden, wrap):
-    """Product in the power basis: convolve the nonzero entries, fold
-    degrees >= m mod x^m - 1, then fold the rest through ``wrap``."""
+def _int_mul(anums, bnums, wrap):
+    """Integer coordinates of a product: convolve the nonzero entries,
+    fold degrees >= m mod x^m - 1, then fold the rest through ``wrap``."""
     d = len(anums)
     m = d + len(wrap)
     bnz = [(j, b) for j, b in enumerate(bnums) if b]
@@ -224,7 +205,25 @@ def vec_mul(anums, aden, bnums, bden, wrap):
                 conv[i + j] += a * b
     for k in range(m, 2 * d - 1):
         conv[k - m] += conv[k]
-    return vec_normalize(_fold(conv[:d], conv[d:m], wrap), aden * bden)
+    return _fold(conv[:d], conv[d:m], wrap)
+
+
+def vec_mul(anums, aden, bnums, bden, wrap):
+    """Product in the power basis, normalized."""
+    return vec_normalize(_int_mul(anums, bnums, wrap), aden * bden)
+
+
+def _conjugate(nums, j, wrap):
+    """sigma_j(zeta) = zeta^j on integer coordinates: lift, send x^i to
+    x^(ij mod m), fold back through ``wrap``; costs no more than a
+    rotation."""
+    d = len(nums)
+    m = d + len(wrap)
+    lifted = [0] * m
+    for i, c in enumerate(nums):
+        if c:
+            lifted[i * j % m] += c
+    return _fold(lifted[:d], lifted[d:], wrap)
 
 
 def vec_rotate(nums, e, wrap):
@@ -409,20 +408,25 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        of the representing polynomial against the cyclotomic modulus."""
+        """Multiplicative inverse by the norm.  With A the integer
+        numerators, 1 / (A / den) = den * P / N(A), where P is the
+        product of the conjugates sigma_j(A) over j in (Z/m)^*, j != 1,
+        and N(A) = A * P is a nonzero rational integer.  Everything
+        stays in integers until that one division."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        p = [Fraction(n, self.den) for n in self.nums]
-        modulus = [Fraction(c) for c in self.field.modulus]
-        g, u = _qpoly_xgcd(_qpoly_trim(p), modulus)
-        if len(g) != 1:
-            raise ArithmeticError("modulus not coprime; corrupted field data")
-        ginv = 1 / g[0]
-        u = [c * ginv for c in u]
-        _, rem = _qpoly_divmod(u, modulus)
-        rem += [Fraction(0)] * (self.field.degree - len(rem))
-        return self.field.from_fractions(rem)
+        field = self.field
+        m, wrap = field.m, field.wrap
+        prod = [1] + [0] * (field.degree - 1)
+        for j in range(2, m):
+            if gcd(j, m) == 1:
+                prod = _int_mul(prod, _conjugate(self.nums, j, wrap), wrap)
+        norm = _int_mul(self.nums, prod, wrap)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError("norm is not a nonzero rational; "
+                                  "corrupted field data")
+        return Cyclotomic(field, *vec_normalize(
+            [v * self.den for v in prod], norm[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -10,6 +10,7 @@ dimension simple module.  Each link is checked and reported separately.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,12 +37,6 @@ def _plus(row: dict, col: int, value) -> dict:
     return out
 
 
-def _scaled(s, mat: CycMatrix) -> CycMatrix:
-    """s times mat, for a nonzero scalar s (the columns are shared)."""
-    return CycMatrix(mat.field, mat.dim, mat.cols,
-                     [None if v is None else s * v for v in mat.coeffs])
-
-
 @dataclass
 class OmegaRows:
     """The products x_i y_i and y_i x_i, and the rows of
@@ -59,15 +54,18 @@ class OmegaRows:
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     """Compose each x_i y_i and y_i x_i once: both sides of the additive
     relations, the x_r y_r diagonals of the joint spectrum, and the
-    running sums that are the omegas."""
-    correction = gm.params.domain.correction
+    running sums that are the omegas.  The terms (1-q^-2) y_l x_l are
+    products of codes; only the sums need their values."""
+    table = gm.table
+    correction = table.intern(gm.params.domain.correction)
+    value, mul = table.value, table.mul
     xy, yx = {}, {}
     omega = [[{} for _ in range(gm.dim)]]
     for i in range(1, gm.params.n + 1):
         y, x = gm.mat(ygen(i)), gm.mat(xgen(i))
         xy[i], yx[i] = x @ y, y @ x
-        omega.append([prev if c is None else _plus(prev, c, correction * v)
-                      for prev, c, v in zip(omega[-1], yx[i].cols, yx[i].coeffs)])
+        omega.append([prev if c is None else _plus(prev, c, value(mul(correction, v)))
+                      for prev, c, v in zip(omega[-1], yx[i].cols, yx[i].codes)])
     return OmegaRows(xy, yx, omega)
 
 
@@ -78,15 +76,14 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     A B = q^e B A, with e = q_exponent(A, B), holds when the two monomial
     products are equal maps.  q^e B is formed for one right-hand
     generator B at a time and checked against every relation that uses
-    it; each of its products is a rotation, and it keeps the zero rows of
-    B.  The additive relation
+    it, as a shift of B's codes that keeps its zero rows.  The additive
+    relation
     x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of ``omegas``,
     with the running sums formed exactly.
     """
     if omegas is None:
         omegas = omega_rows(gm)
-    dom = gm.params.domain
-    n = gm.params.n
+    k, n = gm.params.k, gm.params.n
     # (A, B) for every q-commutation A B = q^e B A, in report order
     pairs = [(g(i), g(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              for g in (ygen, xgen)]
@@ -102,18 +99,19 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
                 continue
             e = q_exponent(left, right)
             if e not in scaled:
-                scaled[e] = _scaled(dom.q_pow(e), b)
+                scaled[e] = b.rotated(k * e)
             a = gm.mat(left)
             if a @ b != scaled[e] @ a:
                 failed.append(pos)
     failures = [_commutation_name(*pairs[pos]) for pos in sorted(failed)]
+    value = gm.table.value
     for i in range(1, n + 1):
         xy, yx, before = omegas.xy[i], omegas.yx[i], omegas.omega[i - 1]
         for r in range(gm.dim):
             c = yx.cols[r]
-            rhs = before[r] if c is None else _plus(before[r], c, yx.coeffs[r])
+            rhs = before[r] if c is None else _plus(before[r], c, value(yx.codes[r]))
             c = xy.cols[r]
-            if ({} if c is None else {c: xy.coeffs[r]}) != rhs:
+            if ({} if c is None else {c: value(xy.codes[r])}) != rhs:
                 failures.append(
                     f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l")
                 break
@@ -175,10 +173,17 @@ class CentralCheck:
         return self.is_scalar and self.matches
 
 
-def expected_central_values(params: ModuleParams) -> dict:
-    """What each m-th power must equal: configured alpha_i and (on I)
-    beta_i; elsewhere the action-forced values."""
-    expected = {"x1": params.alpha1 ** params.m, "y1": params.derived_beta1()}
+def expected_central_values(gm: GeneratorMatrices) -> dict:
+    """What each m-th power must equal: alpha_1^m, y_1's forced value
+    y1_coeff^m, the configured alpha_i and (on I) beta_i; elsewhere the
+    action-forced values.  The two m-th powers are raised in the
+    module's table, whose memo central_power of x_1 and y_1 reuses."""
+    params, table = gm.params, gm.table
+
+    def mth_power(value):
+        return table.value(table.power(table.intern(value), params.m))
+
+    expected = {"x1": mth_power(params.alpha1), "y1": mth_power(params.y1_coeff)}
     for i in range(2, params.n + 1):
         expected[f"x{i}"] = params.alpha_i(i)
         expected[f"y{i}"] = (params.beta_i(i) if i in params.I_set
@@ -192,35 +197,34 @@ def central_power(mat: CycMatrix, m: int):
     On a permutation whose cycle lengths L divide m, mat^m is diagonal
     with entry P^(m/L) on each cycle of coefficient product P.  Any other
     map is singular, so mat^m can only be the scalar 0: every row must
-    reach a zero row within m steps.  Equal cycle products share one
-    power: a diagonal x_1 has only m distinct entries alpha_1 q^e.
+    reach a zero row within m steps.  The products and powers are taken
+    on codes, so each base is raised once per cycle length: a diagonal
+    x_1 has the one base alpha_1 times the m powers of q.
     """
     cols = mat.cols
     if None in cols or len(set(cols)) < mat.dim:
         return mat.field.zero() if _dies_within(cols, m) else None
+    table, codes = mat.table, mat.codes
     value = None
-    powers = {}
     seen = [False] * mat.dim
     for start in range(mat.dim):
         if seen[start]:
             continue
         seen[start] = True
-        product, length, r = mat.coeffs[start], 1, cols[start]
+        product, length, r = codes[start], 1, cols[start]
         while r != start:
             seen[r] = True
-            product = product * mat.coeffs[r]
+            product = table.mul(product, codes[r])
             length += 1
             r = cols[r]
         if m % length:
             return None
-        power = powers.get((product, length))
-        if power is None:
-            power = powers[product, length] = product ** (m // length)
+        power = table.power(product, m // length)
         if value is None:
             value = power
-        elif power != value:
+        elif not table.equal(power, value):
             return None
-    return value
+    return table.value(value)
 
 
 def _dies_within(cols, m: int) -> bool:
@@ -246,7 +250,7 @@ def _dies_within(cols, m: int) -> bool:
 
 def check_central_scalars(gm: GeneratorMatrices) -> list[CentralCheck]:
     params = gm.params
-    expected = expected_central_values(params)
+    expected = expected_central_values(gm)
     out = []
     for code in all_gens(params.n):
         name = gen_name(code)
@@ -289,13 +293,13 @@ def joint_spectrum(gm: GeneratorMatrices,
 
 def _diagonal(mat: CycMatrix):
     """The diagonal of mat, or None when mat is not diagonal."""
-    zero = mat.field.zero()
+    zero, value = mat.field.zero(), mat.table.value
     diag = []
-    for i, (c, v) in enumerate(zip(mat.cols, mat.coeffs)):
+    for i, (c, v) in enumerate(zip(mat.cols, mat.codes)):
         if c is None:
             diag.append(zero)
         elif c == i:
-            diag.append(v)
+            diag.append(value(v))
         else:
             return None
     return diag
@@ -343,8 +347,10 @@ def commutant_dimension(gm: GeneratorMatrices,
             for j in rows:
                 node[i, j] = len(node)
     forest = _GainForest(len(node))
+    value = gm.table.value
     for name, mat in gm.mats.items():
-        cols, coeffs = mat.cols, mat.coeffs
+        cols = mat.cols
+        coeffs = [None if c is None else value(c) for c in mat.codes]
         sources = [[] for _ in range(gm.dim)]
         for t, s in enumerate(cols):
             if s is not None:
@@ -512,6 +518,9 @@ class VerificationReport:
     commutant_dim: int | None
     commutant_skipped: str = ""
     sections: dict = field(default_factory=dict)
+    # wall seconds per stage (omega, relations, central, separation,
+    # bound, commutant); kept out of to_dict, which is deterministic
+    seconds: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.sections = {
@@ -582,17 +591,30 @@ def run_verification(gm: GeneratorMatrices,
     ``commutant_cap`` is accepted and ignored: the commutant's only
     bound is the build guard ``params.max_dim``, and the benchmark's
     worker still passes the keyword.
+
+    The report's ``seconds`` holds the wall time of each stage; the
+    shared omega rows count as omega, the joint spectrum as separation.
     """
-    omegas = omega_rows(gm)
-    relation_failures = check_relations(gm, omegas)
-    omega = check_omega_action(gm, omegas)
-    central = check_central_scalars(gm)
-    spectrum = joint_spectrum(gm, omegas)
-    separation = check_eigen_separation(gm, spectrum)
-    bound = check_dimension_bound(gm.params)
+    seconds = {}
+
+    def timed(stage, check, *args):
+        start = time.perf_counter()
+        try:
+            return check(*args)
+        finally:
+            seconds[stage] = (seconds.get(stage, 0.0)
+                              + time.perf_counter() - start)
+
+    omegas = timed("omega", omega_rows, gm)
+    relation_failures = timed("relations", check_relations, gm, omegas)
+    omega = timed("omega", check_omega_action, gm, omegas)
+    central = timed("central", check_central_scalars, gm)
+    spectrum = timed("separation", joint_spectrum, gm, omegas)
+    separation = timed("separation", check_eigen_separation, gm, spectrum)
+    bound = timed("bound", check_dimension_bound, gm.params)
     commutant, skipped = None, ""
     try:
-        commutant = commutant_dimension(gm, spectrum)
+        commutant = timed("commutant", commutant_dimension, gm, spectrum)
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(
@@ -605,6 +627,7 @@ def run_verification(gm: GeneratorMatrices,
         bound=bound,
         commutant_dim=commutant,
         commutant_skipped=skipped,
+        seconds=seconds,
     )
 
 
@@ -616,10 +639,9 @@ def tampered_copy(gm: GeneratorMatrices, name: str, row: int, col: int):
     """Copy with one matrix entry multiplied by q (a wrong module)."""
     mats = {g: mat.copy() for g, mat in gm.mats.items()}
     mat = mats[name]
-    value = mat.get(row, col)
-    if value.is_zero():
+    if mat.cols[row] != col:
         raise ValueError(f"{name}[{row},{col}] is zero; tamper a nonzero entry")
-    mat.set(row, col, value * gm.params.domain.q)
+    mat.codes[row] = gm.table.shift(mat.codes[row], gm.params.k)
     return GeneratorMatrices(gm.params, mats)
 
 
@@ -630,5 +652,5 @@ def direct_sum(gm: GeneratorMatrices):
     mats = {}
     for name, mat in gm.mats.items():
         cols = mat.cols + [c if c is None else c + d for c in mat.cols]
-        mats[name] = CycMatrix(mat.field, 2 * d, cols, mat.coeffs * 2)
+        mats[name] = CycMatrix(mat.table, 2 * d, cols, mat.codes * 2)
     return GeneratorMatrices(gm.params, mats)

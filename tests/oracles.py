@@ -6,16 +6,21 @@ repeated squaring.  The ``oracle_*`` functions decide the relation,
 omega and central-power checks the direct way: form every product and
 residual matrix and test it for zero or for a scalar.
 ``full_commutant_dimension`` solves for all d^2 entries of a commuting
-matrix by Gaussian elimination.  ``brute_force_image`` enumerates the
-image of the PI-degree matrix, and ``parse_element`` reads plain-text
-algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests.
+matrix by Gaussian elimination, and ``euclid_inverse`` inverts a field
+element by the extended Euclidean algorithm over Fraction.
+``basis_indices`` and ``basis_rank`` spell out the row order that
+``build_module`` computes with strides.  ``brute_force_image``
+enumerates the image of the PI-degree matrix, and ``parse_element``
+reads plain-text algebra elements such as "(1-q^-2)*y1*x1" for the
+rewriter tests.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
-from qeuclid.linalg import CycMatrix, nullspace_dimension
+from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.rewriter import (
     GENERIC_Q,
     NCPoly,
@@ -27,7 +32,13 @@ from qeuclid.rewriter import (
     xgen,
     ygen,
 )
-from qeuclid.scalars import _ScalarParser, tokenize
+from qeuclid.scalars import (
+    Cyclotomic,
+    _qpoly_divmod,
+    _qpoly_trim,
+    _ScalarParser,
+    tokenize,
+)
 from qeuclid.verify import expected_central_values
 
 BRUTE_FORCE_LIMIT = 10 ** 6
@@ -150,13 +161,44 @@ class DictMatrix:
         return diag[0]
 
 
+def basis_indices(params):
+    """Enumerate (a_2, ..., a_n) in row order: a_2 varies fastest, row 0
+    is the seed."""
+    m, n = params.m, params.n
+    out = []
+    for r in range(m ** (n - 1)):
+        a, rem = [], r
+        for _ in range(n - 1):
+            a.append(rem % m)
+            rem //= m
+        out.append(tuple(a))
+    return out
+
+
+def basis_rank(a: tuple, m: int) -> int:
+    r = 0
+    for v in reversed(a):
+        r = r * m + v
+    return r
+
+
 def dict_mats(gm) -> dict:
     return {name: DictMatrix.of(mat) for name, mat in gm.mats.items()}
 
 
+def monomial(table: ScalarTable, cols, values) -> CycMatrix:
+    """The CycMatrix whose row r holds values[r] at column cols[r], or
+    zero where cols[r] is None."""
+    mat = CycMatrix(table, len(cols))
+    for r, (c, v) in enumerate(zip(cols, values)):
+        if c is not None:
+            mat.set(r, c, v)
+    return mat
+
+
 def permuted(mat: CycMatrix, perm) -> CycMatrix:
     """Conjugate by the basis relabeling i -> perm[i]."""
-    out = CycMatrix(mat.field, mat.dim)
+    out = CycMatrix(mat.table, mat.dim)
     for r, c, v in mat.entries():
         out.set(perm[r], perm[c], v)
     return out
@@ -215,7 +257,7 @@ def oracle_omega(gm) -> list[tuple]:
 
 def oracle_central(gm) -> list[tuple]:
     """(generator, M^m as a scalar or None, expected value) per generator."""
-    expected = expected_central_values(gm.params)
+    expected = expected_central_values(gm)
     mats = dict_mats(gm)
     out = []
     for code in all_gens(gm.params.n):
@@ -232,9 +274,10 @@ def full_commutant_dimension(gm):
 
     def equations():
         for mat in gm.mats.values():
-            column = {}
+            column, row = {}, {}
             for r, c, v in mat.entries():
                 column.setdefault(c, []).append((r, v))
+                row[r] = v
             for r in range(d):
                 for s in range(d):
                     eq = {}
@@ -242,7 +285,7 @@ def full_commutant_dimension(gm):
                         eq[r * d + t] = eq.get(r * d + t, zero) + v
                     t = mat.cols[r]                     # M_rt X_ts
                     if t is not None:
-                        eq[t * d + s] = eq.get(t * d + s, zero) - mat.coeffs[r]
+                        eq[t * d + s] = eq.get(t * d + s, zero) - row[r]
                     eq = {k: v for k, v in eq.items() if not v.is_zero()}
                     if eq:
                         yield eq
@@ -346,3 +389,39 @@ def parse_element(text: str, n: int, dom=GENERIC_Q) -> NCPoly:
     """Parse the plain-text element syntax into a straightened NCPoly."""
     poly = _ElementParser(tokenize(text), dom, n).parse()
     return straighten(poly)
+
+
+def _qpoly_xgcd(a, b):
+    """(g, u) with u*a = g mod b, g the gcd (a constant for coprime input)."""
+    r0, r1 = list(a), list(b)
+    u0, u1 = [Fraction(1)], []
+    while r1:
+        q, r = _qpoly_divmod(r0, r1)
+        r0, r1 = r1, r
+        nu = list(u0)
+        for i, qc in enumerate(q):
+            if qc:
+                while len(nu) < i + len(u1):
+                    nu.append(Fraction(0))
+                for j, uc in enumerate(u1):
+                    if uc:
+                        nu[i + j] -= qc * uc
+        u0, u1 = u1, _qpoly_trim(nu)
+    return r0, u0
+
+
+def euclid_inverse(a: Cyclotomic) -> Cyclotomic:
+    """a^-1 by the extended Euclidean algorithm of the representing
+    polynomial against the cyclotomic modulus, over Fraction: the
+    reference for the norm inverse (its coefficients swell, so keep the
+    inputs small)."""
+    p = _qpoly_trim([Fraction(n, a.den) for n in a.nums])
+    if not p:
+        raise ZeroDivisionError("division by zero")
+    modulus = [Fraction(c) for c in a.field.modulus]
+    g, u = _qpoly_xgcd(p, modulus)
+    assert len(g) == 1, "modulus not coprime"
+    u = [c / g[0] for c in u]
+    _, rem = _qpoly_divmod(u, modulus)
+    rem += [Fraction(0)] * (a.field.degree - len(rem))
+    return a.field.from_fractions(rem)

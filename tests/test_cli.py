@@ -8,7 +8,7 @@ import pytest
 from qeuclid import scalars
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.pidegree import pi_degree
-from qeuclid.repmod import GeneratorMatrices
+from qeuclid.repmod import GeneratorMatrices, ModuleParams, build_module
 from qeuclid.verify import run_verification
 
 
@@ -315,3 +315,37 @@ class TestIdentitiesCommand:
         target = tmp_path / "report.txt"
         assert main(["identities", "--n", "1", "--out", str(target)]) == EXIT_OK
         assert "PASS" in target.read_text()
+
+
+class TestLargeLiterals:
+    @pytest.mark.parametrize("m", [61, 105])
+    def test_readme_literal_as_alpha1_verifies(self, tmp_path, m):
+        # the largest literal the parser accepts; ModuleParams inverts
+        # alpha1, which did not finish in 100 s by extended Euclid
+        cfg = write_config(tmp_path, m=m, alpha1="(1+q)^128*(1+q)^128")
+        start = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        assert time.perf_counter() - start < 90
+
+
+class TestStageTimings:
+    STAGES = {"parse", "build", "relations", "omega", "central", "separation",
+              "bound", "commutant"}
+
+    def test_verify_json_reports_every_stage(self, tmp_path):
+        cfg = write_config(tmp_path, **{"lambda": ["1", "1"]})
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--json", "--out", str(out)]) == EXIT_OK
+        timing = json.loads(out.read_text())["timing"]
+        assert set(timing["stages"]) == self.STAGES
+        assert all(s >= 0 for s in timing["stages"].values())
+        # the total covers build and checks, not parsing
+        assert sum(timing["stages"].values()) - timing["stages"]["parse"] \
+            <= timing["seconds"] + 1e-3
+
+    def test_report_dict_has_no_timing(self, tmp_path):
+        with open(write_config(tmp_path)) as handle:
+            params = ModuleParams.from_config(json.load(handle))
+        report = run_verification(build_module(params))
+        assert set(report.seconds) == self.STAGES - {"parse", "build"}
+        assert "seconds" not in report.to_dict()

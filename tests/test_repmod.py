@@ -6,15 +6,13 @@ import time
 
 import pytest
 
-from oracles import DictMatrix, omega_matrix
+from oracles import DictMatrix, basis_indices, basis_rank, omega_matrix
 from qeuclid.repmod import (
     GeneratorMatrices,
     GuardError,
     ModuleParams,
     ParamError,
     act,
-    basis_indices,
-    basis_rank,
     build_module,
     dimension,
     random_module_params,
@@ -170,6 +168,41 @@ class TestActCaseI:
                         * (params.lam_i(2) - params.lam_i(1))
                         * params.inv_correction)
             assert coeff == expected
+
+
+class TestBuildMatchesAct:
+    """build_module reads the generator rules in code form; act reads
+    them one row at a time.  Both must give every entry."""
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 21), (3, 5)])
+    def test_entries_equal_act_row_by_row(self, case, n, m):
+        params = random_module_params(case, n, m, 2 if m == 5 else 1, seed=m + n)
+        gm = build_module(params)
+        for code in all_gens(n):
+            mat = gm.mat(code)
+            for r, a in enumerate(basis_indices(params)):
+                coeff, target = act(a, code, params)
+                if coeff is None:
+                    assert mat.cols[r] is None, (gen_name(code), a)
+                else:
+                    c = basis_rank(target, m)
+                    assert mat.cols[r] == c and mat.get(r, c) == coeff, \
+                        (gen_name(code), a)
+
+    def test_kappa_is_computed_once_per_generator_and_coordinate(self, monkeypatch):
+        params = random_module_params("II", 4, 3, 1, seed=7)
+        calls = []
+        mul = Cyclotomic.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+        build_module(params)
+        # a handful of products per kappa entry, none per row
+        assert len(calls) <= 4 * 2 * params.n * params.m < dimension(params) * 2 * params.n
 
 
 class TestAlphaInverses:
@@ -403,6 +436,12 @@ class TestGeneratorSet:
         gm = self.module()
         mats = {**gm.mats, "x4": gm.mat("x3")}
         with pytest.raises(ParamError, match="are not the 6 generators of n = 3"):
+            GeneratorMatrices(gm.params, mats)
+
+    def test_matrices_of_two_tables_rejected(self):
+        gm, other = self.module(), self.module()
+        mats = {**gm.mats, "x3": other.mat("x3")}
+        with pytest.raises(ParamError, match="do not share one scalar table"):
             GeneratorMatrices(gm.params, mats)
 
     def test_dimension_is_read_from_the_matrices(self):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import euclid_inverse
 from qeuclid import rewriter, scalars
 from qeuclid.scalars import (
     MAX_LITERAL_WORK,
@@ -404,6 +406,38 @@ class TestFieldAxioms:
             assert e * e.inv() == one
             assert e.inv() * e == one
             count += 1
+
+
+class TestNormInverse:
+    """Cyclotomic.inv (product of the Galois conjugates over the norm)
+    against the extended Euclidean algorithm over Fraction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 9, 15, 21, 25]).flatmap(_elements))
+    def test_matches_euclid(self, a):
+        if a.is_zero():
+            return
+        inv = a.inv()
+        assert inv == euclid_inverse(a)
+        assert a * inv == a.field.one()
+
+    def test_large_literal_inverts_quickly(self):
+        # Euclid's Fraction coefficients swell on these (minutes at m = 61)
+        for m in (61, 105):
+            a = parse_cyclotomic("(1+q)^128*(1+q)^128", m, 1)
+            start = time.perf_counter()
+            inv = a.inv()
+            assert time.perf_counter() - start < 20
+            assert a * inv == a.field.one()
+
+    def test_conjugates_are_field_automorphisms(self):
+        field = CyclotomicField(15)
+        a, b = field.element([1, -2, 0, 3], 2), field.element([0, 1, 1, -1, 5])
+        for j in (2, 4, 7, 8, 11, 13, 14):
+            def sigma(c):
+                return field.element(scalars._conjugate(c.nums, j, field.wrap), c.den)
+            assert sigma(a * b) == sigma(a) * sigma(b)
+            assert sigma(a + b) == sigma(a) + sigma(b)
 
 
 class TestQLaurent:

@@ -1,5 +1,6 @@
 """Verification suite: relations, omega, centrals, commutant, separation."""
 
+import json
 import random
 from collections import Counter
 
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from oracles import (
     DictMatrix,
     full_commutant_dimension,
+    monomial,
     oracle_central,
     oracle_omega,
     oracle_relations,
     permuted,
 )
-from qeuclid.linalg import CycMatrix, nullspace_dimension
+from qeuclid import scalars, verify
+from qeuclid.cli import main
+from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.repmod import (
     GeneratorMatrices,
     GuardError,
@@ -83,13 +87,14 @@ class TestRelations:
         # relates them and every relation fails, x1 y1 = y1 x1 included
         params = random_module_params("I", n, 3, 1, seed=n)
         field = params.domain.field
+        table = ScalarTable(field)
         primes = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                        47, 53, 59, 61, 67, 71])
         mats = {}
         for code in all_gens(n):
             coeffs = [field.scalar(next(primes)) for _ in range(2)]
             cols = [1, 0] if code == xgen(1) else [0, 1]
-            mats[gen_name(code)] = CycMatrix(field, 2, cols, coeffs)
+            mats[gen_name(code)] = monomial(table, cols, coeffs)
         stub = GeneratorMatrices(params, mats)
         failures = check_relations(stub)
         pairs = Counter(frozenset(name.split(" = ")[0].split("*"))
@@ -103,7 +108,7 @@ class TestRelations:
     def test_dimension_mismatch_rejected(self):
         params, gm = build("I", 2, 3, seed=1)
         mats = {name: mat.copy() for name, mat in gm.mats.items()}
-        mats["x1"] = CycMatrix(params.domain.field, gm.dim + 1)
+        mats["x1"] = CycMatrix(gm.table, gm.dim + 1)
         with pytest.raises(ParamError, match="mismatched dimensions"):
             GeneratorMatrices(params, mats)
 
@@ -145,6 +150,83 @@ class TestCentralScalars:
                 or any(not c.ok for c in check_central_scalars(bad)))
 
 
+class TestCentralPowersAtLargeM:
+    def test_scalar_products_stay_linear_in_m(self, tmp_path, monkeypatch):
+        # x_1, y_1 are one base times powers of q and each y_2 cycle
+        # multiplies m distinct bases once: the products and powers of the
+        # check stay within 2m general scalar products at m = 101 (raising
+        # every cycle product to m / length took over 1,000)
+        m = 101
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": m, "k": 1, "n": 2, "alpha1": "1",
+                                   "alpha": ["1"], "beta": ["0"],
+                                   "lambda": ["1", "2"]}))
+        calls, inside = [], []
+        vec_mul, check = scalars.vec_mul, verify.check_central_scalars
+
+        def counting_mul(*args):
+            if inside:
+                calls.append(1)
+            return vec_mul(*args)
+
+        def counting_check(gm):
+            inside.append(1)
+            try:
+                return check(gm)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(scalars, "vec_mul", counting_mul)
+        monkeypatch.setattr(verify, "check_central_scalars", counting_check)
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert 0 < len(calls) <= 2 * m
+
+
+class TestCodedCoefficients:
+    """Matrix entries are codes zeta^e * base in one table per module."""
+
+    def test_equal_value_under_another_code_still_verifies(self):
+        # store one entry zeta^e * B (e != 0) as a base of its own: the
+        # relations that compare it with its partners see unequal codes
+        # and must fall back to comparing values
+        params, gm = build("I", 2, 5, seed=3)
+        table = gm.table
+        mats = {g: mat.copy() for g, mat in gm.mats.items()}
+        mat = mats["x1"]
+        r = next(r for r, c in enumerate(mat.codes)
+                 if c is not None and c % params.m and c >= params.m)
+        old = mat.codes[r]
+        mat.codes[r] = table.intern(table.value(old))
+        assert mat.codes[r] != old and mat.codes[r] % params.m == 0
+        recoded = GeneratorMatrices(params, mats)
+        assert check_relations(recoded) == []
+        assert run_verification(recoded).to_dict() == run_verification(gm).to_dict()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_single_entry_tampered_copy_fails_relations(self, case):
+        _, gm = build(case, 3, 3, seed=52)
+        for name in sorted(gm.mats):
+            for r, c, _ in list(gm.mats[name].entries()):
+                assert check_relations(tampered_copy(gm, name, r, c)), \
+                    f"{name}[{r},{c}]"
+
+    def test_products_are_memoized_on_base_pairs(self):
+        field = root_domain(7, 1).field
+        table = ScalarTable(field)
+        a, b = table.intern(field.element([1, 2])), table.intern(field.element([3, 0, 1]))
+        ab = table.mul(a, b)
+        shifted = table.mul(table.shift(b, 3), table.shift(a, 5))
+        assert shifted == table.shift(ab, 8) and len(table._products) == 1
+        assert table.value(shifted) == table.value(a) * table.value(b) * field.zeta_pow(8)
+        assert table.value(table.power(table.shift(a, 2), 7)) == table.value(a) ** 7
+
+    def test_powers_of_zeta_share_base_one(self):
+        field = root_domain(9, 2).field
+        table = ScalarTable(field)
+        assert [table.intern(field.zeta_pow(e)) for e in range(9)] == list(range(9))
+        assert table.bases == [field.one()]
+
+
 def conjugated(gm, rng):
     """D M D^-1 for every generator M, D diagonal with random units."""
     field = gm.params.domain.field
@@ -152,7 +234,7 @@ def conjugated(gm, rng):
               for _ in range(gm.dim)]
     mats = {}
     for name, mat in gm.mats.items():
-        out = CycMatrix(field, gm.dim)
+        out = CycMatrix(gm.table, gm.dim)
         for r, c, v in mat.entries():
             out.set(r, c, v * scales[r] / scales[c])
         mats[name] = out
@@ -162,11 +244,13 @@ def conjugated(gm, rng):
 def block_sum(a, b):
     """The block-diagonal sum of two modules of one shape."""
     d = a.dim
+    table = ScalarTable(a.params.domain.field)
     mats = {}
     for name, mat in a.mats.items():
-        other = b.mats[name]
-        cols = mat.cols + [c if c is None else c + d for c in other.cols]
-        mats[name] = CycMatrix(mat.field, 2 * d, cols, mat.coeffs + other.coeffs)
+        out = mats[name] = CycMatrix(table, 2 * d)
+        for offset, part in ((0, mat), (d, b.mats[name])):
+            for r, c, v in part.entries():
+                out.set(r + offset, c + offset, v)
     return GeneratorMatrices(a.params, mats)
 
 
@@ -194,12 +278,13 @@ def generator_stubs(draw, injective=True):
     params, _ = STUB_BASE
     field = params.domain.field
     units = [field.one(), -field.one(), field.scalar(2), params.domain.q]
+    table = ScalarTable(field)
     d = draw(st.integers(1, 9))
     mats = {}
     for name in ("x2", "y2"):
         diag = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=d, max_size=d))
-        mats[name] = CycMatrix(field, d, [i if v else None for i, v in enumerate(diag)],
-                               [field.scalar(v) if v else None for v in diag])
+        mats[name] = monomial(table, [i if v else None for i, v in enumerate(diag)],
+                              [field.scalar(v) if v else None for v in diag])
     for name in ("x1", "y1"):
         if injective:
             cols = draw(st.permutations(range(d)))
@@ -207,8 +292,8 @@ def generator_stubs(draw, injective=True):
             cols = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
         keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
         coeffs = draw(st.lists(st.sampled_from(units), min_size=d, max_size=d))
-        mats[name] = CycMatrix(field, d, [c if k else None for c, k in zip(cols, keep)],
-                               [v if k else None for v, k in zip(coeffs, keep)])
+        mats[name] = monomial(table, [c if k else None for c, k in zip(cols, keep)],
+                              [v if k else None for v, k in zip(coeffs, keep)])
     return GeneratorMatrices(params, mats)
 
 
@@ -246,10 +331,11 @@ class TestCommutant:
         # 1-dimensional commutant
         params, _ = build("I", 2, 3, seed=50)
         field = params.domain.field
+        table = ScalarTable(field)
         mats = {}
         for name, value in (("x1", field.scalar(2)), ("y1", params.domain.q),
                             ("x2", field.scalar(3)), ("y2", field.one())):
-            mat = CycMatrix(field, 1)
+            mat = CycMatrix(table, 1)
             mat.set(0, 0, value)
             mats[name] = mat
         stub = GeneratorMatrices(params, mats)
@@ -277,7 +363,8 @@ class TestCommutantOracle:
         # x2 y2 = diag(1, 2, 3) is a simple spectrum; x1 joins rows 0 and 1
         params, _ = build("I", 2, 3, seed=54)
         field = params.domain.field
-        mats = {name: CycMatrix(field, 3) for name in ("x1", "y1", "x2", "y2")}
+        table = ScalarTable(field)
+        mats = {name: CycMatrix(table, 3) for name in ("x1", "y1", "x2", "y2")}
         for i in range(3):
             mats["x2"].set(i, i, field.scalar(i + 1))
             mats["y2"].set(i, i, field.one())
@@ -292,7 +379,8 @@ class TestCommutantOracle:
         # row 1 and a column 1 that no row reaches
         params, _ = build("I", 2, 3, seed=54)
         field = params.domain.field
-        mats = {name: CycMatrix(field, 2) for name in ("x1", "y1", "x2", "y2")}
+        table = ScalarTable(field)
+        mats = {name: CycMatrix(table, 2) for name in ("x1", "y1", "x2", "y2")}
         for i in range(2):
             mats["x2"].set(i, i, field.one())
             mats["y2"].set(i, i, field.one())
@@ -394,7 +482,8 @@ def edited_copy(gm, name, row, col=None):
     """Copy with row `row` of `name` moved to column `col`, or deleted."""
     mats = {g: mat.copy() for g, mat in gm.mats.items()}
     mat = mats[name]
-    value = mat.coeffs[row] if col is not None else gm.params.domain.field.zero()
+    value = (gm.table.value(mat.codes[row]) if col is not None
+             else gm.params.domain.field.zero())
     mat.set(row, col, value)
     return GeneratorMatrices(gm.params, mats)
 
@@ -457,7 +546,7 @@ class TestFastChecksOracle:
         params, gm = build("I", 2, 3, seed=59)
         q = params.domain.q
         for cols in ([1, 2, 1], [1, 2, None], [1, 1, 1], [0, 1, 1]):
-            x2 = CycMatrix(q.field, 3, cols, [None if c is None else q for c in cols])
+            x2 = monomial(gm.table, cols, [q] * 3)
             edited = GeneratorMatrices(params, {**gm.mats, "x2": x2})
             assert not assert_checks_agree(edited).ok
 
@@ -467,6 +556,7 @@ class TestFastChecksOracle:
         for m in (3, 9):
             field = root_domain(m, 1).field
             units = [field.zeta_pow(e) for e in range(m)] + [field.scalar(-2)]
+            table = ScalarTable(field)
             for _ in range(300):
                 d = rng.randint(1, 9)
                 if rng.random() < 0.5:
@@ -474,8 +564,8 @@ class TestFastChecksOracle:
                     rng.shuffle(cols)
                 else:
                     cols = [rng.choice([None] + list(range(d))) for _ in range(d)]
-                mat = CycMatrix(field, d, cols, [None if c is None else rng.choice(units)
-                                                 for c in cols])
+                mat = monomial(table, cols, [None if c is None else rng.choice(units)
+                                             for c in cols])
                 value = central_power(mat, m)
                 assert value == (DictMatrix.of(mat) ** m).as_scalar(), (m, cols)
                 outcomes.add("none" if value is None else
