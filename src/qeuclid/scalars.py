@@ -9,6 +9,7 @@ here:
   coordinate vectors are equal, so equality is decidable and exact.
 * :class:`QLaurent` -- a Laurent polynomial in a generic symbol q with
   rational coefficients, used for identity checks that hold at every q.
+  Integral coefficients are kept as int, the others as Fraction.
 
 Rationals are stdlib :class:`fractions.Fraction` (always reduced, positive
 denominator, arbitrary precision).
@@ -494,8 +495,22 @@ def root_of_unity(m: int, k: int) -> Cyclotomic:
 # Laurent polynomials in a generic q
 # ---------------------------------------------------------------------------
 
+def _rational(c):
+    """An exact rational as an int when it is integral, else as a
+    reduced Fraction; int and Fraction of equal value compare and hash
+    equal, so the choice never shows."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class QLaurent:
-    """Laurent polynomial in q over Q, canonical (no zero coefficients)."""
+    """Laurent polynomial in q over Q, canonical (no zero coefficients).
+
+    Every rewrite-rule coefficient lies in Z[q, q^-1], so coefficients
+    are ints unless a true rational enters (a literal such as "1/5",
+    a negative power or an exact division)."""
 
     __slots__ = ("terms",)
 
@@ -503,7 +518,7 @@ class QLaurent:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _rational(c)
                 if c:
                     clean[e] = c
         self.terms = clean
@@ -514,7 +529,7 @@ class QLaurent:
 
     @staticmethod
     def const(value) -> "QLaurent":
-        return QLaurent({0: Fraction(value)})
+        return QLaurent({0: value})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -535,7 +550,7 @@ class QLaurent:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return QLaurent(out)
 
     __radd__ = __add__
@@ -560,7 +575,7 @@ class QLaurent:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return QLaurent(out)
 
     __rmul__ = __mul__
@@ -591,7 +606,7 @@ class QLaurent:
         hi = max(self.terms)
         out = [Fraction(0)] * (hi - lo + 1)
         for e, c in self.terms.items():
-            out[e - lo] = c
+            out[e - lo] = Fraction(c)
         return out
 
     def substitute(self, m: int, k: int) -> Cyclotomic:

@@ -346,25 +346,23 @@ def commutant_dimension(gm: GeneratorMatrices,
         for i in rows:
             for j in rows:
                 node[i, j] = len(node)
-    forest = _GainForest(len(node))
-    value = gm.table.value
+    forest = _GainForest(len(node), gm.table.value)
     for name, mat in gm.mats.items():
-        cols = mat.cols
-        coeffs = [None if c is None else value(c) for c in mat.codes]
+        cols, codes = mat.cols, mat.codes
         sources = [[] for _ in range(gm.dim)]
         for t, s in enumerate(cols):
             if s is not None:
                 sources[s].append(t)
 
         def left_terms(r, s):
-            return [(node[r, t], coeffs[t]) for t in sources[s] if (r, t) in node]
+            return [(node[r, t], codes[t]) for t in sources[s] if (r, t) in node]
 
         # each equation (r, s) with an unknown on its right is visited
         # once, from that unknown; one with unknowns on its left only is
         # visited from each of them, which repeats a consistent relation
         for (i, j), u in node.items():
             for r in sources[i]:
-                forest.impose(name, j, left_terms(r, j), (u, coeffs[r]))
+                forest.impose(name, j, left_terms(r, j), (u, codes[r]))
             s, si = cols[j], cols[i]
             if s is not None and (si is None or (si, s) not in node):
                 forest.impose(name, s, left_terms(i, s), None)
@@ -381,12 +379,16 @@ def _times(a, b):
 class _GainForest:
     """Weighted union-find over unknowns: X_u = weight[u] * X_parent[u],
     a weight of None meaning 1, so gains of 1 cost no scalar product.
-    ``zero[root]`` marks a component whose unknowns must all vanish."""
+    Equations carry coefficient codes; ``value`` materializes one only
+    when two codes differ or a weight must be multiplied, so a gain
+    c_r / c_r of equal codes needs no value.  ``zero[root]`` marks a
+    component whose unknowns must all vanish."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, value):
         self.parent = list(range(size))
         self.weight = [None] * size
         self.zero = [False] * size
+        self.value = value
 
     def find(self, u):
         """(root, w) with X_u = w X_root; compresses the path."""
@@ -403,8 +405,9 @@ class _GainForest:
 
     def impose(self, name, column, left, right):
         """Impose one equation: the sum of a X_u over (u, a) in ``left``
-        equals b X_v for ``right`` = (v, b), or 0 when ``right`` is None.
-        ``name`` and ``column`` label an undecided equation."""
+        equals b X_v for ``right`` = (v, b), or 0 when ``right`` is None;
+        a and b are codes.  ``name`` and ``column`` label an undecided
+        equation."""
         terms = len(left) + (right is not None)
         if terms > 2:
             raise GuardError(
@@ -416,15 +419,21 @@ class _GainForest:
             self.zero[self.find(u)[0]] = True
         elif right is None:                    # a X_u + b X_v = 0
             (u, a), (v, b) = left
-            self.relate(u, a, v, -b)
+            self.relate(u, a, v, b, negate=True)
         else:
             self.relate(*left[0], *right)
 
-    def relate(self, u, a, v, b):
-        """Impose a X_u = b X_v for nonzero scalars a, b."""
+    def relate(self, u, a, v, b, negate=False):
+        """Impose a X_u = b X_v (or a X_u = -b X_v) for codes a, b."""
         ru, wu = self.find(u)
         rv, wv = self.find(v)
-        left, right = _times(a, wu), _times(b, wv)   # left X_ru = right X_rv
+        if a == b and wu is None and wv is None and not negate:
+            left = right = None                # gain 1, read off the codes
+        else:                                  # left X_ru = right X_rv
+            left = _times(self.value(a), wu)
+            right = _times(self.value(b), wv)
+            if negate:
+                right = -right
         same = left is right or left == right
         if ru == rv:
             if not same:                       # a cycle whose gain is not 1

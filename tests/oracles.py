@@ -12,7 +12,10 @@ element by the extended Euclidean algorithm over Fraction.
 ``build_module`` computes with strides.  ``brute_force_image``
 enumerates the image of the PI-degree matrix, and ``parse_element``
 reads plain-text algebra elements such as "(1-q^-2)*y1*x1" for the
-rewriter tests.
+rewriter tests, with ``power`` for its powers.
+``stepwise_normal_form`` straightens a word one rule application at a
+time, the reference for the closed-form q-swaps of
+``rewriter.straighten_word``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.rewriter import (
     GENERIC_Q,
     NCPoly,
+    _first_descent,
+    _rewrite_pair,
     all_gens,
     gen_name,
     multiply,
-    power,
     straighten,
     xgen,
     ygen,
@@ -306,8 +310,48 @@ def brute_force_image(H, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# straightening one rule at a time
+# ---------------------------------------------------------------------------
+
+_STEPWISE_CACHE: dict[object, dict] = {}
+
+
+def stepwise_normal_form(word: tuple[int, ...], dom) -> dict:
+    """Normal form of a word as a map word -> scalar, by one rule
+    application at the first descent per step (memoized apart from the
+    rewriter's own memo)."""
+    cache = _STEPWISE_CACHE.setdefault(dom, {})
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    idx = _first_descent(word)
+    if idx < 0:
+        result = {word: dom.one}
+    else:
+        head, tail = word[:idx], word[idx + 2:]
+        result = {}
+        for coeff, repl in _rewrite_pair(word[idx], word[idx + 1], dom):
+            for w, c in stepwise_normal_form(head + repl + tail, dom).items():
+                acc = result.get(w)
+                acc = coeff * c if acc is None else acc + coeff * c
+                if acc.is_zero():
+                    result.pop(w, None)
+                else:
+                    result[w] = acc
+    cache[word] = result
+    return result
+
+
+# ---------------------------------------------------------------------------
 # plain-text element syntax, e.g. "(1-q^-2)*y1*x1"
 # ---------------------------------------------------------------------------
+
+def power(p: NCPoly, e: int) -> NCPoly:
+    result = NCPoly.one(p.domain)
+    for _ in range(e):
+        result = multiply(result, p)
+    return result
+
 
 class _ElementParser(_ScalarParser):
     """Extends the scalar grammar with generator letters x<i>, y<i>."""

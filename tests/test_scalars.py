@@ -482,6 +482,71 @@ class TestQLaurent:
         assert sub(a * b) == sub(a) * sub(b)
 
 
+class TestQLaurentIntegerCoefficients:
+    """Integral coefficients are ints, true rationals Fractions; results
+    pinned from the all-Fraction representation."""
+
+    def test_int_and_equal_fraction_agree(self):
+        for c in (2, -7, 0):
+            a, b = QLaurent({1: c, -2: 3}), QLaurent({1: Fraction(c), -2: Fraction(6, 2)})
+            assert a == b and hash(a) == hash(b)
+            assert all(type(v) is int for v in b.terms.values())
+        assert QLaurent.const(Fraction(4, 2)) == 2
+        assert hash(QLaurent.const(Fraction(4, 2))) == hash(QLaurent.const(2))
+
+    def test_rule_coefficients_stay_integral(self):
+        p = parse_qlaurent("(1-q^-2)^3") * QLaurent.q_pow(5) + 1
+        assert all(type(c) is int for c in p.terms.values())
+
+    def test_rational_literal_holds_a_fraction(self):
+        p = parse_qlaurent("1/5*q")
+        assert p.terms == {1: Fraction(1, 5)} and type(p.terms[1]) is Fraction
+        half = parse_qlaurent("1/2") + parse_qlaurent("1/2")
+        assert type(half.terms[0]) is int
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0", "0"),
+        ("-q^-3", "-q^-3"),
+        ("2/2*q", "q"),
+        ("3*q^-2 - 2 + 1/5*q", "3*q^-2 - 2 + 1/5*q"),
+        ("(1-q^-2)^3", "-q^-6 + 3*q^-4 - 3*q^-2 + 1"),
+        ("(2*q-1/3)*(q^2+3/4)", "-1/4 + 3/2*q - 1/3*q^2 + 2*q^3"),
+        ("6/4 - 7/3*q^5", "3/2 - 7/3*q^5"),
+    ])
+    def test_repr_unchanged(self, text, expected):
+        assert repr(parse_qlaurent(text)) == expected
+
+    @pytest.mark.parametrize("a,b,expected", [
+        ("q^2-1", "2*q+2", "-1/2 + 1/2*q"),
+        ("(1-q^-2)*(2+q)", "1-q^-2", "2 + q"),
+        ("q^4-1/9", "q^2+1/3", "-1/3 + q^2"),
+        ("6*q^3+4*q", "2*q", "2 + 3*q^2"),
+        ("3*q^-1", "9*q^2", "1/3*q^-3"),
+        ("q^2+1", "q-1", "None"),
+    ])
+    def test_exact_div_unchanged(self, a, b, expected):
+        assert repr(parse_qlaurent(a).exact_div(parse_qlaurent(b))) == expected
+
+    @pytest.mark.parametrize("text,e,expected", [
+        ("2*q^3", -1, "1/2*q^-3"),
+        ("-q", -2, "q^-2"),
+        ("1/3*q^-2", -3, "27*q^6"),
+        ("4", -1, "1/4"),
+    ])
+    def test_negative_power_unchanged(self, text, e, expected):
+        assert repr(parse_qlaurent(text) ** e) == expected
+
+    @pytest.mark.parametrize("text,m,k,expected", [
+        ("3*q^-2 - 2 + 1/5*q", 5, 2, "-2 + 3*z + 1/5*z^2"),
+        ("3*q^-2 - 2 + 1/5*q", 9, 1, "-2 - 14/5*z - 3*z^4"),
+        ("(1-q^-2)^3", 9, 1, "1 + 3*z - z^3 + 3*z^4 + 3*z^5"),
+        ("(2*q-1/3)*(q^2+3/4)", 7, 3,
+         "1/12 + 1/3*z + 7/3*z^2 + 11/6*z^3 + 1/3*z^4 + 1/3*z^5"),
+    ])
+    def test_substitute_unchanged(self, text, m, k, expected):
+        assert repr(parse_qlaurent(text).substitute(m, k)) == expected
+
+
 class TestTextEncoding:
     def test_spec_example_vector(self):
         c = parse_cyclotomic(["1", "-2/3"], 3, 1)

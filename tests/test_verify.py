@@ -349,6 +349,22 @@ class TestCommutant:
         assert commutant_dimension(gm) == 1
         assert commutant_dimension(direct_sum(gm)) == 4
 
+    def test_simple_spectrum_materializes_no_value(self, monkeypatch):
+        # on a simple spectrum every gain is c_r / c_r, read off equal codes
+        _, gm = build("I", 6, 3, seed=3)                  # dim 243
+        spectrum = joint_spectrum(gm)
+        assert gm.dim == 243 and len(set(spectrum.keys)) == gm.dim
+        values = []
+        original = ScalarTable.value
+
+        def counting(table, code):
+            values.append(code)
+            return original(table, code)
+
+        monkeypatch.setattr(ScalarTable, "value", counting)
+        assert commutant_dimension(gm, spectrum) == 1
+        assert values == []
+
 
 class TestCommutantOracle:
     """The gain-graph solver against the d^2-unknown solve."""
