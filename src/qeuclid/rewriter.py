@@ -22,15 +22,16 @@ letter indices; the lexicographic pair (index multiset, inversions)
 therefore drops at every step.  Confluence is not assumed: it is checked
 on all length-3 overlap ambiguities by :func:`check_local_confluence`.
 
-Closed form.  An inversion of a word is a pair of positions whose
-earlier letter is greater than the later one.  When no inversion pairs
-an x_i with the y_i of the same index, only q-swaps ever apply, and the
-normal form is q^E times the sorted word, where E sums
-``q_exponent(a, b)`` over the inversions (a earlier, b later).  This is
-exact without appeal to confluence: sorting by adjacent swaps swaps
-each inversion pair exactly once and creates no new inversion, and a
-swap's factor depends only on the two letters swapped.  Every other
-word takes one rule application at its first descent and recurses.
+One pass.  :func:`straighten_word` sorts a word by insertion, one run
+of equal letters at a time; each step applies one rule to an adjacent
+descent, so the result is a normal form reached by rewriting, unique by
+the checked confluence.  A run b^c passing c' copies of a larger letter
+a adds c c' ``q_exponent(a, b)`` to one exponent.  Each of the c k
+crossings of a y_i run and x_i^k swaps the pair (factor 1) and
+straightens the other reducts of ``_rewrite_pair`` in place, through
+the memo.  Only these correction words recurse; their index multisets
+are strictly smaller, so the recursion ends, and x_i^m y_i nests one
+level deep for any m.
 """
 
 from __future__ import annotations
@@ -169,29 +170,15 @@ def _rewrite_pair(u: int, v: int, dom) -> list[tuple[object, tuple[int, ...]]]:
     return [(dom.q_pow(q_exponent(u, v)), (v, u))]
 
 
-def _first_descent(word: tuple[int, ...]) -> int:
-    for idx in range(len(word) - 1):
-        if word[idx] > word[idx + 1]:
-            return idx
-    return -1
-
-
-def _swap_exponent(word: tuple[int, ...]) -> int | None:
-    """The E with word = q^E * sorted(word) when straightening the word
-    takes q-swaps only, else None (some x_i stands left of a y_i).  E
-    sums q_exponent over the inversions, counted per run of equal
-    letters against the letters seen before it."""
-    seen: dict[int, int] = {}
-    total = 0
-    for b, run in groupby(word):
-        length = sum(1 for _ in run)
-        for a, count in seen.items():
-            if a > b:
-                if gen_index(a) == gen_index(b):
-                    return None
-                total += count * length * q_exponent(a, b)
-        seen[b] = seen.get(b, 0) + length
-    return total
+def _add_term(out: dict, w: tuple[int, ...], c) -> None:
+    """out[w] += c, dropping the entry when the sum is zero."""
+    acc = out.get(w)
+    if acc is not None:
+        c = acc + c
+    if c.is_zero():
+        out.pop(w, None)
+    else:
+        out[w] = c
 
 
 def straighten_word(word: tuple[int, ...], dom) -> dict:
@@ -200,21 +187,36 @@ def straighten_word(word: tuple[int, ...], dom) -> dict:
     hit = cache.get(word)
     if hit is not None:
         return hit
-    e = _swap_exponent(word)
-    if e is not None:
-        result = {tuple(sorted(word)): dom.q_pow(e)}
-    else:
-        idx = _first_descent(word)
-        head, tail = word[:idx], word[idx + 2:]
-        result = {}
-        for coeff, repl in _rewrite_pair(word[idx], word[idx + 1], dom):
-            for w, c in straighten_word(head + repl + tail, dom).items():
-                acc = result.get(w)
-                acc = coeff * c if acc is None else acc + coeff * c
-                if acc.is_zero():
-                    result.pop(w, None)
+    result: dict = {}
+    counts: dict[int, int] = {}     # copies of each letter already placed
+    e = end = 0
+    for b, run in groupby(word):
+        c = sum(1 for _ in run)
+        k = 0
+        for a, count in counts.items():
+            if a > b:
+                if gen_index(a) == gen_index(b):    # a = x_i, b = y_i
+                    partner, k = a, count
                 else:
-                    result[w] = acc
+                    e += c * count * q_exponent(a, b)
+        if k:
+            # the run has passed the letters above x_i^k and stands right of it
+            low = tuple(sorted(a for a in word[:end] if a < partner))
+            high = tuple(sorted(a for a in word[:end] if a > partner)) + word[end + c:]
+            _, *corrections = _rewrite_pair(partner, b, dom)
+            if e:
+                corrections = [(dom.q_pow(e) * coeff, repl) for coeff, repl in corrections]
+            for j in range(c):
+                for s in range(k):
+                    left = low + (b,) * j + (partner,) * (k - 1 - s)
+                    right = (partner,) * s + (b,) * (c - 1 - j) + high
+                    for coeff, repl in corrections:
+                        for w, nc in straighten_word(left + repl + right, dom).items():
+                            _add_term(result, w, coeff * nc)
+        counts[b] = counts.get(b, 0) + c
+        end += c
+    # the correction words have smaller index multisets: this key is new
+    result[tuple(sorted(word))] = dom.q_pow(e)
     cache[word] = result
     return result
 
@@ -244,7 +246,7 @@ class NCPoly:
         return not self.terms
 
     def is_normal(self) -> bool:
-        return all(_first_descent(w) < 0 for w in self.terms)
+        return all(list(w) == sorted(w) for w in self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, NCPoly) and self.domain is other.domain
@@ -261,12 +263,7 @@ class NCPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            _add_term(out, w, c)
         return NCPoly(self.domain, out)
 
     def __sub__(self, other):
@@ -295,12 +292,7 @@ def straighten(p: NCPoly) -> NCPoly:
     out: dict = {}
     for w, c in p.terms.items():
         for nw, nc in straighten_word(w, p.domain).items():
-            acc = out.get(nw)
-            acc = c * nc if acc is None else acc + c * nc
-            if acc.is_zero():
-                out.pop(nw, None)
-            else:
-                out[nw] = acc
+            _add_term(out, nw, c * nc)
     return NCPoly(p.domain, out)
 
 
@@ -312,12 +304,7 @@ def multiply(p: NCPoly, r: NCPoly) -> NCPoly:
         for w2, c2 in r.terms.items():
             c12 = c1 * c2
             for nw, nc in straighten_word(w1 + w2, p.domain).items():
-                acc = out.get(nw)
-                acc = c12 * nc if acc is None else acc + c12 * nc
-                if acc.is_zero():
-                    out.pop(nw, None)
-                else:
-                    out[nw] = acc
+                _add_term(out, nw, c12 * nc)
     return NCPoly(p.domain, out)
 
 
@@ -427,6 +414,8 @@ def verify_remark_identities(n: int, dom=GENERIC_Q) -> CheckReport:
     i < j, plain commutation for j <= i, and omega_i omega_j = omega_j
     omega_i -- each by straightening the difference to zero.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     report = CheckReport(f"omega quasicommutation identities (n={n}, {dom.name})")
     omegas = {i: omega(i, n, dom) for i in range(1, n + 1)}
     for i in range(1, n + 1):
@@ -452,6 +441,8 @@ def verify_remark_identities(n: int, dom=GENERIC_Q) -> CheckReport:
 
 def verify_central_powers(n: int, m: int, k: int) -> CheckReport:
     """x_i^m and y_i^m commute with every generator at q = zeta_m^k."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     dom = root_domain(m, k)
     report = CheckReport(f"centrality of m-th powers (n={n}, m={m}, k={k})")
     for i in range(1, n + 1):
@@ -475,6 +466,8 @@ def check_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
     reducts are straightened fully and compared; by the diamond lemma
     agreement on all overlaps makes the normal form unique.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     report = CheckReport(f"local confluence on length-3 overlaps (n={n})")
     codes = sorted(all_gens(n))
     for ia, a in enumerate(codes):

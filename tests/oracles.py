@@ -14,7 +14,7 @@ enumerates the image of the PI-degree matrix, and ``parse_element``
 reads plain-text algebra elements such as "(1-q^-2)*y1*x1" for the
 rewriter tests, with ``power`` for its powers.
 ``stepwise_normal_form`` straightens a word one rule application at a
-time, the reference for the closed-form q-swaps of
+time, the reference for the insertion pass of
 ``rewriter.straighten_word``.
 """
 
@@ -27,7 +27,6 @@ from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.rewriter import (
     GENERIC_Q,
     NCPoly,
-    _first_descent,
     _rewrite_pair,
     all_gens,
     gen_name,
@@ -314,6 +313,13 @@ def brute_force_image(H, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 _STEPWISE_CACHE: dict[object, dict] = {}
+
+
+def _first_descent(word: tuple[int, ...]) -> int:
+    for idx in range(len(word) - 1):
+        if word[idx] > word[idx + 1]:
+            return idx
+    return -1
 
 
 def stepwise_normal_form(word: tuple[int, ...], dom) -> dict:

@@ -316,6 +316,18 @@ class TestIdentitiesCommand:
         assert main(["identities", "--n", "1", "--out", str(target)]) == EXIT_OK
         assert "PASS" in target.read_text()
 
+    def test_central_powers_at_large_m(self, capsys):
+        # x_i^m y_i crosses y_i past m copies of x_i: no RecursionError
+        assert main(["identities", "--n", "2", "--m", "999"]) == EXIT_OK
+        assert "PASS (8/8)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_a_config_error(self, n, capsys):
+        assert main(["identities", "--n", n, "--m", "5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "n must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestLargeLiterals:
     @pytest.mark.parametrize("m", [61, 105])

@@ -1,6 +1,7 @@
 """Straightening engine: normal forms, identity suites, confluence."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -232,7 +233,7 @@ class TestEngineProperties:
 
 
 # generic q and q = zeta_m^k for m in {3, 5, 9, 61}, one with k != 1
-CLOSED_FORM_DOMAINS = [None, (3, 1), (5, 1), (9, 1), (61, 1), (9, 2)]
+ORACLE_DOMAINS = [None, (3, 1), (5, 1), (9, 1), (61, 1), (9, 2)]
 
 
 def _domain(spec):
@@ -245,12 +246,21 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(rewriter, "_NF_CACHE", {})
 
 
+def _run_heavy_word(rng, n):
+    """1-5 runs, each 1-3 copies of one letter."""
+    codes = all_gens(n)
+    w = ()
+    for _ in range(rng.randint(1, 5)):
+        w += (rng.choice(codes),) * rng.randint(1, 3)
+    return w
+
+
 @pytest.mark.usefixtures("fresh_memo")
 class TestClosedFormAgainstStepwise:
-    """straighten_word sorts a word with only q-swaps in one step; the
-    oracle applies one rule per step.  Both must give the same map."""
+    """straighten_word sorts a word in one insertion pass over its runs;
+    the oracle applies one rule per step.  Both must give the same map."""
 
-    @pytest.mark.parametrize("spec", CLOSED_FORM_DOMAINS)
+    @pytest.mark.parametrize("spec", ORACLE_DOMAINS)
     def test_random_words(self, spec):
         dom = _domain(spec)
         rng = random.Random(31)
@@ -269,6 +279,16 @@ class TestClosedFormAgainstStepwise:
                     w = (a, b, c)
                     assert straighten_word(w, dom) == stepwise_normal_form(w, dom), w
 
+    @pytest.mark.parametrize("spec", [None, (5, 2), (61, 1)])
+    def test_run_heavy_words(self, spec):
+        # each correction word of a y_i run crossing x_i^k must be the
+        # arrangement at its crossing, taken at the exponent reached there
+        dom = _domain(spec)
+        rng = random.Random(37)
+        for _ in range(400):
+            w = _run_heavy_word(rng, rng.randint(1, 4))
+            assert straighten_word(w, dom) == stepwise_normal_form(w, dom), w
+
     def test_central_power_words(self):
         n, m = 3, 7
         dom = root_domain(m, 1)
@@ -280,9 +300,12 @@ class TestClosedFormAgainstStepwise:
 
 
 def test_central_powers_work_bound(monkeypatch, fresh_memo):
-    """At (n, m) = (3, 61) the suite makes at most 2 n^2 m straighten_word
-    calls (one rule per step took 13,608) and no general scalar product:
-    every product it forms has a power of q as one factor."""
+    """At (n, m) = (3, 61) the suite makes at most 8 n^2 + n(n-1) m
+    straighten_word calls (one rule per step took 13,608): the 8 n^2
+    words x_i^m g, g x_i^m, y_i^m g, g y_i^m, plus one correction word
+    per l < i at each of the m crossings in x_i^m y_i and in x_i y_i^m.
+    It forms no general scalar product: every product has a power of q
+    as a factor."""
     calls, products = [], []
     original_word, original_mul = rewriter.straighten_word, scalars.vec_mul
 
@@ -298,8 +321,30 @@ def test_central_powers_work_bound(monkeypatch, fresh_memo):
     monkeypatch.setattr(scalars, "vec_mul", counting_mul)
     n, m = 3, 61
     assert verify_central_powers(n, m, 1).ok
-    assert 0 < len(calls) <= 2 * n * n * m
+    assert 0 < len(calls) <= 8 * n * n + n * (n - 1) * m
     assert products == []
+
+
+def test_deep_word_straightens_without_deep_recursion(fresh_memo):
+    """y_2 crosses L copies of x_2 in x_2^L y_2; crossing s adds
+    (1-q^-2) q^(-2s) y_1 x_1 x_2^(L-1), and the sum telescopes.  The
+    recursion depth must not grow with L."""
+    L = 2 * sys.getrecursionlimit()
+    x2, y2 = xgen(2), ygen(2)
+    assert straighten_word((x2,) * L + (y2,), D) == {
+        (y2,) + (x2,) * L: scalars.QLaurent.const(1),
+        (ygen(1), xgen(1)) + (x2,) * (L - 1):
+            scalars.QLaurent.const(1) - scalars.QLaurent.q_pow(-2 * L),
+    }
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_suites_reject_n_below_one(n):
+    for run in (lambda: verify_remark_identities(n),
+                lambda: check_local_confluence(n),
+                lambda: verify_central_powers(n, 5, 1)):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run()
 
 
 class TestRuleTable:
