@@ -10,8 +10,9 @@ product of codes per row.
 A code is the integer b*m + e and means zeta^e * bases[b] in the
 :class:`ScalarTable` that the matrices of one module share.  Products of
 codes add exponents mod m and look the product of the two bases up in a
-memo, so a module whose coefficients are few bases times powers of q
-needs few scalar products however many rows it has.
+memo, and a sum of two codes is memoized on the code pair, so a module
+whose coefficients are few bases times powers of q needs few scalar
+products and sums however many rows it has.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ class ScalarTable:
     Unequal codes can still mean equal values, when one base is a power
     of zeta times another: :meth:`equal` then compares the materialized
     values, so the split into bases costs time at worst, never a wrong
-    answer.  Products of bases (on unordered pairs), powers of bases and
-    materialized values are memoized here, and the table only grows, so
-    matrices that share it stay valid.
+    answer.  Products of bases (on unordered pairs), sums (on unordered
+    pairs of codes), powers of bases and materialized values are memoized
+    here, and the table only grows, so matrices that share it stay
+    valid.
     """
 
     __slots__ = ("field", "m", "bases", "_codes", "_values", "_products",
-                 "_powers")
+                 "_sums", "_powers")
 
     def __init__(self, field):
         one = field.one()
@@ -44,6 +46,7 @@ class ScalarTable:
         self._codes = {(one.nums, one.den): 0}
         self._values = {0: one}
         self._products = {}
+        self._sums = {}
         self._powers = {}
 
     def intern(self, value: Cyclotomic) -> int:
@@ -85,6 +88,15 @@ class ScalarTable:
             p = self._products[key] = self.intern(
                 self.bases[ka // m] * self.bases[kb // m])
         return p - p % m + (p + ea + eb) % m
+
+    def add(self, a: int, b: int):
+        """The code of a sum, or None when it is zero; memoized on the
+        unordered code pair."""
+        key = (a, b) if a <= b else (b, a)
+        if key not in self._sums:
+            total = self.value(a) + self.value(b)
+            self._sums[key] = None if total.is_zero() else self.intern(total)
+        return self._sums[key]
 
     def power(self, code: int, k: int) -> int:
         """The code of value^k for k >= 1: (zeta^e B)^k = zeta^(ek) B^k,
@@ -139,13 +151,6 @@ class CycMatrix:
 
     def copy(self) -> "CycMatrix":
         return CycMatrix(self.table, self.dim, list(self.cols), list(self.codes))
-
-    def rotated(self, j: int) -> "CycMatrix":
-        """zeta^j times the matrix, as a shift of every code; the columns
-        are shared."""
-        shift = self.table.shift
-        return CycMatrix(self.table, self.dim, self.cols,
-                         [None if c is None else shift(c, j) for c in self.codes])
 
     def __eq__(self, other):
         """Equal maps with equal coefficients: equal codes are equal

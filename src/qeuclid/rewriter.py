@@ -133,6 +133,8 @@ _ROOT_DOMAINS: dict[tuple[int, int], RootOfUnityDomain] = {}
 
 
 def root_domain(m: int, k: int) -> RootOfUnityDomain:
+    if m < 3 or m % 2 == 0:          # before k % m, which fails on m = 0
+        raise ValueError("m must be odd >= 3")
     key = (m, k % m)
     if key not in _ROOT_DOMAINS:
         _ROOT_DOMAINS[key] = RootOfUnityDomain(m, k)

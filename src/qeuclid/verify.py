@@ -25,12 +25,13 @@ from .scalars import encode_cyclotomic
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _plus(row: dict, col: int, value) -> dict:
-    """A copy of the sparse row with value added at col, zeros dropped."""
+def _plus(table, row: dict, col: int, code: int) -> dict:
+    """A copy of the sparse row of codes with code added at col, zeros
+    dropped."""
     out = dict(row)
     cur = out.get(col)
-    total = value if cur is None else cur + value
-    if total.is_zero():
+    total = code if cur is None else table.add(cur, code)
+    if total is None:
         del out[col]
     else:
         out[col] = total
@@ -43,8 +44,8 @@ class OmegaRows:
     omega_i = sum_(l<=i) (1-q^-2) y_l x_l.
 
     ``xy[i]`` and ``yx[i]`` are the monomial products; ``omega[i][r]`` is
-    row r of omega_i as a dict column -> nonzero coefficient, summed
-    exactly, and ``omega[0]`` is zero.
+    row r of omega_i as a dict column -> code of a nonzero coefficient,
+    summed exactly, and ``omega[0]`` is zero.
     """
     xy: dict
     yx: dict
@@ -54,17 +55,22 @@ class OmegaRows:
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     """Compose each x_i y_i and y_i x_i once: both sides of the additive
     relations, the x_r y_r diagonals of the joint spectrum, and the
-    running sums that are the omegas.  The terms (1-q^-2) y_l x_l are
-    products of codes; only the sums need their values."""
+    running sums that are the omegas.
+
+    The terms (1-q^-2) y_l x_l are products of codes and the running
+    sums are sums of codes (``ScalarTable.add``).  On the paper's modules
+    omega_i is diagonal with at most m distinct eigenvalues, so its rows
+    repeat few code pairs and each distinct sum is added once.
+    """
     table = gm.table
     correction = table.intern(gm.params.domain.correction)
-    value, mul = table.value, table.mul
+    mul = table.mul
     xy, yx = {}, {}
     omega = [[{} for _ in range(gm.dim)]]
     for i in range(1, gm.params.n + 1):
         y, x = gm.mat(ygen(i)), gm.mat(xgen(i))
         xy[i], yx[i] = x @ y, y @ x
-        omega.append([prev if c is None else _plus(prev, c, value(mul(correction, v)))
+        omega.append([prev if c is None else _plus(table, prev, c, mul(correction, v))
                       for prev, c, v in zip(omega[-1], yx[i].cols, yx[i].codes)])
     return OmegaRows(xy, yx, omega)
 
@@ -73,49 +79,77 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     """Residuals of all four defining relation families; returns failures.
 
     Every residual must be the exact zero matrix.  A q-commutation
-    A B = q^e B A, with e = q_exponent(A, B), holds when the two monomial
-    products are equal maps.  q^e B is formed for one right-hand
-    generator B at a time and checked against every relation that uses
-    it, as a shift of B's codes that keeps its zero rows.  The additive
-    relation
-    x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of ``omegas``,
-    with the running sums formed exactly.
+    A B = q^e B A, with e = q_exponent(A, B), holds when the two composed
+    maps are equal and, at each live row r with t = A(r) and u = B(r),
+    c_A(r) c_B(t) = zeta^(ke) c_B(r) c_A(u).  Each generator's codes are
+    split once into bases (``c - c % m``).  When the base pairs
+    {b_A(r), b_B(t)} and {b_B(r), b_A(u)} are equal, both products are
+    powers of zeta times the same nonzero product P of bases, and
+    zeta^a P = zeta^b P exactly when a = b mod m: the bases cancel from
+    the sum of the four codes, so the row is one integer congruence.  On
+    the paper's modules a coefficient is a base that depends on the
+    moved coordinate only, times a power of q, so every row takes this
+    path.  Any other row is compared by ``table.mul``, ``table.shift``
+    and ``table.equal``, which are exact.  The additive relation
+    x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of codes in
+    ``omegas``, with the running sums formed exactly.
     """
     if omegas is None:
         omegas = omega_rows(gm)
-    k, n = gm.params.k, gm.params.n
+    k, n, table = gm.params.k, gm.params.n, gm.table
+    m = table.m
     # (A, B) for every q-commutation A B = q^e B A, in report order
     pairs = [(g(i), g(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              for g in (ygen, xgen)]
     pairs += [(xgen(i), ygen(j)) for i in range(1, n + 1)
               for j in range(1, n + 1) if i != j]
-
-    failed = []
+    split = {}
     for code in all_gens(n):
-        b = gm.mat(code)
-        scaled = {}                   # q^e B, formed once per exponent e
-        for pos, (left, right) in enumerate(pairs):
-            if right != code:
-                continue
-            e = q_exponent(left, right)
-            if e not in scaled:
-                scaled[e] = b.rotated(k * e)
-            a = gm.mat(left)
-            if a @ b != scaled[e] @ a:
-                failed.append(pos)
-    failures = [_commutation_name(*pairs[pos]) for pos in sorted(failed)]
-    value = gm.table.value
+        mat = gm.mat(code)
+        split[code] = (mat.cols, mat.codes,
+                       [None if c is None else c - c % m for c in mat.codes])
+    failures = [_commutation_name(left, right) for left, right in pairs
+                if not _q_commute(table, split[left], split[right],
+                                  k * q_exponent(left, right))]
+    equal = table.equal
     for i in range(1, n + 1):
-        xy, yx, before = omegas.xy[i], omegas.yx[i], omegas.omega[i - 1]
-        for r in range(gm.dim):
-            c = yx.cols[r]
-            rhs = before[r] if c is None else _plus(before[r], c, value(yx.codes[r]))
-            c = xy.cols[r]
-            if ({} if c is None else {c: value(xy.codes[r])}) != rhs:
+        xy, yx = omegas.xy[i], omegas.yx[i]
+        for row, c, code, d, xcode in zip(omegas.omega[i - 1], yx.cols, yx.codes,
+                                          xy.cols, xy.codes):
+            if c is not None:
+                row = _plus(table, row, c, code)
+            if d is None:
+                holds = not row
+            else:
+                holds = len(row) == 1 and d in row and equal(row[d], xcode)
+            if not holds:
                 failures.append(
                     f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l")
                 break
     return failures
+
+
+def _q_commute(table, a, b, j: int) -> bool:
+    """Does A B = zeta^j B A hold?  ``a`` and ``b`` are (cols, codes,
+    bases) of A and B; see check_relations."""
+    acols, acodes, abases = a
+    bcols, bcodes, bbases = b
+    ab = [None if t is None else bcols[t] for t in acols]
+    if ab != [None if u is None else acols[u] for u in bcols]:
+        return False
+    m = table.m
+    for c, t, u, x, z, cr, dr in zip(ab, acols, bcols, abases, bbases,
+                                     acodes, bcodes):
+        if c is None:
+            continue
+        y, w = bbases[t], abases[u]
+        if (x == w and y == z) or (x == z and y == w):
+            if (cr + bcodes[t] - dr - acodes[u] - j) % m:
+                return False
+        elif not table.equal(table.mul(cr, bcodes[t]),
+                             table.shift(table.mul(dr, acodes[u]), j)):
+            return False
+    return True
 
 
 def _commutation_name(a: int, b: int) -> str:
@@ -140,7 +174,8 @@ class OmegaCheck:
 def check_omega_action(gm: GeneratorMatrices,
                        omegas: OmegaRows | None = None) -> list[OmegaCheck]:
     """Each omega_i must act diagonally, with entry lambda_i on the seed
-    row and no zero on the diagonal (torsionfreeness)."""
+    row and no zero on the diagonal (torsionfreeness).  The rows hold
+    codes of nonzero sums, so only the seed eigenvalue is materialized."""
     params = gm.params
     if omegas is None:
         omegas = omega_rows(gm)
@@ -148,7 +183,8 @@ def check_omega_action(gm: GeneratorMatrices,
     for i in range(1, params.n + 1):
         rows = omegas.omega[i]
         diagonal = all(row.keys() <= {r} for r, row in enumerate(rows))
-        seed = rows[0].get(0, params.domain.field.zero())
+        seed = rows[0].get(0)
+        seed = params.domain.field.zero() if seed is None else gm.table.value(seed)
         out.append(OmegaCheck(
             index=i,
             diagonal=diagonal,

@@ -328,6 +328,13 @@ class TestIdentitiesCommand:
         assert "n must be >= 1" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("m", ["0", "-5", "4"])
+    def test_m_not_odd_above_two_is_a_config_error(self, m, capsys):
+        assert main(["identities", "--n", "2", "--m", m]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: m must be odd >= 3" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestLargeLiterals:
     @pytest.mark.parametrize("m", [61, 105])

@@ -203,6 +203,48 @@ class TestCodedCoefficients:
         assert run_verification(recoded).to_dict() == run_verification(gm).to_dict()
 
     @pytest.mark.parametrize("case", CASES)
+    def test_wrong_value_under_a_new_base_fails(self, case):
+        # the failing twin of the test above: one x2 entry times (1+q), a
+        # value no genuine row holds, interned as a base of its own, so
+        # the relations that use it compare unequal base pairs by value
+        params, gm = build(case, 3, 5, seed=3)
+        table = gm.table
+        mats = {g: mat.copy() for g, mat in gm.mats.items()}
+        mat = mats["x2"]
+        r = next(r for r, c in enumerate(mat.codes) if c is not None)
+        bases = len(table.bases)
+        wrong = (params.domain.one + params.domain.q) * table.value(mat.codes[r])
+        mat.codes[r] = table.intern(wrong)
+        assert mat.codes[r] // params.m == bases
+        edited = GeneratorMatrices(params, mats)
+        failures = check_relations(edited)
+        assert failures and failures == oracle_relations(edited)
+
+    @pytest.mark.parametrize("case,n,m", [(case, 3, 3) for case in CASES]
+                             + [("II", 4, 9)])
+    def test_relations_work_on_genuine_modules(self, case, n, m, monkeypatch):
+        # the q-commutations are exponent arithmetic on equal base pairs,
+        # and the omega sums repeat few code pairs
+        params = random_module_params(case, n, m, 1, seed=3)
+        params.max_dim = m ** (n - 1)
+        gm = build_module(params)
+        calls = Counter()
+
+        def counting(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(scalars.Cyclotomic, "__add__",
+                            counting("add", scalars.Cyclotomic.__add__))
+        omegas = omega_rows(gm)
+        monkeypatch.setattr(ScalarTable, "mul", counting("mul", ScalarTable.mul))
+        assert check_relations(gm, omegas) == []
+        assert calls["mul"] == 0
+        assert calls["add"] <= 2 * n * m ** 2
+
+    @pytest.mark.parametrize("case", CASES)
     def test_every_single_entry_tampered_copy_fails_relations(self, case):
         _, gm = build(case, 3, 3, seed=52)
         for name in sorted(gm.mats):
@@ -219,6 +261,17 @@ class TestCodedCoefficients:
         assert shifted == table.shift(ab, 8) and len(table._products) == 1
         assert table.value(shifted) == table.value(a) * table.value(b) * field.zeta_pow(8)
         assert table.value(table.power(table.shift(a, 2), 7)) == table.value(a) ** 7
+
+    def test_sums_are_memoized_on_code_pairs(self):
+        field = root_domain(7, 1).field
+        table = ScalarTable(field)
+        a, b = table.intern(field.element([1, 2])), table.intern(field.element([3, 0, 1]))
+        ab = table.add(a, b)
+        assert table.add(b, a) == ab and len(table._sums) == 1
+        assert table.value(ab) == table.value(a) + table.value(b)
+        minus_a = table.intern(-table.value(a))
+        assert table.add(a, minus_a) is None and table.add(minus_a, a) is None
+        assert len(table._sums) == 2
 
     def test_powers_of_zeta_share_base_one(self):
         field = root_domain(9, 2).field
