@@ -46,7 +46,7 @@ def parse_config(path: str, max_dim=None) -> ModuleParams:
             raw = json.load(handle)
     except OSError as exc:
         raise ParamError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParamError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParamError("config must be a JSON object")

@@ -156,7 +156,7 @@ class ModuleParams:
                 raise ParamError(f"missing field {key!r}")
         m, k, n = cfg["m"], cfg["k"], cfg["n"]
         for key, v in (("m", m), ("k", k), ("n", n)):
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ParamError(f"field {key!r} must be an integer")
         if m < 3 or m % 2 == 0:
             raise ParamError("m must be odd >= 3")

@@ -678,6 +678,11 @@ MAX_LITERAL_POWER = 256
 # two such powers it allows; a third factor or a fifth term is refused.
 MAX_LITERAL_WORK = 131072
 
+# Bound on the nesting of parentheses and unary minus signs in a
+# literal: each level costs the parser at most four Python frames, so
+# this depth stays inside the interpreter's default recursion limit.
+MAX_LITERAL_DEPTH = 200
+
 
 def _shape(p: QLaurent) -> tuple[int, int]:
     """(degree width, largest coefficient bit length); (0, 0) for 0 and q^a."""
@@ -715,14 +720,16 @@ class _ScalarParser:
     Grammar: sums/differences of products of factors; a factor is an
     integer, a rational a/b, q, any of those with ^exponent, or a
     parenthesized expression.  A power of anything but a pure power of q
-    is bounded by MAX_LITERAL_POWER, and the products, powers and sums of
-    the whole literal together by MAX_LITERAL_WORK.
+    is bounded by MAX_LITERAL_POWER, the products, powers and sums of
+    the whole literal together by MAX_LITERAL_WORK, and the nesting of
+    parentheses and unary minus signs by MAX_LITERAL_DEPTH.
     """
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
         self.work = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -798,14 +805,18 @@ class _ScalarParser:
 
     def atom(self):
         tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            self.expect(")")
+        if tok in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_LITERAL_DEPTH:
+                raise ValueError(f"literal nested deeper than "
+                                 f"{MAX_LITERAL_DEPTH} parentheses and signs")
+            value = self.expr() if tok == "(" else -self.factor()
+            if tok == "(":
+                self.expect(")")
+            self.depth -= 1
             return value
         if tok == "q":
             return QLaurent.q_pow(1)
-        if tok == "-":
-            return -self.factor()
         if tok is not None and tok.isdigit():
             num = int(tok)
             if self.peek() == "/":

@@ -25,54 +25,83 @@ from .scalars import encode_cyclotomic
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _plus(table, row: dict, col: int, code: int) -> dict:
-    """A copy of the sparse row of codes with code added at col, zeros
-    dropped."""
-    out = dict(row)
-    cur = out.get(col)
+def _add(table, row: dict, col: int, code: int) -> None:
+    """Add code at col of the sparse row of codes, in place; a zero sum
+    is dropped."""
+    cur = row.get(col)
     total = code if cur is None else table.add(cur, code)
     if total is None:
-        del out[col]
+        del row[col]
     else:
-        out[col] = total
-    return out
+        row[col] = total
+
+
+@dataclass
+class OmegaCheck:
+    index: int
+    diagonal: bool
+    seed_eigenvalue: object
+    seed_matches_lambda: bool
+    all_entries_nonzero: bool
+
+    @property
+    def ok(self):
+        return self.diagonal and self.seed_matches_lambda and self.all_entries_nonzero
 
 
 @dataclass
 class OmegaRows:
-    """The products x_i y_i and y_i x_i, and the rows of
-    omega_i = sum_(l<=i) (1-q^-2) y_l x_l.
+    """What one walk over omega_i = sum_(l<=i) (1-q^-2) y_l x_l yields.
 
-    ``xy[i]`` and ``yx[i]`` are the monomial products; ``omega[i][r]`` is
-    row r of omega_i as a dict column -> code of a nonzero coefficient,
-    summed exactly, and ``omega[0]`` is zero.
+    ``xy[i]`` is the monomial product x_i y_i; ``additive[i]`` says
+    whether x_i y_i = y_i x_i + omega_(i-1) holds; ``checks`` holds the
+    OmegaCheck of omega_1, ..., omega_n.
     """
     xy: dict
-    yx: dict
-    omega: list
+    additive: dict
+    checks: list
 
 
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
-    """Compose each x_i y_i and y_i x_i once: both sides of the additive
-    relations, the x_r y_r diagonals of the joint spectrum, and the
-    running sums that are the omegas.
+    """Walk the omegas once, in one live level of rows: ``rows[r]`` is
+    row r of omega_(i-1) as a dict column -> code of a nonzero sum
+    (``ScalarTable.add``), and omega_0 is zero.
 
-    The terms (1-q^-2) y_l x_l are products of codes and the running
-    sums are sums of codes (``ScalarTable.add``).  On the paper's modules
-    omega_i is diagonal with at most m distinct eigenvalues, so its rows
-    repeat few code pairs and each distinct sum is added once.
+    For i = 1..n each row is first checked against relation i on a copy,
+    made only while the relation holds and where y_i x_i has an entry;
+    then (1-q^-2) y_i x_i is added in place, giving omega_i.  omega_i
+    must act diagonally with entry lambda_i on the seed row and no zero
+    on the diagonal (torsionfreeness).  On the paper's modules its rows
+    repeat at most m eigenvalues, so each distinct sum is added once.
     """
-    table = gm.table
-    correction = table.intern(gm.params.domain.correction)
-    mul = table.mul
-    xy, yx = {}, {}
-    omega = [[{} for _ in range(gm.dim)]]
-    for i in range(1, gm.params.n + 1):
+    params, table = gm.params, gm.table
+    correction = table.intern(params.domain.correction)
+    mul, equal = table.mul, table.equal
+    rows = [{} for _ in range(gm.dim)]
+    xy, additive, checks = {}, {}, []
+    for i in range(1, params.n + 1):
         y, x = gm.mat(ygen(i)), gm.mat(xgen(i))
-        xy[i], yx[i] = x @ y, y @ x
-        omega.append([prev if c is None else _plus(table, prev, c, mul(correction, v))
-                      for prev, c, v in zip(omega[-1], yx[i].cols, yx[i].codes)])
-    return OmegaRows(xy, yx, omega)
+        xy[i], yx = x @ y, y @ x
+        holds = diagonal = nonzero = True
+        for r, (row, c, code, d, xcode) in enumerate(zip(
+                rows, yx.cols, yx.codes, xy[i].cols, xy[i].codes)):
+            if holds:
+                total = row
+                if c is not None:
+                    total = dict(row)
+                    _add(table, total, c, code)
+                holds = (not total if d is None else len(total) == 1
+                         and d in total and equal(total[d], xcode))
+            if c is not None:
+                _add(table, row, c, mul(correction, code))
+            diagonal = diagonal and len(row) == (r in row)   # {} or {r: _}
+            nonzero = nonzero and r in row
+        additive[i] = holds
+        seed = rows[0].get(0)
+        seed = params.domain.field.zero() if seed is None else table.value(seed)
+        checks.append(OmegaCheck(i, diagonal, seed, seed == params.lam_i(i),
+                                 diagonal and nonzero))
+    return OmegaRows(xy, additive, checks)
 
 
 def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
@@ -91,8 +120,8 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     moved coordinate only, times a power of q, so every row takes this
     path.  Any other row is compared by ``table.mul``, ``table.shift``
     and ``table.equal``, which are exact.  The additive relation
-    x_i y_i = y_i x_i + omega_(i-1) is compared on the rows of codes in
-    ``omegas``, with the running sums formed exactly.
+    x_i y_i = y_i x_i + omega_(i-1) is read off ``omegas.additive``,
+    which the walk over the omega sums decides row by row.
     """
     if omegas is None:
         omegas = omega_rows(gm)
@@ -111,21 +140,8 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     failures = [_commutation_name(left, right) for left, right in pairs
                 if not _q_commute(table, split[left], split[right],
                                   k * q_exponent(left, right))]
-    equal = table.equal
-    for i in range(1, n + 1):
-        xy, yx = omegas.xy[i], omegas.yx[i]
-        for row, c, code, d, xcode in zip(omegas.omega[i - 1], yx.cols, yx.codes,
-                                          xy.cols, xy.codes):
-            if c is not None:
-                row = _plus(table, row, c, code)
-            if d is None:
-                holds = not row
-            else:
-                holds = len(row) == 1 and d in row and equal(row[d], xcode)
-            if not holds:
-                failures.append(
-                    f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l")
-                break
+    failures += [f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l"
+                 for i in range(1, n + 1) if not omegas.additive[i]]
     return failures
 
 
@@ -158,42 +174,12 @@ def _commutation_name(a: int, b: int) -> str:
     return f"{gen_name(a)}*{gen_name(b)} = {scalar}*{gen_name(b)}*{gen_name(a)}"
 
 
-@dataclass
-class OmegaCheck:
-    index: int
-    diagonal: bool
-    seed_eigenvalue: object
-    seed_matches_lambda: bool
-    all_entries_nonzero: bool
-
-    @property
-    def ok(self):
-        return self.diagonal and self.seed_matches_lambda and self.all_entries_nonzero
-
-
 def check_omega_action(gm: GeneratorMatrices,
                        omegas: OmegaRows | None = None) -> list[OmegaCheck]:
-    """Each omega_i must act diagonally, with entry lambda_i on the seed
-    row and no zero on the diagonal (torsionfreeness).  The rows hold
-    codes of nonzero sums, so only the seed eigenvalue is materialized."""
-    params = gm.params
+    """The OmegaCheck of each omega_i, made by the walk in omega_rows."""
     if omegas is None:
         omegas = omega_rows(gm)
-    out = []
-    for i in range(1, params.n + 1):
-        rows = omegas.omega[i]
-        diagonal = all(row.keys() <= {r} for r, row in enumerate(rows))
-        seed = rows[0].get(0)
-        seed = params.domain.field.zero() if seed is None else gm.table.value(seed)
-        out.append(OmegaCheck(
-            index=i,
-            diagonal=diagonal,
-            seed_eigenvalue=seed,
-            seed_matches_lambda=(seed == params.lam_i(i)),
-            all_entries_nonzero=diagonal and all(
-                r in row for r, row in enumerate(rows)),
-        ))
-    return out
+    return omegas.checks
 
 
 @dataclass
@@ -265,23 +251,17 @@ def central_power(mat: CycMatrix, m: int):
 
 def _dies_within(cols, m: int) -> bool:
     """Does every path r -> cols[r] -> ... reach a zero row (None) within
-    m steps?  steps[r] counts the steps row r survives."""
-    steps = [None] * len(cols)
-    for start in range(len(cols)):
-        path, r = [], start
-        while r is not None and steps[r] is None:
-            steps[r] = -1                 # on the current path
-            path.append(r)
-            r = cols[r]
-        if r is not None and steps[r] < 0:
-            return False                  # a cycle survives forever
-        k = -1 if r is None else steps[r]
-        for p in reversed(path):
-            k += 1
-            if k >= m:
-                return False
-            steps[p] = k
-    return True
+    m steps, that is, is the m-th power of the map nowhere defined?  The
+    power is formed by repeated squaring."""
+    def then(f, g):
+        return [None if r is None else g[r] for r in f]
+
+    power, square = list(range(len(cols))), cols
+    while m:
+        if m & 1:
+            power = then(power, square)
+        square, m = then(square, square), m >> 1
+    return all(r is None for r in power)
 
 
 def check_central_scalars(gm: GeneratorMatrices) -> list[CentralCheck]:
@@ -627,9 +607,10 @@ def run_verification(gm: GeneratorMatrices,
                      commutant_cap=None) -> VerificationReport:
     """All checks on a built (or imported) instance.
 
-    The x_i y_i and y_i x_i rows and the running sums are formed once and
-    shared by the relations, the omega check and the joint spectrum; the
-    x_r y_r diagonals likewise by the separation check and the commutant.
+    One walk over the omega sums decides the additive relations and the
+    omega checks, and keeps the x_i y_i products for the joint spectrum;
+    the x_r y_r diagonals are shared by the separation check and the
+    commutant.
     An instance whose commutant is undecided runs every other check; the
     commutant section is then reported as skipped rather than failed.
 
@@ -637,8 +618,9 @@ def run_verification(gm: GeneratorMatrices,
     bound is the build guard ``params.max_dim``, and the benchmark's
     worker still passes the keyword.
 
-    The report's ``seconds`` holds the wall time of each stage; the
-    shared omega rows count as omega, the joint spectrum as separation.
+    The report's ``seconds`` holds the wall time of each stage; the walk
+    over the omega sums, additive relations included, counts as omega,
+    the joint spectrum as separation.
     """
     seconds = {}
 

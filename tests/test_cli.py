@@ -78,6 +78,21 @@ class TestConfigValidation:
         assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed JSON")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["m", "k", "n"])
+    def test_boolean_integer_field_rejected(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, **{key: True})
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == f"config error: field {key!r} must be an integer\n")
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -161,6 +176,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: field 'alpha1': ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha1", [
+        "(" * 300 + "1" + ")" * 300, "2*" + "-" * 3000 + "1"],
+        ids=["parentheses", "minus-signs"])
+    def test_deeply_nested_literal_rejected(self, tmp_path, capsys, alpha1):
+        cfg = write_config(tmp_path, alpha1=alpha1)
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'alpha1': literal nested")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha1", [
+        "(" * 200 + "1" + ")" * 200, "2*" + "-" * 200 + "1",
+        "(2*-" * 100 + "1" + ")" * 100],
+        ids=["parentheses", "minus-signs", "mixed"])
+    def test_nesting_at_the_bound_accepted(self, tmp_path, capsys, alpha1):
+        cfg = write_config(tmp_path, alpha1=alpha1)
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
 
     def test_integer_coordinates_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha1=[1, "0"], beta=[[0, "-0/5"]])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -122,6 +123,20 @@ class TestOmegaAction:
             assert check.seed_matches_lambda
             assert check.seed_eigenvalue == params.lam_i(check.index)
             assert check.all_entries_nonzero
+
+    def test_omega_walk_keeps_one_level_of_rows(self):
+        # the omegas are summed in one live level of d rows, not stored
+        # as n + 1 levels of d rows each
+        params = random_module_params("I", 8, 3, 1, seed=3)
+        params.max_dim = 3 ** 7
+        gm = build_module(params)
+        tracemalloc.start()
+        try:
+            omega_rows(gm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestCentralScalars:
