@@ -8,62 +8,92 @@ when cols[r] is None.  Products are compositions of these maps, one
 product of codes per row.
 
 A code is the integer b*m + e and means zeta^e * bases[b] in the
-:class:`ScalarTable` that the matrices of one module share.  Products of
-codes add exponents mod m and look the product of the two bases up in a
-memo, and a sum of two codes is memoized on the code pair, so a module
-whose coefficients are few bases times powers of q needs few scalar
-products and sums however many rows it has.
+:class:`ScalarTable` that the matrices of one module share.  Each base
+stands for its whole orbit {zeta^e v}, so two codes are equal exactly
+when their values are, and every comparison of coefficients is a
+comparison of integers.  Products of codes add exponents mod m and look
+the product of the two bases up in a memo, and a sum of two codes is
+memoized on the code pair, so a module whose coefficients are few bases
+times powers of q needs few scalar products and sums however many rows
+it has.
 """
 
 from __future__ import annotations
 
-from .scalars import Cyclotomic, vec_rotate
+from .scalars import Cyclotomic, vec_orbit_hash, vec_orbit_key, vec_rotate
 
 
 class ScalarTable:
     """The nonzero coefficients of one module's matrices, hash-consed.
 
-    ``bases`` holds each distinct base value once, keyed on its canonical
-    (nums, den); base 0 is 1, and a power of zeta is coded on it, so
-    code e (0 <= e < m) means zeta^e.  Equal codes mean equal values.
-    Unequal codes can still mean equal values, when one base is a power
-    of zeta times another: :meth:`equal` then compares the materialized
-    values, so the split into bases costs time at worst, never a wrong
-    answer.  Products of bases (on unordered pairs), sums (on unordered
-    pairs of codes), powers of bases and materialized values are memoized
-    here, and the table only grows, so matrices that share it stay
-    valid.
+    ``bases`` holds one value of each orbit {zeta^e v} met, the value it
+    was first met as; base 0 is 1, so code e (0 <= e < m) means zeta^e.
+    A value is looked up on its canonical (nums, den).  A value not seen
+    before is placed by its orbit hash (``vec_orbit_hash``) and den: in
+    an empty bucket it starts a new orbit, else the orbit keys
+    (``vec_orbit_key``) of the value and of the bucket's bases decide
+    which orbit holds it and at which exponent.  So equal codes mean
+    equal values and unequal codes unequal ones.  Products of bases (on
+    unordered pairs), sums (on unordered pairs of codes), powers of
+    bases and materialized values are memoized here, and the table only
+    grows, so matrices that share it stay valid.
     """
 
-    __slots__ = ("field", "m", "bases", "_codes", "_values", "_products",
-                 "_sums", "_powers")
+    __slots__ = ("field", "m", "bases", "_codes", "_orbits", "_keys", "_values",
+                 "_products", "_sums", "_powers")
 
     def __init__(self, field):
-        one = field.one()
         self.field = field
         self.m = field.m
-        self.bases = [one]
-        self._codes = {(one.nums, one.den): 0}
-        self._values = {0: one}
+        self.bases = []
+        self._codes = {}
+        self._orbits = {}
+        self._keys = {}
+        self._values = {}
         self._products = {}
         self._sums = {}
         self._powers = {}
+        self.intern(field.one())
 
     def intern(self, value: Cyclotomic) -> int:
-        """The code of a nonzero value: zeta^e is e, anything else is
-        (a new or the equal) base times zeta^0."""
+        """The code of a nonzero value: zeta^e times the base of its
+        orbit, which the value becomes when the orbit is new."""
         key = (value.nums, value.den)
         code = self._codes.get(key)
         if code is None:
-            code = self.field.zeta_exponent(value)
+            field = self.field
+            orbit = vec_orbit_hash(value.nums, field.orbit_points,
+                                   field.orbit_modulus, self.m)
+            bucket = self._orbits.setdefault((orbit, value.den), [])
+            code = self._place(value, bucket)
             if code is None:
                 code = len(self.bases) * self.m
                 self.bases.append(value)
+                bucket.append(code)
             self._codes[key] = code
+            self._values.setdefault(code, value)
         return code
 
+    def _place(self, value, bucket):
+        """zeta^e times the code of the base in ``bucket`` whose orbit
+        holds value, or None; orbit keys are formed here only, once per
+        base."""
+        if not bucket:
+            return None
+        m, cofactor = self.m, self.field.cofactor
+        rotation, s = vec_orbit_key(value.nums, cofactor, m)
+        for start in bucket:
+            known = self._keys.get(start)
+            if known is None:
+                known = self._keys[start] = vec_orbit_key(
+                    self.bases[start // m].nums, cofactor, m)
+            if known[0] == rotation:
+                return start + (s - known[1]) % m
+        return None
+
     def value(self, code: int) -> Cyclotomic:
-        """The value of a code, materialized once by a rotation."""
+        """The value of a code: the value first interned under it, else
+        its base rotated once, memoized."""
         value = self._values.get(code)
         if value is None:
             b, e = divmod(code, self.m)
@@ -108,11 +138,6 @@ class ScalarTable:
             p = self._powers[key] = self.intern(self.bases[key[0] // self.m] ** k)
         return self.shift(p, e * k)
 
-    def equal(self, a: int, b: int) -> bool:
-        """Do two codes mean equal values?  Equal codes do; unequal
-        ones are compared by value."""
-        return a == b or self.value(a) == self.value(b)
-
 
 class CycMatrix:
     """d x d matrix over the field of a ScalarTable, at most one entry per
@@ -153,23 +178,17 @@ class CycMatrix:
         return CycMatrix(self.table, self.dim, list(self.cols), list(self.codes))
 
     def __eq__(self, other):
-        """Equal maps with equal coefficients: equal codes are equal
-        values, unequal ones are compared by value."""
+        """Equal maps with equal coefficients: equal codes in one table,
+        equal values across two."""
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if (self.field is not other.field or self.dim != other.dim
                 or self.cols != other.cols):
             return False
         if self.table is other.table:
-            if self.codes == other.codes:
-                return True
-            equal = self.table.equal
-        else:
-            mine, theirs = self.table.value, other.table.value
-
-            def equal(a, b):
-                return mine(a) == theirs(b)
-        return all(equal(a, b) for a, b in zip(self.codes, other.codes)
+            return self.codes == other.codes
+        mine, theirs = self.table.value, other.table.value
+        return all(mine(a) == theirs(b) for a, b in zip(self.codes, other.codes)
                    if a is not None)
 
     def __matmul__(self, other):

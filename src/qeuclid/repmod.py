@@ -169,8 +169,8 @@ class ModuleParams:
         if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 1:
             raise ParamError("field 'max_dim' must be a positive integer")
         # before any scalar builds Q(zeta_m): phi(m) < m <= m^(n-1) for n >= 2,
-        # so the cap on the module also bounds the field's wrap table and
-        # its m stored powers of zeta
+        # so the cap on the module also bounds the field's wrap table of
+        # m - phi(m) rows of phi(m) coordinates
         check_dimension(m, n, max_dim)
 
         def scalar(key, value):

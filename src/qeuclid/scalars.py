@@ -22,7 +22,9 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, repeat
 from math import gcd
+from operator import add, mul, sub
 
 Rational = Fraction
 
@@ -95,8 +97,7 @@ def euler_phi(m: int) -> int:
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """m-th cyclotomic polynomial as integer coefficients, degree 0 first.
 
-    Computed by exact division of x^m - 1 by the product of the
-    cyclotomic polynomials of the proper divisors of m.
+    Computed by exact division of x^m - 1 by its cofactor.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -104,11 +105,17 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         return (-1, 1)
     num = [0] * (m + 1)
     num[0], num[m] = -1, 1
-    den = [1]
-    for d in _divisors(m):
-        if d < m:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_divexact_int(num, den))
+    return tuple(_poly_divexact_int(num, list(cyclotomic_cofactor(m))))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_cofactor(m: int) -> tuple[int, ...]:
+    """(x^m - 1) / Phi_m, the product of the cyclotomic polynomials of
+    the proper divisors of m, as integer coefficients, degree 0 first."""
+    cofactor = [1]
+    for d in _divisors(m)[:-1]:
+        cofactor = _poly_mul_int(cofactor, list(cyclotomic_polynomial(d)))
+    return tuple(cofactor)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +246,38 @@ def vec_rotate(nums, e, wrap):
     return tuple(_fold(rotated[:d], rotated[d:], wrap))
 
 
+def vec_orbit_key(nums, cofactor, m):
+    """(R, s): the key of the orbit {zeta^e v} of a nonzero element v
+    with integer coordinates nums, and the place of v in it.
+
+    K = lift(nums) * (x^m - 1) / Phi_m (``cofactor`` holds its nonzero
+    (degree, coefficient) pairs) has degree below m, is zero only for
+    v = 0, and K of zeta * v is K rotated one place, since both are
+    x * lift(nums) * cofactor mod x^m - 1.  For odd m the m values
+    zeta^e v are distinct, hence so are the m rotations of K: the least
+    one, R, keys the orbit, and K is R rotated by s places.  The least
+    rotation starts at a least entry of K, so only those are compared."""
+    d = len(nums)
+    key = [0] * m
+    for j, c in cofactor:
+        part = nums if c in (1, -1) else map(mul, nums, repeat(abs(c)))
+        key[j:j + d] = map(add if c > 0 else sub, key[j:j + d], part)
+    low, twice = min(key), key + key
+    s = min((i for i, v in enumerate(key) if v == low),
+            key=lambda i: twice[i:i + m])
+    return tuple(twice[s:s + m]), s
+
+
+def vec_orbit_hash(nums, points, modulus, m):
+    """A hash of the orbit {zeta^e v} of the element v with integer
+    coordinates nums, cheaper than its key.  ``points`` holds g^i for
+    i < phi(m) and ``modulus`` is Phi_m(g) for an integer g >= 2:
+    zeta -> g is a ring map Z[zeta] -> Z/Phi_m(g) that sends zeta^e v to
+    g^e v(g), and g^m = 1 there, since Phi_m(g) divides g^m - 1.  So
+    v(g)^m is one value on the whole orbit."""
+    return pow(sum(map(mul, nums, points)), m, modulus)
+
+
 def _power(base, e: int, one):
     """base^e for e >= 0 by binary powering: start at the lowest set bit
     and square no further than the top bit, so e = 3 costs 2 products."""
@@ -265,13 +304,15 @@ _FIELD_CACHE: dict[int, "CyclotomicField"] = {}
 
 
 class CyclotomicField:
-    """Q(zeta_m) for odd m >= 3, with its wrap table and the m powers of
-    zeta precomputed.
+    """Q(zeta_m) for odd m >= 3, with its wrap table, the nonzero terms
+    of the cofactor (x^m - 1) / Phi_m and the data of the orbit hash;
+    powers of zeta are formed when first asked for.
 
     Instances are interned per m, so field identity checks are cheap.
     """
 
-    __slots__ = ("m", "degree", "modulus", "wrap", "_zeta_powers", "_zeta_exps")
+    __slots__ = ("m", "degree", "modulus", "wrap", "cofactor", "orbit_points",
+                 "orbit_modulus", "_zeta_powers", "_wrap_exps")
 
     def __new__(cls, m: int):
         if m in _FIELD_CACHE:
@@ -284,20 +325,27 @@ class CyclotomicField:
         d = len(phi) - 1
         self.degree = d
         self.modulus = phi
-        # powers[k] = coordinates of zeta^k, k = 0 .. m-1; past the basis
-        # each is the previous one times zeta, with zeta^d = -(phi[:d])
-        powers = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+        # rows[t] = coordinates of zeta^(d + t), t = 0 .. m-d-1: zeta^d =
+        # -(phi[:d]), and each next one is the previous one times zeta
+        rows = []
         top = rep = tuple(-c for c in phi[:d])
         for _ in range(d, m):
-            powers.append(rep)
+            rows.append(rep)
             c = rep[d - 1]
             rep = (0,) + rep[:d - 1]
             if c:
-                rep = tuple(r + c * t for r, t in zip(rep, top))
-        self.wrap = tuple(tuple((j, v) for j, v in enumerate(row) if v)
-                          for row in powers[d:])
-        self._zeta_powers = tuple(Cyclotomic(self, row, 1) for row in powers)
-        self._zeta_exps = {row: k for k, row in enumerate(powers)}
+                rep = tuple(map(add, rep, map(mul, top, repeat(c))))
+        self.wrap = tuple(tuple(zip(compress(count(), row), filter(None, row)))
+                          for row in rows)
+        self.cofactor = tuple((j, c) for j, c in enumerate(cyclotomic_cofactor(m))
+                              if c)
+        # vec_orbit_hash at g = 2^t, with t chosen so that Phi_m(g) has
+        # about 64 bits or more
+        t = -(-64 // d)
+        self.orbit_points = tuple(1 << (t * i) for i in range(d))
+        self.orbit_modulus = sum(c << (t * i) for i, c in enumerate(phi))
+        self._zeta_powers = {}
+        self._wrap_exps = {row: d + t for t, row in enumerate(rows)}
         _FIELD_CACHE[m] = self
         return self
 
@@ -330,12 +378,29 @@ class CyclotomicField:
         return self.scalar(1)
 
     def zeta_pow(self, e: int) -> "Cyclotomic":
-        """zeta^e reduced into the power basis (e arbitrary integer)."""
-        return self._zeta_powers[e % self.m]
+        """zeta^e reduced into the power basis (e arbitrary integer): a
+        unit vector below phi(m), a wrap row from there on."""
+        e %= self.m
+        power = self._zeta_powers.get(e)
+        if power is None:
+            d = self.degree
+            nums = [0] * d
+            if e < d:
+                nums[e] = 1
+            else:
+                for col, coef in self.wrap[e - d]:
+                    nums[col] = coef
+            power = self._zeta_powers[e] = Cyclotomic(self, tuple(nums), 1)
+        return power
 
     def zeta_exponent(self, c: "Cyclotomic"):
         """e with c == zeta^e, or None when c is no power of zeta."""
-        return self._zeta_exps.get(c.nums) if c.den == 1 else None
+        if c.den != 1:
+            return None
+        nums = c.nums
+        if nums.count(0) == self.degree - 1 and 1 in nums:
+            return nums.index(1)
+        return self._wrap_exps.get(nums)
 
 
 class Cyclotomic:
@@ -449,12 +514,18 @@ class Cyclotomic:
     # -- equality / hashing / display ---------------------------------------
 
     def __eq__(self, other):
+        """Equal coordinates; elements of two fields are never equal."""
+        if isinstance(other, Cyclotomic) and other.field is not self.field:
+            return False
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
+        """A rational element hashes as the Fraction it equals."""
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.field.m, self.nums, self.den))
 
     def to_fractions(self) -> tuple[Fraction, ...]:
@@ -626,6 +697,9 @@ class QLaurent:
         return self.terms == other.terms
 
     def __hash__(self):
+        """A constant hashes as the rational it equals."""
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

@@ -76,7 +76,7 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     """
     params, table = gm.params, gm.table
     correction = table.intern(params.domain.correction)
-    mul, equal = table.mul, table.equal
+    mul = table.mul
     rows = [{} for _ in range(gm.dim)]
     xy, additive, checks = {}, {}, []
     for i in range(1, params.n + 1):
@@ -91,7 +91,7 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
                     total = dict(row)
                     _add(table, total, c, code)
                 holds = (not total if d is None else len(total) == 1
-                         and d in total and equal(total[d], xcode))
+                         and total.get(d) == xcode)
             if c is not None:
                 _add(table, row, c, mul(correction, code))
             diagonal = diagonal and len(row) == (r in row)   # {} or {r: _}
@@ -118,8 +118,9 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     the sum of the four codes, so the row is one integer congruence.  On
     the paper's modules a coefficient is a base that depends on the
     moved coordinate only, times a power of q, so every row takes this
-    path.  Any other row is compared by ``table.mul``, ``table.shift``
-    and ``table.equal``, which are exact.  The additive relation
+    path.  Any other row compares the codes of its two products
+    (``table.mul``, ``table.shift``), which are equal exactly when the
+    products are.  The additive relation
     x_i y_i = y_i x_i + omega_(i-1) is read off ``omegas.additive``,
     which the walk over the omega sums decides row by row.
     """
@@ -162,8 +163,7 @@ def _q_commute(table, a, b, j: int) -> bool:
         if (x == w and y == z) or (x == z and y == w):
             if (cr + bcodes[t] - dr - acodes[u] - j) % m:
                 return False
-        elif not table.equal(table.mul(cr, bcodes[t]),
-                             table.shift(table.mul(dr, acodes[u]), j)):
+        elif table.mul(cr, bcodes[t]) != table.shift(table.mul(dr, acodes[u]), j):
             return False
     return True
 
@@ -244,7 +244,7 @@ def central_power(mat: CycMatrix, m: int):
         power = table.power(product, m // length)
         if value is None:
             value = power
-        elif not table.equal(power, value):
+        elif power != value:
             return None
     return table.value(value)
 
@@ -285,9 +285,11 @@ def check_central_scalars(gm: GeneratorMatrices) -> list[CentralCheck]:
 class JointSpectrum:
     """Diagonals of the products x_r y_r (r = 2..n) over every row.
 
-    ``diagonals[r]`` lists the eigenvalues of x_r y_r, or is None where
-    the product is not diagonal.  ``keys[i]`` is row i's tuple
-    of eigenvalues over the diagonal products only.
+    ``diagonals[r]`` lists the codes of the eigenvalues of x_r y_r in
+    the module's table, None for a zero row, or is None where the
+    product is not diagonal.  ``keys[i]`` is row i's tuple of those
+    codes over the diagonal products only; equal codes are equal
+    eigenvalues, so no value is materialized for them.
     """
     diagonals: dict
     keys: list
@@ -308,14 +310,14 @@ def joint_spectrum(gm: GeneratorMatrices,
 
 
 def _diagonal(mat: CycMatrix):
-    """The diagonal of mat, or None when mat is not diagonal."""
-    zero, value = mat.field.zero(), mat.table.value
+    """The codes on the diagonal of mat, None for a zero row, or None
+    when mat is not diagonal."""
     diag = []
     for i, (c, v) in enumerate(zip(mat.cols, mat.codes)):
         if c is None:
-            diag.append(zero)
+            diag.append(None)
         elif c == i:
-            diag.append(value(v))
+            diag.append(v)
         else:
             return None
     return diag

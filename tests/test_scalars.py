@@ -17,6 +17,7 @@ from qeuclid.scalars import (
     CyclotomicField,
     QLaurent,
     _qpoly_divmod,
+    cyclotomic_cofactor,
     cyclotomic_polynomial,
     encode_cyclotomic,
     euler_phi,
@@ -72,6 +73,12 @@ class TestCyclotomicPolynomial:
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
 
+    @pytest.mark.parametrize("m", [3, 15, 21, 45])
+    def test_cofactor_times_phi_is_x_m_minus_1(self, m):
+        expected = [-1] + [0] * (m - 1) + [1]
+        assert scalars._poly_mul_int(list(cyclotomic_cofactor(m)),
+                                     list(cyclotomic_polynomial(m))) == expected
+
 
 class TestRootOfUnity:
     def test_basis_element(self):
@@ -108,6 +115,22 @@ class TestRootOfUnity:
             for e, c in enumerate(phi):
                 value = value + z ** e * c
             assert value.is_zero()
+
+    @pytest.mark.parametrize("m", [3, 9, 15, 105])
+    def test_zeta_exponent_inverts_zeta_pow(self, m):
+        field = CyclotomicField(m)
+        for e in range(m):
+            z = field.zeta_pow(e)
+            assert field.zeta_exponent(z) == e
+            for other in (z * 2, z * Fraction(1, 2), -z, z + field.one()):
+                assert field.zeta_exponent(other) is None
+
+    def test_large_field_forms_powers_on_demand(self):
+        field = CyclotomicField(4001)
+        assert len(field.wrap) == 1 and not field._zeta_powers
+        assert field.zeta_pow(-1).nums == (-1,) * 4000
+        assert field.zeta_exponent(field.zeta_pow(4000)) == 4000
+        assert list(field._zeta_powers) == [4000]
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_power_sum_vanishes(self, m):
@@ -157,6 +180,19 @@ class TestFieldArithmetic:
     def test_mixed_field_operands_rejected(self):
         with pytest.raises(ValueError):
             root_of_unity(3, 1) + root_of_unity(5, 1)
+
+    def test_mixed_field_elements_are_unequal(self):
+        three, five = CyclotomicField(3), CyclotomicField(5)
+        assert three.one() != five.one()
+        assert not three.zeta_pow(1) == five.zeta_pow(1)
+
+    def test_hash_agrees_with_equality(self):
+        field = CyclotomicField(7)
+        for value in (0, 3, -2, Fraction(5, 3)):
+            assert field.scalar(value) == value
+            assert len({field.scalar(value), value}) == 1
+            assert len({QLaurent.const(value), value}) == 1
+        assert len({field.zeta_pow(1), field.element([0, 1])}) == 1
 
     def test_canonical_zero(self):
         field = CyclotomicField(5)

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -200,28 +201,55 @@ class TestCentralPowersAtLargeM:
 class TestCodedCoefficients:
     """Matrix entries are codes zeta^e * base in one table per module."""
 
-    def test_equal_value_under_another_code_still_verifies(self):
-        # store one entry zeta^e * B (e != 0) as a base of its own: the
-        # relations that compare it with its partners see unequal codes
-        # and must fall back to comparing values
-        params, gm = build("I", 2, 5, seed=3)
-        table = gm.table
-        mats = {g: mat.copy() for g, mat in gm.mats.items()}
-        mat = mats["x1"]
-        r = next(r for r, c in enumerate(mat.codes)
-                 if c is not None and c % params.m and c >= params.m)
-        old = mat.codes[r]
-        mat.codes[r] = table.intern(table.value(old))
-        assert mat.codes[r] != old and mat.codes[r] % params.m == 0
-        recoded = GeneratorMatrices(params, mats)
-        assert check_relations(recoded) == []
-        assert run_verification(recoded).to_dict() == run_verification(gm).to_dict()
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5, 9, 15, 21, 25, 45]).flatmap(
+        lambda m: st.tuples(st.just(m),
+                            st.lists(st.lists(st.integers(-3, 3), min_size=m,
+                                              max_size=m), min_size=1, max_size=6),
+                            st.integers(1, 4), st.integers(0, m - 1))))
+    def test_equal_codes_are_equal_values(self, draw):
+        # the table's one invariant, on composite m too, where the orbit
+        # key's cofactor (x^m - 1) / Phi_m is not x - 1: a rotated value
+        # gets the shifted code, and codes agree exactly when values do
+        m, rows, den, e = draw
+        field = root_domain(m, 1).field
+        zeta_e = field.zeta_pow(e)
+        table = ScalarTable(field)
+        values = [field.one()]
+        for row in rows:
+            # a lift of degree < m, folded into the power basis
+            v = sum((field.zeta_pow(j) * c for j, c in enumerate(row) if c),
+                    field.zero()) * Fraction(1, den)
+            if v.is_zero():
+                continue
+            code = table.intern(v)
+            assert table.intern(zeta_e * v) == table.shift(code, e)
+            assert table.value(code) == v
+            assert table.value(table.shift(code, e + 1)) == zeta_e * v * field.zeta_pow(1)
+            values += [v, zeta_e * v, -v]
+        codes = [table.intern(v) for v in values]
+        for a, ca in zip(values, codes):
+            for b, cb in zip(values, codes):
+                assert (ca == cb) == (a == b)
+
+    def test_orbit_keys_alone_give_the_same_codes(self, monkeypatch):
+        # one orbit hash for every value: each new value is then placed by
+        # the orbit keys of all bases met so far, with the same codes
+        params, gm = build("II", 3, 5, seed=3)
+        bases = list(gm.table.bases)
+        report = run_verification(gm).to_dict()
+        monkeypatch.setattr("qeuclid.linalg.vec_orbit_hash", lambda *args: 0)
+        again = build_module(params)
+        assert again.table.bases == bases
+        for name, mat in gm.mats.items():
+            assert again.mats[name].codes == mat.codes, name
+        assert run_verification(again).to_dict() == report
 
     @pytest.mark.parametrize("case", CASES)
     def test_wrong_value_under_a_new_base_fails(self, case):
-        # the failing twin of the test above: one x2 entry times (1+q), a
-        # value no genuine row holds, interned as a base of its own, so
-        # the relations that use it compare unequal base pairs by value
+        # one x2 entry times (1+q), a value no genuine row holds, interned
+        # as a base of its own, so the relations that use it compare the
+        # codes of unequal base pairs
         params, gm = build(case, 3, 5, seed=3)
         table = gm.table
         mats = {g: mat.copy() for g, mat in gm.mats.items()}
@@ -583,11 +611,14 @@ def assert_checks_agree(gm):
     for central in (check_central_scalars(gm), report.central):
         assert [(c.generator, c.value, c.expected)
                 for c in central] == oracle_central(gm)
+    zero = gm.params.domain.zero
     for spectrum in (joint_spectrum(gm), joint_spectrum(gm, omega_rows(gm))):
         for r in range(2, gm.params.n + 1):
             op = DictMatrix.of(gm.mat(xgen(r))) @ DictMatrix.of(gm.mat(ygen(r)))
-            assert spectrum.diagonals[r] == (op.diagonal() if op.is_diagonal()
-                                             else None)
+            diag = spectrum.diagonals[r]
+            if diag is not None:
+                diag = [zero if c is None else gm.table.value(c) for c in diag]
+            assert diag == (op.diagonal() if op.is_diagonal() else None)
     return report
 
 
