@@ -93,9 +93,10 @@ class ModuleParams:
                 raise ParamError(
                     f"inconsistent lambda_{i}: for i in I the seed forces "
                     f"lambda_{i} = q^-2 * lambda_{i - 1}")
-        # cached constants used by every action coefficient
-        self.inv_correction = self.domain.correction.inv()
-        self._inv_q2_minus_1 = (self.domain.q_pow(2) - self.domain.one).inv()
+        # cached constants used by every action coefficient: 1 / (1 - q^-2)
+        # in closed form, and 1 / (q^2 - 1) = q^-2 / (1 - q^-2) a rotation
+        self.inv_correction = self.domain.field.inv_one_minus(-2 * self.k)
+        self._inv_q2_minus_1 = qm2 * self.inv_correction
         # y_1 acts on every row by y1_coeff times a power of q
         self.y1_coeff = alpha1.inv() * self.lam_i(1) * self.inv_correction
         self._alpha_inv = tuple(None if v.is_zero() else v.inv()

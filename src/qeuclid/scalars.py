@@ -393,6 +393,20 @@ class CyclotomicField:
             power = self._zeta_powers[e] = Cyclotomic(self, tuple(nums), 1)
         return power
 
+    def inv_one_minus(self, e: int) -> "Cyclotomic":
+        """1 / (1 - zeta^e) for zeta^e != 1, with no product: since
+        x = zeta^e has x^m = 1 and 1 + x + ... + x^(m-1) = 0,
+        (1 - x) * sum over j < m of j x^j = -m."""
+        m, d = self.m, self.degree
+        e %= m
+        if not e:
+            raise ZeroDivisionError("1 - zeta^0 is zero")
+        lifted = [0] * m
+        for j in range(1, m):
+            lifted[e * j % m] -= j
+        return Cyclotomic(self, *vec_normalize(
+            _fold(lifted[:d], lifted[d:], self.wrap), m))
+
     def zeta_exponent(self, c: "Cyclotomic"):
         """e with c == zeta^e, or None when c is no power of zeta."""
         if c.den != 1:

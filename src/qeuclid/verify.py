@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .linalg import CycMatrix
 from .pidegree import DegreeReport, pi_degree
@@ -294,6 +295,12 @@ class JointSpectrum:
     diagonals: dict
     keys: list
 
+    @cached_property
+    def simple(self) -> bool:
+        """Whether the keys are pairwise distinct: a simple joint
+        spectrum, on which only a diagonal X commutes with every x_r y_r."""
+        return len(set(self.keys)) == len(self.keys)
+
 
 def joint_spectrum(gm: GeneratorMatrices,
                    omegas: OmegaRows | None = None) -> JointSpectrum:
@@ -329,27 +336,38 @@ def commutant_dimension(gm: GeneratorMatrices,
 
     X commutes with every diagonal x_r y_r, so X_ij (nu_j - nu_i) = 0:
     the unknowns are the entries X_ij between rows with equal eigenvalue
-    keys, and every other entry is zero.  For a monomial M whose row t
-    holds c_t at column s(t), entry (r, s) of X M = M X reads
+    keys, and every other entry is zero.
+
+    On a simple joint spectrum (``spectrum.simple``, checked here; every
+    module of the paper has one) X is diagonal.  For a monomial M whose
+    row r holds c_r at column s(r), entry (r, s(r)) of X M = M X then
+    reads X_rr c_r = c_r X_(s(r), s(r)), and every other entry is 0 = 0.
+    So X_rr = X_ss along every edge r - s(r), and the dimension is the
+    number of connected components of the rows under the edges of all
+    2n generators (``_components``), with no coefficient read.
+
+    Otherwise (a direct sum, say) entry (r, s) reads
 
         sum over t with s(t) = s of  c_t X_rt  =  c_r X_(s(r), s)
 
     (the right side is 0 on a zero row r).  Unless M maps two rows of one
     key class into one column, at most two unknowns remain: two make an
-    edge X_rt = (c_r / c_t) X_(s(r), s) of a weighted union-find, one is
-    forced to zero.  The dimension is the number of components neither
-    forced to zero nor closing a cycle whose gain is not 1.  On a simple
-    spectrum the unknowns are the X_rr and every gain is c_r / c_r = 1.
+    edge X_rt = (c_r / c_t) X_(s(r), s) of ``_GainForest``, one is forced
+    to zero.  The dimension is the number of components neither forced
+    to zero nor closing a cycle whose gain is not 1.
 
-    GuardError (the commutant is undecided): the equal-key pairs exceed
-    4 * max_dim, the pairs of a direct sum of two modules at the build
-    guard; or an equation has more than two unknowns.
+    GuardError (the commutant is undecided), on the second path only:
+    the equal-key pairs exceed 4 * max_dim, the pairs of a direct sum of
+    two modules at the build guard; or an equation has more than two
+    unknowns.
 
     A verified instance must return 1 (only scalars commute), which is
     absolute irreducibility by the Schur criterion.
     """
     if spectrum is None:
         spectrum = joint_spectrum(gm)
+    if spectrum.simple:
+        return _components(gm)
     classes: dict = {}
     for i, key in enumerate(spectrum.keys):
         classes.setdefault(key, []).append(i)
@@ -387,6 +405,29 @@ def commutant_dimension(gm: GeneratorMatrices,
     return forest.free_components()
 
 
+def _components(gm: GeneratorMatrices) -> int:
+    """Connected components of the rows under the edges r - cols[r] of
+    every generator, zero rows skipped: a union-find on integers with
+    path halving."""
+    parent = list(range(gm.dim))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    count = gm.dim
+    for mat in gm.mats.values():
+        for r, s in enumerate(mat.cols):
+            if s is not None:
+                a, b = find(r), find(s)
+                if a != b:
+                    parent[a] = b
+                    count -= 1
+    return count
+
+
 def _times(a, b):
     """a * b, where None stands for 1."""
     if a is None:
@@ -395,7 +436,9 @@ def _times(a, b):
 
 
 class _GainForest:
-    """Weighted union-find over unknowns: X_u = weight[u] * X_parent[u],
+    """The commutant off a simple spectrum, where unknowns X_ij with i != j
+    remain and gains other than 1 occur (direct sums, conjugated sums).
+    Weighted union-find over unknowns: X_u = weight[u] * X_parent[u],
     a weight of None meaning 1, so gains of 1 cost no scalar product.
     Equations carry coefficient codes; ``value`` materializes one only
     when two codes differ or a weight must be multiplied, so a gain
@@ -544,6 +587,9 @@ class VerificationReport:
     bound: DimensionBound
     commutant_dim: int | None
     commutant_skipped: str = ""
+    # "components" on a simple joint spectrum, "forest" off it, "" when
+    # the commutant was skipped
+    commutant_path: str = ""
     sections: dict = field(default_factory=dict)
     # wall seconds per stage (omega, relations, central, separation,
     # bound, commutant); kept out of to_dict, which is deterministic
@@ -601,6 +647,7 @@ class VerificationReport:
                 "saturated": self.bound.saturated,
             },
             "commutant_dim": self.commutant_dim,
+            "commutant_path": self.commutant_path,
             "commutant_skipped": self.commutant_skipped,
         }
 
@@ -641,9 +688,10 @@ def run_verification(gm: GeneratorMatrices,
     spectrum = timed("separation", joint_spectrum, gm, omegas)
     separation = timed("separation", check_eigen_separation, gm, spectrum)
     bound = timed("bound", check_dimension_bound, gm.params)
-    commutant, skipped = None, ""
+    commutant, skipped, path = None, "", ""
     try:
         commutant = timed("commutant", commutant_dimension, gm, spectrum)
+        path = "components" if spectrum.simple else "forest"
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(
@@ -656,6 +704,7 @@ def run_verification(gm: GeneratorMatrices,
         bound=bound,
         commutant_dim=commutant,
         commutant_skipped=skipped,
+        commutant_path=path,
         seconds=seconds,
     )
 

@@ -278,6 +278,8 @@ class TestVerifyCommand:
             human = capsys.readouterr().out
             assert f"dimension m^(n-1)   : {verification['dimension']}" in human
             assert f"commutant dim       : {verification['commutant_dim']}" in human
+            assert verification["commutant_path"] == "components"
+            assert "PASS (components)" in human
 
     def test_pi_degree_computed_once(self, tmp_path, capsys, monkeypatch):
         import qeuclid.cli as cli_mod

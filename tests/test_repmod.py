@@ -239,6 +239,24 @@ class TestAlphaInverses:
         for i in range(2, params.n + 1):
             assert params.derived_beta(i) == params.beta_i(i)
 
+    @pytest.mark.parametrize("m,k", [(3, 1), (5, 2), (9, 4), (15, 7), (21, 1)])
+    def test_units_need_no_norm_inverse(self, monkeypatch, m, k):
+        # 1 - q^-2 and q^2 - 1 are inverted in closed form and by a rotation
+        dom = root_domain(m, k)
+        inverted = []
+        inv = Cyclotomic.inv
+
+        def recording(self):
+            inverted.append(self)
+            return inv(self)
+
+        monkeypatch.setattr(Cyclotomic, "inv", recording)
+        params = make_params(m=m, k=k, alpha1=2, alpha=[3])
+        # only alpha1 and alpha_2 go through the norm inverse
+        assert inverted == [dom.scalar(2), dom.scalar(3)]
+        assert params.inv_correction * dom.correction == dom.one
+        assert params._inv_q2_minus_1 * (dom.q_pow(2) - dom.one) == dom.one
+
 
 class TestActCaseIIandIII:
     def test_x_on_I_kills_bottom_rung(self):

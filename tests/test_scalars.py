@@ -476,6 +476,31 @@ class TestNormInverse:
             assert sigma(a + b) == sigma(a) + sigma(b)
 
 
+class TestInvOneMinus:
+    """The closed form 1 / (1 - zeta^e) = -(1/m) sum_(j<m) j zeta^(ej)
+    against the norm inverse."""
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 15, 21, 105])
+    def test_matches_norm_inverse(self, m):
+        field = CyclotomicField(m)
+        one = field.one()
+        for k in [k for k in range(1, m) if gcd(k, m) == 1][:8]:
+            q2 = field.zeta_pow(2 * k)
+            qm2 = field.zeta_pow(-2 * k)
+            inv = field.inv_one_minus(-2 * k)
+            assert inv == (one - qm2).inv()
+            assert qm2 * inv == (q2 - one).inv()
+
+    def test_every_nontrivial_power(self):
+        # non-primitive powers too: x = zeta^5 at m = 15 has order 3
+        field = CyclotomicField(15)
+        for e in range(1, 15):
+            assert field.inv_one_minus(e) * (field.one() - field.zeta_pow(e)) \
+                == field.one()
+        with pytest.raises(ZeroDivisionError):
+            field.inv_one_minus(15)
+
+
 class TestQLaurent:
     def test_q_minus_q_is_zero(self):
         q = QLaurent.q_pow(1)

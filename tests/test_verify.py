@@ -590,6 +590,117 @@ class TestCommutantOracle:
         assert doubled.commutant_dim == 4 and doubled.commutant_skipped == ""
 
 
+@st.composite
+def component_stubs(draw):
+    """(stub, blocks): a d <= 9 stub of an n = 2 module with a simple
+    joint spectrum, x2 = diag of 0..d-1 in drawn order (one zero row)
+    and y2 = 1, whose x1 and y1 map rows only within the blocks of a
+    drawn partition.  Each block is joined along a spanning tree whose
+    edges are split between x1 and y1; every other row of x1 and y1
+    maps within its block or is zero, so the blocks are the connected
+    components."""
+    params, _ = STUB_BASE
+    field = params.domain.field
+    units = [field.one(), -field.one(), field.scalar(2), params.domain.q]
+    table = ScalarTable(field)
+    d = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    blocks = {}
+    for r in draw(st.permutations(range(d))):
+        blocks.setdefault(labels[r], []).append(r)
+    x1, y1 = [None] * d, [None] * d
+    for rows in blocks.values():
+        for i, r in enumerate(rows):
+            tree, other = (x1, y1) if draw(st.booleans()) else (y1, x1)
+            if i:
+                tree[r] = rows[draw(st.integers(0, i - 1))]
+            other[r] = draw(st.sampled_from(rows + [None]))
+    diag = draw(st.permutations(range(d)))
+
+    def coeffs(cols):
+        return [draw(st.sampled_from(units)) if c is not None else None
+                for c in cols]
+
+    mats = {
+        "x1": monomial(table, x1, coeffs(x1)),
+        "y1": monomial(table, y1, coeffs(y1)),
+        "x2": monomial(table, [i if v else None for i, v in enumerate(diag)],
+                       [field.scalar(v) if v else None for v in diag]),
+        "y2": monomial(table, list(range(d)), [field.one()] * d),
+    }
+    return GeneratorMatrices(params, mats), len(blocks)
+
+
+class _NoForest:
+    def __init__(self, *args):
+        raise AssertionError("the gain forest ran on a simple spectrum")
+
+
+class TestCommutantComponents:
+    """The connected-components path on a simple joint spectrum, the gain
+    forest off it, both against the d^2-unknown solve."""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_genuine_and_tampered_take_components(self, case, n, m, monkeypatch):
+        _, gm = build(case, n, m, seed=71)
+        monkeypatch.setattr(verify, "_GainForest", _NoForest)
+        modules = [gm] + [tampered_copy(gm, name, r, c)
+                          for name in sorted(gm.mats)
+                          for r, c, _ in list(gm.mats[name].entries())[:2]]
+        for module in modules:
+            assert joint_spectrum(module).simple
+            assert commutant_dimension(module) == full_commutant_dimension(module)
+        assert commutant_dimension(gm) == 1
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_direct_sums_take_the_forest(self, case, n, m, monkeypatch):
+        _, gm = build(case, n, m, seed=72)
+        doubled = direct_sum(gm)
+        built = []
+
+        class Recording(verify._GainForest):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(verify, "_GainForest", Recording)
+        assert not joint_spectrum(doubled).simple
+        assert commutant_dimension(doubled) == full_commutant_dimension(doubled) == 4
+        assert built == [1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(component_stubs())
+    def test_counts_components(self, drawn):
+        stub, blocks = drawn
+        assert joint_spectrum(stub).simple
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_GainForest", _NoForest)
+            assert commutant_dimension(stub) == blocks
+        assert full_commutant_dimension(stub) == blocks
+
+    def test_report_names_the_path(self):
+        params, gm = build("I", 3, 3, seed=73)
+        assert run_verification(gm).commutant_path == "components"
+        doubled = run_verification(direct_sum(gm))
+        assert doubled.commutant_path == "forest"
+        assert doubled.to_dict()["commutant_path"] == "forest"
+        params.max_dim = 8          # 36 equal-key pairs of the sum > 4 * 8
+        skipped = run_verification(direct_sum(gm))
+        assert skipped.commutant_dim is None and skipped.commutant_path == ""
+
+    def test_d2187_is_one_component(self, monkeypatch):
+        # past dimension 27: the certificate at I, n = 8, m = 3
+        params = random_module_params("I", 8, 3, 1, seed=74)
+        params.max_dim = 3 ** 7
+        gm = build_module(params)
+        spectrum = joint_spectrum(gm)
+        monkeypatch.setattr(verify, "_GainForest", _NoForest)
+        assert gm.dim == 2187 and spectrum.simple
+        assert commutant_dimension(gm, spectrum) == 1
+
+
 def edited_copy(gm, name, row, col=None):
     """Copy with row `row` of `name` moved to column `col`, or deleted."""
     mats = {g: mat.copy() for g, mat in gm.mats.items()}
