@@ -130,7 +130,7 @@ def _render_verification(params, vrep, drep) -> str:
         lines.append(f"  commutant dim       : skipped ({vrep.commutant_skipped})")
     else:
         lines.append(f"  commutant dim       : {vrep.commutant_dim}   "
-                     f"{_pf(vrep.commutant_dim == 1)} ({vrep.commutant_path})")
+                     f"{_pf(vrep.commutant_dim == 1)}")
     lines.append(f"  overall             : {_pf(vrep.ok)}")
     return "\n".join(lines) + "\n"
 

@@ -60,16 +60,8 @@ class ModuleParams:
 
     def __init__(self, m, k, n, alpha1, alpha, beta, lam,
                  max_dim=DEFAULT_MAX_DIM):
-        if m < 3 or m % 2 == 0:
-            raise ParamError("m must be odd >= 3")
-        if gcd(k, m) != 1:
-            raise ParamError("q not primitive")
-        if n < 2:
-            raise ParamError("n must be >= 2")
-        if len(alpha) != n - 1 or len(beta) != n - 1:
-            raise ParamError("alpha and beta must have entries for i = 2..n")
-        if len(lam) != n:
-            raise ParamError("lambda must have entries for i = 1..n")
+        _check_shape(m, k, n)
+        _check_lengths(n, alpha, beta, lam)
         self.m = m
         self.k = k % m
         self.n = n
@@ -159,10 +151,7 @@ class ModuleParams:
         for key, v in (("m", m), ("k", k), ("n", n)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParamError(f"field {key!r} must be an integer")
-        if m < 3 or m % 2 == 0:
-            raise ParamError("m must be odd >= 3")
-        if gcd(k, m) != 1:
-            raise ParamError("q not primitive")
+        _check_shape(m, k, n)
         for key in ("alpha", "beta", "lambda"):
             if not isinstance(cfg[key], list):
                 raise ParamError(f"field {key!r} must be an array")
@@ -173,6 +162,7 @@ class ModuleParams:
         # so the cap on the module also bounds the field's wrap table of
         # m - phi(m) rows of phi(m) coordinates
         check_dimension(m, n, max_dim)
+        _check_lengths(n, cfg["alpha"], cfg["beta"], cfg["lambda"])
 
         def scalar(key, value):
             try:
@@ -190,6 +180,22 @@ class ModuleParams:
         beta = [scalar(f"beta[{i}]", v) for i, v in enumerate(cfg["beta"])]
         lam = [scalar(f"lambda[{i}]", v) for i, v in enumerate(cfg["lambda"])]
         return cls(m, k, n, alpha1, alpha, beta, lam, max_dim=max_dim)
+
+
+def _check_shape(m: int, k: int, n: int) -> None:
+    if m < 3 or m % 2 == 0:
+        raise ParamError("m must be odd >= 3")
+    if gcd(k, m) != 1:
+        raise ParamError("q not primitive")
+    if n < 2:
+        raise ParamError("n must be >= 2")
+
+
+def _check_lengths(n: int, alpha, beta, lam) -> None:
+    if len(alpha) != n - 1 or len(beta) != n - 1:
+        raise ParamError("alpha and beta must have entries for i = 2..n")
+    if len(lam) != n:
+        raise ParamError("lambda must have entries for i = 1..n")
 
 
 def dimension(params: ModuleParams) -> int:

@@ -334,42 +334,35 @@ def commutant_dimension(gm: GeneratorMatrices,
                         spectrum: JointSpectrum | None = None) -> int:
     """Dimension over Q(zeta_m) of {X : X M_g = M_g X for all generators}.
 
-    X commutes with every diagonal x_r y_r, so X_ij (nu_j - nu_i) = 0:
-    the unknowns are the entries X_ij between rows with equal eigenvalue
-    keys, and every other entry is zero.
-
-    On a simple joint spectrum (``spectrum.simple``, checked here; every
-    module of the paper has one) X is diagonal.  For a monomial M whose
-    row r holds c_r at column s(r), entry (r, s(r)) of X M = M X then
-    reads X_rr c_r = c_r X_(s(r), s(r)), and every other entry is 0 = 0.
-    So X_rr = X_ss along every edge r - s(r), and the dimension is the
-    number of connected components of the rows under the edges of all
-    2n generators (``_components``), with no coefficient read.
-
-    Otherwise (a direct sum, say) entry (r, s) reads
+    X commutes with every diagonal x_r y_r, so X_ij = 0 unless rows i and
+    j have equal eigenvalue keys.  For a monomial M whose row r holds c_r
+    at column s(r), entry (r, s) of X M = M X reads
 
         sum over t with s(t) = s of  c_t X_rt  =  c_r X_(s(r), s)
 
-    (the right side is 0 on a zero row r).  Unless M maps two rows of one
-    key class into one column, at most two unknowns remain: two make an
-    edge X_rt = (c_r / c_t) X_(s(r), s) of ``_GainForest``, one is forced
-    to zero.  The dimension is the number of components neither forced
-    to zero nor closing a cycle whose gain is not 1.
+    (the right side is 0 on a zero row r).  Premise, checked for each
+    generator: M maps no two rows of one key class into one column.  Then
+    an equation either reads X_rr = X_(s(r), s(r)) or holds off-diagonal
+    unknowns X_ij (i != j) only, at most one on each side.  So the
+    dimension is the number of connected components of the rows under
+    the edges r - s(r) (``_components``) plus the free components of the
+    off-diagonal unknowns in ``_GainForest``.  On a simple joint spectrum
+    (every module of the paper has one) there are no off-diagonal
+    unknowns, and no coefficient is read.
 
-    GuardError (the commutant is undecided), on the second path only:
-    the equal-key pairs exceed 4 * max_dim, the pairs of a direct sum of
-    two modules at the build guard; or an equation has more than two
-    unknowns.
-
-    A verified instance must return 1 (only scalars commute), which is
-    absolute irreducibility by the Schur criterion.
+    GuardError (the commutant is undecided): the equal-key pairs exceed
+    4 * max_dim, the pairs of a direct sum of two modules at the build
+    guard; or the premise fails.  A verified instance must return 1
+    (only scalars commute), which is absolute irreducibility by the Schur
+    criterion.
     """
     if spectrum is None:
         spectrum = joint_spectrum(gm)
+    dim = _components(gm)
     if spectrum.simple:
-        return _components(gm)
-    classes: dict = {}
-    for i, key in enumerate(spectrum.keys):
+        return dim
+    keys, classes = spectrum.keys, {}
+    for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
     pairs = sum(len(rows) ** 2 for rows in classes.values())
     cap = 4 * gm.params.max_dim
@@ -381,28 +374,37 @@ def commutant_dimension(gm: GeneratorMatrices,
     for rows in classes.values():
         for i in rows:
             for j in rows:
-                node[i, j] = len(node)
+                if i != j:
+                    node[i, j] = len(node)
     forest = _GainForest(len(node), gm.table.value)
     for name, mat in gm.mats.items():
         cols, codes = mat.cols, mat.codes
-        sources = [[] for _ in range(gm.dim)]
-        for t, s in enumerate(cols):
-            if s is not None:
-                sources[s].append(t)
-
-        def left_terms(r, s):
-            return [(node[r, t], codes[t]) for t in sources[s] if (r, t) in node]
-
-        # each equation (r, s) with an unknown on its right is visited
-        # once, from that unknown; one with unknowns on its left only is
-        # visited from each of them, which repeats a consistent relation
+        image = {}                      # key -> the columns its rows reach
+        for key, rows in classes.items():
+            hit = image[key] = set()
+            for t in rows:
+                if cols[t] in hit:
+                    raise GuardError(
+                        f"commutant undecided: {name} maps two rows of one "
+                        f"eigenvalue class into column {cols[t]}")
+                if cols[t] is not None:
+                    hit.add(cols[t])
+        # c_j X_ij = c_i X_(s(i), s(j)), and X_ij = 0 when the right side
+        # is no unknown
         for (i, j), u in node.items():
-            for r in sources[i]:
-                forest.impose(name, j, left_terms(r, j), (u, codes[r]))
-            s, si = cols[j], cols[i]
-            if s is not None and (si is None or (si, s) not in node):
-                forest.impose(name, s, left_terms(i, s), None)
-    return forest.free_components()
+            if cols[j] is not None:
+                v = node.get((cols[i], cols[j]))
+                if v is None:
+                    forest.vanish(u)
+                else:
+                    forest.relate(u, codes[j], v, codes[i])
+        # X_ab = 0 when row r maps to a and no row of r's class maps to b
+        for r, a in enumerate(cols):
+            if a is not None:
+                for b in classes[keys[a]]:
+                    if b != a and b not in image[keys[r]]:
+                        forest.vanish(node[a, b])
+    return dim + forest.free_components()
 
 
 def _components(gm: GeneratorMatrices) -> int:
@@ -436,9 +438,9 @@ def _times(a, b):
 
 
 class _GainForest:
-    """The commutant off a simple spectrum, where unknowns X_ij with i != j
-    remain and gains other than 1 occur (direct sums, conjugated sums).
-    Weighted union-find over unknowns: X_u = weight[u] * X_parent[u],
+    """The off-diagonal commutant unknowns X_ij (i != j, equal keys), where
+    gains other than 1 occur (direct sums, conjugated sums).  Weighted
+    union-find over unknowns: X_u = weight[u] * X_parent[u],
     a weight of None meaning 1, so gains of 1 cost no scalar product.
     Equations carry coefficient codes; ``value`` materializes one only
     when two codes differ or a weight must be multiplied, so a gain
@@ -464,37 +466,19 @@ class _GainForest:
             parent[p] = u
         return u, w
 
-    def impose(self, name, column, left, right):
-        """Impose one equation: the sum of a X_u over (u, a) in ``left``
-        equals b X_v for ``right`` = (v, b), or 0 when ``right`` is None;
-        a and b are codes.  ``name`` and ``column`` label an undecided
-        equation."""
-        terms = len(left) + (right is not None)
-        if terms > 2:
-            raise GuardError(
-                f"commutant undecided: {name} maps {len(left)} rows of one "
-                f"eigenvalue class into column {column}, so an equation "
-                f"couples more than two unknowns")
-        if terms == 1:
-            u = left[0][0] if left else right[0]
-            self.zero[self.find(u)[0]] = True
-        elif right is None:                    # a X_u + b X_v = 0
-            (u, a), (v, b) = left
-            self.relate(u, a, v, b, negate=True)
-        else:
-            self.relate(*left[0], *right)
+    def vanish(self, u):
+        """Impose X_u = 0."""
+        self.zero[self.find(u)[0]] = True
 
-    def relate(self, u, a, v, b, negate=False):
-        """Impose a X_u = b X_v (or a X_u = -b X_v) for codes a, b."""
+    def relate(self, u, a, v, b):
+        """Impose a X_u = b X_v for codes a, b."""
         ru, wu = self.find(u)
         rv, wv = self.find(v)
-        if a == b and wu is None and wv is None and not negate:
+        if a == b and wu is None and wv is None:
             left = right = None                # gain 1, read off the codes
         else:                                  # left X_ru = right X_rv
             left = _times(self.value(a), wu)
             right = _times(self.value(b), wv)
-            if negate:
-                right = -right
         same = left is right or left == right
         if ru == rv:
             if not same:                       # a cycle whose gain is not 1
@@ -587,9 +571,6 @@ class VerificationReport:
     bound: DimensionBound
     commutant_dim: int | None
     commutant_skipped: str = ""
-    # "components" on a simple joint spectrum, "forest" off it, "" when
-    # the commutant was skipped
-    commutant_path: str = ""
     sections: dict = field(default_factory=dict)
     # wall seconds per stage (omega, relations, central, separation,
     # bound, commutant); kept out of to_dict, which is deterministic
@@ -647,7 +628,6 @@ class VerificationReport:
                 "saturated": self.bound.saturated,
             },
             "commutant_dim": self.commutant_dim,
-            "commutant_path": self.commutant_path,
             "commutant_skipped": self.commutant_skipped,
         }
 
@@ -688,10 +668,9 @@ def run_verification(gm: GeneratorMatrices,
     spectrum = timed("separation", joint_spectrum, gm, omegas)
     separation = timed("separation", check_eigen_separation, gm, spectrum)
     bound = timed("bound", check_dimension_bound, gm.params)
-    commutant, skipped, path = None, "", ""
+    commutant, skipped = None, ""
     try:
         commutant = timed("commutant", commutant_dimension, gm, spectrum)
-        path = "components" if spectrum.simple else "forest"
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(
@@ -704,7 +683,6 @@ def run_verification(gm: GeneratorMatrices,
         bound=bound,
         commutant_dim=commutant,
         commutant_skipped=skipped,
-        commutant_path=path,
         seconds=seconds,
     )
 

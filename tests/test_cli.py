@@ -137,6 +137,22 @@ class TestConfigValidation:
         assert time.perf_counter() - t0 < 5.0
         assert "dimension guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,message", [
+        # n = 1 leaves m unbounded by the dimension guard
+        ({"m": 255255, "n": 1}, "n must be >= 2"),
+        ({"alpha": ["(1+q)^128*(1+q)^128"] * 2000},
+         "alpha and beta must have entries for i = 2..n"),
+    ])
+    def test_shape_checked_before_any_scalar(self, tmp_path, capsys, monkeypatch,
+                                             overrides, message):
+        monkeypatch.setattr(scalars, "_FIELD_CACHE", {})
+        cfg = write_config(tmp_path, **overrides)
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 1.0
+        assert scalars._FIELD_CACHE == {}
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("literal", [
         "2^99999999999", "2^-99999999999", "(1+q)^100000", "((1+q)^64)^64"])
     def test_oversized_literal_power_rejected(self, tmp_path, capsys, literal):
@@ -278,8 +294,8 @@ class TestVerifyCommand:
             human = capsys.readouterr().out
             assert f"dimension m^(n-1)   : {verification['dimension']}" in human
             assert f"commutant dim       : {verification['commutant_dim']}" in human
-            assert verification["commutant_path"] == "components"
-            assert "PASS (components)" in human
+            assert verification["commutant_dim"] == 1
+            assert "commutant dim       : 1   PASS\n" in human
 
     def test_pi_degree_computed_once(self, tmp_path, capsys, monkeypatch):
         import qeuclid.cli as cli_mod

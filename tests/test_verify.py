@@ -680,15 +680,52 @@ class TestCommutantComponents:
             assert commutant_dimension(stub) == blocks
         assert full_commutant_dimension(stub) == blocks
 
-    def test_report_names_the_path(self):
+    def test_forest_sees_only_off_diagonal_unknowns(self, monkeypatch):
+        # a direct sum of d rows keys each row with its copy: the d
+        # diagonal unknowns pair up into components, and the forest holds
+        # the 2d off-diagonal ones, X_(r, r+d) and X_(r+d, r)
+        _, gm = build("II", 3, 3, seed=75)
+        sizes = []
+
+        class Recording(verify._GainForest):
+            def __init__(self, size, value):
+                sizes.append(size)
+                super().__init__(size, value)
+
+        monkeypatch.setattr(verify, "_GainForest", Recording)
+        assert commutant_dimension(direct_sum(gm)) == 4
+        assert sizes == [2 * gm.dim]
+
+    def test_two_rows_of_one_class_into_one_column_is_undecided(self):
+        # x2 y2 = 1 keys rows 0 and 1 alike, and x1 maps both into column 0
+        params, _ = build("I", 2, 3, seed=54)
+        field = params.domain.field
+        table = ScalarTable(field)
+        mats = {name: CycMatrix(table, 2) for name in ("x1", "y1", "x2", "y2")}
+        for i in range(2):
+            mats["x1"].set(i, 0, field.scalar(i + 1))
+            mats["x2"].set(i, i, field.one())
+            mats["y2"].set(i, i, field.one())
+        stub = GeneratorMatrices(params, mats)
+        with pytest.raises(GuardError, match="commutant undecided: x1 maps two "
+                           "rows of one eigenvalue class into column 0"):
+            commutant_dimension(stub)
+        assert not all(s.ok for s in check_eigen_separation(stub))
+        report = run_verification(stub)
+        assert report.commutant_dim is None
+        assert report.commutant_skipped.startswith("commutant undecided")
+
+    def test_report_gives_the_dimension_or_the_reason(self):
         params, gm = build("I", 3, 3, seed=73)
-        assert run_verification(gm).commutant_path == "components"
-        doubled = run_verification(direct_sum(gm))
-        assert doubled.commutant_path == "forest"
-        assert doubled.to_dict()["commutant_path"] == "forest"
+        assert run_verification(gm).commutant_dim == 1
+        doubled = run_verification(direct_sum(gm)).to_dict()
+        assert {key: value for key, value in doubled.items()
+                if key.startswith("commutant")} == {"commutant_dim": 4,
+                                                     "commutant_skipped": ""}
         params.max_dim = 8          # 36 equal-key pairs of the sum > 4 * 8
         skipped = run_verification(direct_sum(gm))
-        assert skipped.commutant_dim is None and skipped.commutant_path == ""
+        assert skipped.commutant_dim is None
+        assert skipped.commutant_skipped.startswith("commutant guard")
 
     def test_d2187_is_one_component(self, monkeypatch):
         # past dimension 27: the certificate at I, n = 8, m = 3
