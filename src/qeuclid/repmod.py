@@ -43,6 +43,13 @@ DEFAULT_MAX_DIM = 512
 # "(1+q)^128*(1+q)^128", has coordinates of at most 254 bits.
 MAX_SCALAR_BITS = 512
 
+# Bits of an m-th power that verify may raise, per unit of the dimension
+# cap: 2^23 (1 MiB) at the default cap.  On a loaded 2-vCPU host the
+# central check took 11-15 s on powers of 6.5 Mbit and 41 s on one of
+# 11.1 Mbit (n = 2, m = 151); the largest benchmark instance raises
+# 5,040 bits.
+WORK_BITS_PER_DIM = 2 ** 14
+
 
 class ParamError(ValueError):
     """Invalid or inconsistent module parameters."""
@@ -169,7 +176,7 @@ class ModuleParams:
                 value = parse_cyclotomic(value, m, k)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParamError(f"field {key!r}: {exc}") from exc
-            bits = max(v.bit_length() for v in value.nums + (value.den,))
+            bits = coordinate_bits(value)
             if bits > MAX_SCALAR_BITS:
                 raise ParamError(f"field {key!r}: {bits}-bit coordinates exceed "
                                  f"the bound of {MAX_SCALAR_BITS} bits")
@@ -215,6 +222,32 @@ def check_dimension(m: int, n: int, max_dim: int) -> int:
             raise GuardError(f"dimension guard: m^(n-1) = {m}^{n - 1} "
                              f"exceeds cap {max_dim}")
     return dim
+
+
+def coordinate_bits(value: Cyclotomic) -> int:
+    """The largest bit length of a numerator or the denominator of value."""
+    return max(v.bit_length() for v in value.nums + (value.den,))
+
+
+def check_work(params: ModuleParams) -> int:
+    """The estimated bit size of the m-th powers that verify raises, or
+    GuardError when it exceeds WORK_BITS_PER_DIM * max(max_dim,
+    DEFAULT_MAX_DIM).
+
+    The central check raises alpha_1^m, y1_coeff^m and the lambda_i^m of
+    the forced beta_i: phi(m) coordinates of about m times the bits of
+    the base's.  The estimate is phi(m) * m * bits, with bits the largest
+    coordinate bit length of those bases, so no power is formed.  A
+    larger max_dim raises the budget with the cap.
+    """
+    phi = params.domain.field.degree
+    bits = max(map(coordinate_bits, (params.alpha1, params.y1_coeff, *params.lam)))
+    work = phi * params.m * bits
+    budget = WORK_BITS_PER_DIM * max(params.max_dim, DEFAULT_MAX_DIM)
+    if work > budget:
+        raise GuardError(f"work guard: phi(m) * m * bits = {phi} * {params.m} "
+                         f"* {bits} = {work} exceeds budget {budget}")
+    return work
 
 
 # ---------------------------------------------------------------------------

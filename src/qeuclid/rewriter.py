@@ -94,10 +94,6 @@ class GenericQDomain:
     def from_qlaurent(self, ql: QLaurent) -> QLaurent:
         return ql
 
-    def divide(self, a, b):
-        """a/b when exact, else None (Laurent polynomials form no field)."""
-        return a.exact_div(b)
-
 
 class RootOfUnityDomain:
     """Coefficients in Q(zeta_m) with q = zeta_m^k."""
@@ -120,11 +116,6 @@ class RootOfUnityDomain:
 
     def from_qlaurent(self, ql: QLaurent):
         return ql.substitute(self.m, self.k)
-
-    def divide(self, a, b):
-        if b.is_zero():
-            return None
-        return a * b.inv()
 
 
 GENERIC_Q = GenericQDomain()
@@ -330,39 +321,6 @@ def rewrite_rules(n: int, dom=GENERIC_Q) -> list[tuple[tuple[int, int], NCPoly]]
                     rhs = rhs + NCPoly.word(dom, repl, coeff)
                 rules.append(((u, v), rhs))
     return rules
-
-
-# ---------------------------------------------------------------------------
-# covariance
-# ---------------------------------------------------------------------------
-
-def check_covariant(p: NCPoly, n: int) -> dict:
-    """For each generator g, the scalar c with p*g = c*g*p, or None.
-
-    The scalar is found by dividing matching coefficients of the two
-    straightened products and checked against every term.
-    """
-    if p.is_zero():
-        raise ValueError("zero element")
-    p = straighten(p)
-    dom = p.domain
-    results = {}
-    for g in all_gens(n):
-        a = multiply(p, NCPoly.gen(dom, g))
-        b = multiply(NCPoly.gen(dom, g), p)
-        if set(a.terms) != set(b.terms):
-            results[gen_name(g)] = None
-            continue
-        if not a.terms:
-            results[gen_name(g)] = dom.one
-            continue
-        w = next(iter(a.terms))
-        c = dom.divide(a.terms[w], b.terms[w])
-        if c is None or not (a - b.scale(c)).is_zero():
-            results[gen_name(g)] = None
-        else:
-            results[gen_name(g)] = c
-    return results
 
 
 # ---------------------------------------------------------------------------

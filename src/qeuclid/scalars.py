@@ -26,8 +26,6 @@ from itertools import compress, count, repeat
 from math import gcd
 from operator import add, mul, sub
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (coefficients listed from degree 0 upward)
@@ -116,31 +114,6 @@ def cyclotomic_cofactor(m: int) -> tuple[int, ...]:
     for d in _divisors(m)[:-1]:
         cofactor = _poly_mul_int(cofactor, list(cyclotomic_polynomial(d)))
     return tuple(cofactor)
-
-
-# ---------------------------------------------------------------------------
-# Q[x] division with Fraction coefficients, for QLaurent.exact_div
-# ---------------------------------------------------------------------------
-
-def _qpoly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for j, bv in enumerate(b):
-                a[k + j] -= c * bv
-    return _qpoly_trim(q), _qpoly_trim(a)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +284,7 @@ class CyclotomicField:
     Instances are interned per m, so field identity checks are cheap.
     """
 
-    __slots__ = ("m", "degree", "modulus", "wrap", "cofactor", "orbit_points",
+    __slots__ = ("m", "degree", "wrap", "cofactor", "orbit_points",
                  "orbit_modulus", "_zeta_powers", "_wrap_exps")
 
     def __new__(cls, m: int):
@@ -324,7 +297,6 @@ class CyclotomicField:
         phi = cyclotomic_polynomial(m)
         d = len(phi) - 1
         self.degree = d
-        self.modulus = phi
         # rows[t] = coordinates of zeta^(d + t), t = 0 .. m-d-1: zeta^d =
         # -(phi[:d]), and each next one is the previous one times zeta
         rows = []
@@ -594,8 +566,8 @@ class QLaurent:
     """Laurent polynomial in q over Q, canonical (no zero coefficients).
 
     Every rewrite-rule coefficient lies in Z[q, q^-1], so coefficients
-    are ints unless a true rational enters (a literal such as "1/5",
-    a negative power or an exact division)."""
+    are ints unless a true rational enters (a literal such as "1/5" or
+    a negative power)."""
 
     __slots__ = ("terms",)
 
@@ -672,27 +644,6 @@ class QLaurent:
             (exp, c), = self.terms.items()
             return QLaurent({exp * e: Fraction(1) / c ** (-e)})
         return _power(self, e, QLaurent.const(1))
-
-    def exact_div(self, other: "QLaurent"):
-        """Quotient if ``other`` divides ``self`` exactly, else None."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if self.is_zero():
-            return QLaurent()
-        lo_s, lo_o = min(self.terms), min(other.terms)
-        a = self._dense(lo_s)
-        b = other._dense(lo_o)
-        q, r = _qpoly_divmod(a, b)
-        if r:
-            return None
-        return QLaurent({i + lo_s - lo_o: c for i, c in enumerate(q) if c})
-
-    def _dense(self, lo):
-        hi = max(self.terms)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for e, c in self.terms.items():
-            out[e - lo] = Fraction(c)
-        return out
 
     def substitute(self, m: int, k: int) -> Cyclotomic:
         """Evaluate at q = zeta_m^k."""

@@ -17,7 +17,13 @@ from functools import cached_property
 
 from .linalg import CycMatrix
 from .pidegree import DegreeReport, pi_degree
-from .repmod import GeneratorMatrices, GuardError, ModuleParams, dimension
+from .repmod import (
+    GeneratorMatrices,
+    GuardError,
+    ModuleParams,
+    check_work,
+    dimension,
+)
 from .rewriter import all_gens, gen_name, q_exponent, xgen, ygen
 from .scalars import encode_cyclotomic
 
@@ -650,7 +656,11 @@ def run_verification(gm: GeneratorMatrices,
     The report's ``seconds`` holds the wall time of each stage; the walk
     over the omega sums, additive relations included, counts as omega,
     the joint spectrum as separation.
+
+    GuardError, before any check runs, when ``check_work`` puts the
+    central m-th powers past its budget.
     """
+    check_work(gm.params)
     seconds = {}
 
     def timed(stage, check, *args):

@@ -37,9 +37,8 @@ from qeuclid.rewriter import (
 )
 from qeuclid.scalars import (
     Cyclotomic,
-    _qpoly_divmod,
-    _qpoly_trim,
     _ScalarParser,
+    cyclotomic_polynomial,
     tokenize,
 )
 from qeuclid.verify import expected_central_values
@@ -441,12 +440,35 @@ def parse_element(text: str, n: int, dom=GENERIC_Q) -> NCPoly:
     return straighten(poly)
 
 
+def _qpoly_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def qpoly_divmod(a, b):
+    """(quotient, remainder) of polynomials over Q, Fraction coefficients
+    listed from degree 0 upward."""
+    a = list(a)
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv_lead = 1 / b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + len(b) - 1] * inv_lead
+        q[k] = c
+        if c:
+            for j, bv in enumerate(b):
+                a[k + j] -= c * bv
+    return _qpoly_trim(q), _qpoly_trim(a)
+
+
 def _qpoly_xgcd(a, b):
     """(g, u) with u*a = g mod b, g the gcd (a constant for coprime input)."""
     r0, r1 = list(a), list(b)
     u0, u1 = [Fraction(1)], []
     while r1:
-        q, r = _qpoly_divmod(r0, r1)
+        q, r = qpoly_divmod(r0, r1)
         r0, r1 = r1, r
         nu = list(u0)
         for i, qc in enumerate(q):
@@ -468,10 +490,10 @@ def euclid_inverse(a: Cyclotomic) -> Cyclotomic:
     p = _qpoly_trim([Fraction(n, a.den) for n in a.nums])
     if not p:
         raise ZeroDivisionError("division by zero")
-    modulus = [Fraction(c) for c in a.field.modulus]
+    modulus = [Fraction(c) for c in cyclotomic_polynomial(a.field.m)]
     g, u = _qpoly_xgcd(p, modulus)
     assert len(g) == 1, "modulus not coprime"
     u = [c / g[0] for c in u]
-    _, rem = _qpoly_divmod(u, modulus)
+    _, rem = qpoly_divmod(u, modulus)
     rem += [Fraction(0)] * (a.field.degree - len(rem))
     return a.field.from_fractions(rem)

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
 import json
+import os
+import random
+import re
 import time
+import types
 
 import pytest
 
+import qeuclid
 from qeuclid import scalars
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.pidegree import pi_degree
@@ -136,6 +141,22 @@ class TestConfigValidation:
         assert main(["verify", "--config", cfg]) == EXIT_GUARD
         assert time.perf_counter() - t0 < 5.0
         assert "dimension guard" in capsys.readouterr().err
+
+    def test_work_guard_on_dense_large_m(self, tmp_path, capsys):
+        # d = 211 passes the dimension guard, but alpha_1 with 210
+        # coordinates +-1/2 gives y1_coeff 738-bit coordinates, whose
+        # 211th power did not finish in minutes
+        rng = random.Random(0)
+        alpha1 = [rng.choice(["1/2", "-1/2"]) for _ in range(210)]
+        cfg = write_config(tmp_path, m=211, alpha1=alpha1,
+                           **{"lambda": ["q", "-q^2"]})
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_GUARD
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert ("work guard: phi(m) * m * bits = 210 * 211 * 738 = 32700780 "
+                "exceeds budget 8388608") in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("overrides,message", [
         # n = 1 leaves m unbounded by the dimension guard
@@ -420,3 +441,14 @@ class TestStageTimings:
         report = run_verification(build_module(params))
         assert set(report.seconds) == self.STAGES - {"parse", "build"}
         assert "seconds" not in report.to_dict()
+
+
+def test_package_root_holds_only_the_version():
+    public = [name for name, value in vars(qeuclid).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)]
+    assert public == []
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+        version = re.search(r'^version = "([^"]+)"$', handle.read(), re.M)
+    assert qeuclid.__version__ == version.group(1)

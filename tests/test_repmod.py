@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from qeuclid.repmod import (
     ParamError,
     act,
     build_module,
+    check_work,
     dimension,
     random_module_params,
 )
@@ -123,6 +125,33 @@ class TestDimension:
                              lam=[1, 1, 1, 1], max_dim=100)
         with pytest.raises(GuardError, match="dimension guard"):
             build_module(params)
+
+
+def dense_params(m, max_dim):
+    """n = 2 at a prime m: alpha_1 has m - 1 coordinates +-1/2, so that
+    y1_coeff has coordinates of hundreds of bits."""
+    field = root_domain(m, 1).field
+    rng = random.Random(0)
+    alpha1 = field.element([rng.choice((1, -1)) for _ in range(m - 1)], 2)
+    lam = [field.zeta_pow(1), -field.zeta_pow(2)]
+    return make_params(m=m, alpha1=alpha1, lam=lam, max_dim=max_dim)
+
+
+class TestWorkGuard:
+    def test_budget_grows_with_max_dim(self):
+        # at m = 211 y1_coeff has 738-bit coordinates, so the power has
+        # 210 * 211 * 738 = 32,700,780 bits; 2^14 * max_dim crosses that
+        # between 1995 and 1996.  The size is read off the parameters, no
+        # power is raised.
+        with pytest.raises(GuardError, match=r"^work guard: phi\(m\) \* m \* bits "
+                           r"= 210 \* 211 \* 738 = 32700780 exceeds budget 32686080$"):
+            check_work(dense_params(211, 1995))
+        assert check_work(dense_params(211, 1996)) == 32700780
+
+    def test_small_cap_keeps_default_budget(self):
+        # at m = 101 the power has 2,807,800 bits: past 2^14 * max_dim for
+        # max_dim = 1, within the default cap's budget, which still applies
+        assert check_work(dense_params(101, 1)) == 2807800
 
 
 class TestActCaseI:

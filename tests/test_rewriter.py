@@ -13,7 +13,6 @@ from qeuclid.rewriter import (
     GENERIC_Q,
     NCPoly,
     all_gens,
-    check_covariant,
     check_local_confluence,
     gen_name,
     multiply,
@@ -92,32 +91,6 @@ class TestOmega:
     def test_index_range(self):
         with pytest.raises(ValueError):
             omega(3, 2)
-
-
-class TestCovariance:
-    def test_omega1_vs_x2(self):
-        assert check_covariant(omega(1, 2), 2)["x2"] == D.q_pow(2)
-
-    def test_omega1_vs_x1(self):
-        assert check_covariant(omega(1, 2), 2)["x1"] == D.one
-
-    def test_generator_covariance(self):
-        assert check_covariant(NCPoly.gen(D, xgen(1)), 2)["y2"] == D.q_pow(-1)
-
-    def test_all_omegas_covariant(self):
-        for n in (1, 2, 3):
-            for i in range(1, n + 1):
-                result = check_covariant(omega(i, n), n)
-                assert all(c is not None for c in result.values())
-
-    def test_non_covariant_element(self):
-        p = NCPoly.gen(D, xgen(1)) + NCPoly.gen(D, ygen(2))
-        result = check_covariant(p, 2)
-        assert result["x2"] is None
-
-    def test_zero_element_rejected(self):
-        with pytest.raises(ValueError, match="zero element"):
-            check_covariant(NCPoly(D), 2)
 
 
 class TestRemarkIdentities:
