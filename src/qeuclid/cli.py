@@ -34,6 +34,13 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_GUARD = 4
 
+# Largest n that pi-degree and identities accept; past it they exit 4
+# before any work.  In a fresh process on a 2-vCPU host, pi-degree --m 3
+# took 3.5 s at n = 128 and 6.6 s at n = 150 (20 s at n = 200 on a slower
+# run); identities took 5.5 s at n = 32, 15 s at n = 40 and 30 s at n = 50.
+MAX_PI_DEGREE_N = 128
+MAX_IDENTITIES_N = 32
+
 
 def parse_config(path: str, max_dim=None) -> ModuleParams:
     """Load and validate an instance config, with field-precise errors.
@@ -139,7 +146,13 @@ def _render_verification(params, vrep, drep) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_n(command: str, n: int, bound: int) -> None:
+    if n > bound:
+        raise GuardError(f"work guard: {command} --n {n} exceeds {bound}")
+
+
 def cmd_pi_degree(args) -> int:
+    _check_n("pi-degree", args.n, MAX_PI_DEGREE_N)
     t0 = time.perf_counter()
     rep = pi_degree(args.n, args.m)
     elapsed = time.perf_counter() - t0
@@ -195,6 +208,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    _check_n("identities", args.n, MAX_IDENTITIES_N)
     t0 = time.perf_counter()
     reports = [verify_remark_identities(args.n), check_local_confluence(args.n)]
     if args.m is not None:

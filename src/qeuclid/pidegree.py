@@ -10,8 +10,8 @@ image cardinality comes from the Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 
 from .rewriter import all_gens, q_exponent
 
@@ -38,11 +38,11 @@ def build_H(n: int) -> list[list[int]]:
 # Smith normal form (exact integer arithmetic)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SnfResult:
-    diag: tuple[int, ...]
-    U: list[list[int]]
-    V: list[list[int]]
+    __slots__ = ("diag", "U", "V")
+
+    def __init__(self, diag: tuple[int, ...], U, V):
+        self.diag, self.U, self.V = diag, U, V
 
 
 def _mat_identity(k):
@@ -215,8 +215,7 @@ def _kernel_from_snf(H, m: int, snf: SnfResult) -> list[tuple[int, ...]]:
     out = []
     for c in range(s):
         vec = tuple(reduced[r][c] for r in range(s))
-        residues = [sum(H[i][j] * vec[j] for j in range(s)) % m for i in range(s)]
-        if any(residues):
+        if any(sum(map(mul, row, vec)) % m for row in H):
             raise ArithmeticError("kernel basis vector fails membership check")
         out.append(vec)
     return out
@@ -226,15 +225,18 @@ def _kernel_from_snf(H, m: int, snf: SnfResult) -> list[tuple[int, ...]]:
 # the degree report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DegreeReport:
-    m: int
-    n: int
-    h: int
-    degree: int
-    expected: int
-    kernel: list[tuple[int, ...]]
-    divisors: tuple[int, ...]
+    __slots__ = ("m", "n", "h", "degree", "expected", "kernel", "divisors")
+
+    def __init__(self, m, n, h, degree, kernel: list[tuple[int, ...]],
+                 divisors: tuple[int, ...]):
+        self.m = m
+        self.n = n
+        self.h = h
+        self.degree = degree
+        self.expected = m ** (n - 1)
+        self.kernel = kernel
+        self.divisors = divisors
 
     @property
     def matches_expected(self) -> bool:
@@ -270,6 +272,4 @@ def pi_degree(n: int, m: int) -> DegreeReport:
         raise ArithmeticError(
             f"image cardinality {h} is not a perfect square; "
             "skew-symmetry violated internally")
-    return DegreeReport(
-        m=m, n=n, h=h, degree=degree, expected=m ** (n - 1),
-        kernel=_kernel_from_snf(H, m, snf), divisors=snf.diag)
+    return DegreeReport(m, n, h, degree, _kernel_from_snf(H, m, snf), snf.diag)

@@ -26,8 +26,6 @@ violated):
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -254,7 +252,6 @@ def check_work(params: ModuleParams) -> int:
 # the action on basis vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GeneratorRule:
     """How one generator acts on the index lattice, as data:
 
@@ -267,11 +264,13 @@ class GeneratorRule:
     the wrap (its inverse when stepping down through zero) and the rows
     the generator kills.  x_1 and y_1 have a constant kappa and step 0.
     """
+    __slots__ = ("pos", "kappa", "weight", "step")
 
-    pos: int
-    kappa: tuple
-    weight: tuple
-    step: int
+    def __init__(self, pos: int, kappa: tuple, weight: tuple, step: int):
+        self.pos = pos
+        self.kappa = kappa
+        self.weight = weight
+        self.step = step
 
 
 def _generator_rule(code: int, params: ModuleParams) -> GeneratorRule:
@@ -459,7 +458,7 @@ def _lattice_forms(weight: tuple, m: int) -> list:
 # pseudo-random instances (case-shaped draws for tests and demos)
 # ---------------------------------------------------------------------------
 
-def _random_nonzero(field, rng: random.Random) -> Cyclotomic:
+def _random_nonzero(field, rng) -> Cyclotomic:
     while True:
         value = field.element([rng.randint(-2, 2) for _ in range(field.degree)],
                               rng.randint(1, 3))
@@ -475,6 +474,7 @@ def random_module_params(case: str, n: int, m: int, k: int,
     forced values so the instance verifies end to end.
     """
     if rng is None:
+        import random   # not at module level: no CLI command draws parameters
         rng = random.Random(seed)
     if case not in ("I", "II", "III"):
         raise ValueError(f"unknown case {case!r}")

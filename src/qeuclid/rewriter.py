@@ -36,7 +36,6 @@ level deep for any m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 
 from .scalars import CyclotomicField, QLaurent, root_of_unity
@@ -327,11 +326,11 @@ def rewrite_rules(n: int, dom=GENERIC_Q) -> list[tuple[tuple[int, int], NCPoly]]
 # identity suites
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckItem:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
     def to_dict(self):
         d = {"name": self.name, "ok": self.ok}
@@ -340,10 +339,12 @@ class CheckItem:
         return d
 
 
-@dataclass
 class CheckReport:
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
+    __slots__ = ("title", "items")
+
+    def __init__(self, title: str):
+        self.title = title
+        self.items: list[CheckItem] = []
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .linalg import CycMatrix
@@ -43,20 +42,23 @@ def _add(table, row: dict, col: int, code: int) -> None:
         row[col] = total
 
 
-@dataclass
 class OmegaCheck:
-    index: int
-    diagonal: bool
-    seed_eigenvalue: object
-    seed_matches_lambda: bool
-    all_entries_nonzero: bool
+    __slots__ = ("index", "diagonal", "seed_eigenvalue", "seed_matches_lambda",
+                 "all_entries_nonzero")
+
+    def __init__(self, index, diagonal, seed_eigenvalue, seed_matches_lambda,
+                 all_entries_nonzero):
+        self.index = index
+        self.diagonal = diagonal
+        self.seed_eigenvalue = seed_eigenvalue
+        self.seed_matches_lambda = seed_matches_lambda
+        self.all_entries_nonzero = all_entries_nonzero
 
     @property
     def ok(self):
         return self.diagonal and self.seed_matches_lambda and self.all_entries_nonzero
 
 
-@dataclass
 class OmegaRows:
     """What one walk over omega_i = sum_(l<=i) (1-q^-2) y_l x_l yields.
 
@@ -64,9 +66,10 @@ class OmegaRows:
     whether x_i y_i = y_i x_i + omega_(i-1) holds; ``checks`` holds the
     OmegaCheck of omega_1, ..., omega_n.
     """
-    xy: dict
-    additive: dict
-    checks: list
+    __slots__ = ("xy", "additive", "checks")
+
+    def __init__(self, xy, additive, checks):
+        self.xy, self.additive, self.checks = xy, additive, checks
 
 
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
@@ -189,13 +192,15 @@ def check_omega_action(gm: GeneratorMatrices,
     return omegas.checks
 
 
-@dataclass
 class CentralCheck:
-    generator: str
-    is_scalar: bool
-    value: object          # Cyclotomic, or None when not scalar
-    expected: object
-    matches: bool
+    __slots__ = ("generator", "is_scalar", "value", "expected", "matches")
+
+    def __init__(self, generator, is_scalar, value, expected, matches):
+        self.generator = generator
+        self.is_scalar = is_scalar
+        self.value = value          # Cyclotomic, or None when not scalar
+        self.expected = expected
+        self.matches = matches
 
     @property
     def ok(self):
@@ -278,17 +283,11 @@ def check_central_scalars(gm: GeneratorMatrices) -> list[CentralCheck]:
     for code in all_gens(params.n):
         name = gen_name(code)
         value = central_power(gm.mat(code), params.m)
-        out.append(CentralCheck(
-            generator=name,
-            is_scalar=value is not None,
-            value=value,
-            expected=expected[name],
-            matches=value is not None and value == expected[name],
-        ))
+        out.append(CentralCheck(name, value is not None, value, expected[name],
+                                value is not None and value == expected[name]))
     return out
 
 
-@dataclass
 class JointSpectrum:
     """Diagonals of the products x_r y_r (r = 2..n) over every row.
 
@@ -298,8 +297,9 @@ class JointSpectrum:
     codes over the diagonal products only; equal codes are equal
     eigenvalues, so no value is materialized for them.
     """
-    diagonals: dict
-    keys: list
+
+    def __init__(self, diagonals, keys):
+        self.diagonals, self.keys = diagonals, keys
 
     @cached_property
     def simple(self) -> bool:
@@ -499,11 +499,11 @@ class _GainForest:
                    if p == u and not self.zero[u])
 
 
-@dataclass
 class SeparationCheck:
-    position: int
-    diagonal: bool
-    separated: bool
+    __slots__ = ("position", "diagonal", "separated")
+
+    def __init__(self, position, diagonal, separated):
+        self.position, self.diagonal, self.separated = position, diagonal, separated
 
     @property
     def ok(self):
@@ -536,18 +536,20 @@ def check_eigen_separation(gm: GeneratorMatrices,
                        if diagonals[s] is not None]
             sizes = Counter(zip(*columns)).values()
             separated = all(size == params.m ** (r - 2) for size in sizes)
-        out.append(SeparationCheck(position=r, diagonal=diagonal,
-                                   separated=separated))
+        out.append(SeparationCheck(r, diagonal, separated))
     return out
 
 
-@dataclass
 class DimensionBound:
-    dimension: int
-    pi_degree: int
-    within_bound: bool
-    saturated: bool
-    degree_report: DegreeReport | None = None   # the PI-degree computation
+    __slots__ = ("dimension", "pi_degree", "within_bound", "saturated",
+                 "degree_report")
+
+    def __init__(self, dimension: int, degree_report: DegreeReport):
+        self.dimension = dimension
+        self.pi_degree = degree = degree_report.degree
+        self.within_bound = dimension <= degree
+        self.saturated = dimension == degree
+        self.degree_report = degree_report   # the PI-degree computation
 
     @property
     def ok(self):
@@ -555,43 +557,40 @@ class DimensionBound:
 
 
 def check_dimension_bound(params: ModuleParams) -> DimensionBound:
-    d = dimension(params)
-    report = pi_degree(params.n, params.m)
-    deg = report.degree
-    return DimensionBound(dimension=d, pi_degree=deg, within_bound=d <= deg,
-                          saturated=d == deg, degree_report=report)
+    return DimensionBound(dimension(params), pi_degree(params.n, params.m))
 
 
 # ---------------------------------------------------------------------------
 # aggregate report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
-    case: str
-    dimension: int
-    relation_failures: list[str]
-    omega: list[OmegaCheck]
-    central: list[CentralCheck]
-    separation: list[SeparationCheck]
-    bound: DimensionBound
-    commutant_dim: int | None
-    commutant_skipped: str = ""
-    sections: dict = field(default_factory=dict)
-    # wall seconds per stage (omega, relations, central, separation,
-    # bound, commutant); kept out of to_dict, which is deterministic
-    seconds: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("case", "dimension", "relation_failures", "omega", "central",
+                 "separation", "bound", "commutant_dim", "commutant_skipped",
+                 "sections", "seconds")
 
-    def __post_init__(self):
+    def __init__(self, case, dimension, relation_failures, omega, central,
+                 separation, bound, commutant_dim, commutant_skipped, seconds):
+        self.case = case
+        self.dimension = dimension
+        self.relation_failures = relation_failures
+        self.omega = omega
+        self.central = central
+        self.separation = separation
+        self.bound = bound
+        self.commutant_dim = commutant_dim
+        self.commutant_skipped = commutant_skipped
         self.sections = {
-            "relations": not self.relation_failures,
-            "omega_action": all(c.ok for c in self.omega),
-            "central_scalars": all(c.ok for c in self.central),
-            "eigen_separation": all(c.ok for c in self.separation),
-            "dimension_bound": self.bound.ok,
-            "commutant": (self.commutant_dim == 1
-                          if self.commutant_dim is not None else True),
+            "relations": not relation_failures,
+            "omega_action": all(c.ok for c in omega),
+            "central_scalars": all(c.ok for c in central),
+            "eigen_separation": all(c.ok for c in separation),
+            "dimension_bound": bound.ok,
+            "commutant": commutant_dim in (None, 1),
         }
+        # wall seconds per stage (omega, relations, central, separation,
+        # bound, commutant); kept out of to_dict, which is deterministic
+        self.seconds = seconds
 
     @property
     def ok(self) -> bool:
@@ -683,18 +682,9 @@ def run_verification(gm: GeneratorMatrices,
         commutant = timed("commutant", commutant_dimension, gm, spectrum)
     except GuardError as exc:
         skipped = str(exc)
-    return VerificationReport(
-        case=gm.params.case,
-        dimension=gm.dim,
-        relation_failures=relation_failures,
-        omega=omega,
-        central=central,
-        separation=separation,
-        bound=bound,
-        commutant_dim=commutant,
-        commutant_skipped=skipped,
-        seconds=seconds,
-    )
+    return VerificationReport(gm.params.case, gm.dim, relation_failures, omega,
+                              central, separation, bound, commutant, skipped,
+                              seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 import types
 
 import pytest
 
 import qeuclid
-from qeuclid import scalars
+from qeuclid import cli, scalars
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.pidegree import pi_degree
 from qeuclid.repmod import GeneratorMatrices, ModuleParams, build_module
@@ -48,6 +50,18 @@ class TestPiDegreeCommand:
 
     def test_bad_m(self, capsys):
         assert main(["pi-degree", "--n", "2", "--m", "4"]) == EXIT_CONFIG
+
+    def test_work_guard_on_large_n(self, capsys):
+        # --n 400 did not finish in 20 s before the guard
+        assert main(["pi-degree", "--n", "400", "--m", "3"]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert "work guard: pi-degree --n 400 exceeds 128" in captured.err
+        assert captured.out == ""
+
+    def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_PI_DEGREE_N", 3)
+        assert main(["pi-degree", "--n", "3", "--m", "5"]) == EXIT_OK
+        assert main(["pi-degree", "--n", "4", "--m", "5"]) == EXIT_GUARD
 
 
 class TestConfigValidation:
@@ -401,6 +415,18 @@ class TestIdentitiesCommand:
         assert "n must be >= 1" in captured.err
         assert "PASS" not in captured.out
 
+    def test_work_guard_on_large_n(self, capsys):
+        # --n 60 did not finish in 20 s before the guard
+        assert main(["identities", "--n", "60"]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert "work guard: identities --n 60 exceeds 32" in captured.err
+        assert captured.out == ""
+
+    def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_IDENTITIES_N", 2)
+        assert main(["identities", "--n", "2", "--m", "3"]) == EXIT_OK
+        assert main(["identities", "--n", "3", "--m", "3"]) == EXIT_GUARD
+
     @pytest.mark.parametrize("m", ["0", "-5", "4"])
     def test_m_not_odd_above_two_is_a_config_error(self, m, capsys):
         assert main(["identities", "--n", "2", "--m", m]) == EXIT_CONFIG
@@ -441,6 +467,17 @@ class TestStageTimings:
         report = run_verification(build_module(params))
         assert set(report.seconds) == self.STAGES - {"parse", "build"}
         assert "seconds" not in report.to_dict()
+
+
+def test_cli_import_leaves_out_dataclasses_and_random():
+    # each command is a fresh interpreter, so the import is paid per run;
+    # -S keeps site-packages hooks from importing these on their own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qeuclid.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qeuclid.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_package_root_holds_only_the_version():
