@@ -1,18 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: USAGE lists its commands, flags and exit codes.
 
-Commands: pi-degree, build, verify, identities.  Exit codes: 0 all
-checks pass, 2 configuration error, 3 verification failure, 4 resource
-guard exceeded.  Reports are emitted as a human-readable summary or as
-deterministic JSON (--json): identical configs give byte-identical
-machine output apart from the isolated "timing" field.
+Reports are a human-readable summary or deterministic JSON (--json):
+identical configs give byte-identical output apart from the isolated
+"timing" field.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .pidegree import pi_degree
@@ -24,9 +22,11 @@ from .repmod import (
 )
 from .rewriter import (
     check_local_confluence,
+    root_domain,
     verify_central_powers,
     verify_remark_identities,
 )
+from .scalars import _unlimited_int_digits
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -156,11 +156,12 @@ def cmd_pi_degree(args) -> int:
     t0 = time.perf_counter()
     rep = pi_degree(args.n, args.m)
     elapsed = time.perf_counter() - t0
-    if args.json:
-        _emit(_envelope("pi-degree", {"n": args.n, "m": args.m},
-                        rep.to_dict(), elapsed), args.out)
-    else:
-        _emit(_render_degree(rep), args.out)
+    with _unlimited_int_digits():    # h = m^(2(n-1)) may have any number of digits
+        if args.json:
+            _emit(_envelope("pi-degree", {"n": args.n, "m": args.m},
+                            rep.to_dict(), elapsed), args.out)
+        else:
+            _emit(_render_degree(rep), args.out)
     return EXIT_OK if rep.matches_expected else EXIT_VERIFY
 
 
@@ -169,22 +170,15 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     gm = build_module(params)
     elapsed = time.perf_counter() - t0
-    wire = gm.to_wire()
-    payload = json.dumps(wire, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _emit(payload, args.out)
-        summary = (f"case {params.case} module (n={params.n}, m={params.m}, "
-                   f"k={params.k}), dimension {gm.dim}; "
-                   f"matrices written to {args.out}\n")
-        if args.json:
-            sys.stdout.write(_envelope(
-                "build", params.to_wire(),
-                {"case": params.case, "dimension": gm.dim, "out": args.out},
-                elapsed))
-        else:
-            sys.stdout.write(summary)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps(gm.to_wire(), sort_keys=True, indent=2) + "\n", args.out)
+    if args.out and args.json:
+        sys.stdout.write(_envelope(
+            "build", params.to_wire(),
+            {"case": params.case, "dimension": gm.dim, "out": args.out}, elapsed))
+    elif args.out:
+        sys.stdout.write(f"case {params.case} module (n={params.n}, m={params.m}, "
+                         f"k={params.k}), dimension {gm.dim}; "
+                         f"matrices written to {args.out}\n")
     return EXIT_OK
 
 
@@ -209,6 +203,8 @@ def cmd_verify(args) -> int:
 
 def cmd_identities(args) -> int:
     _check_n("identities", args.n, MAX_IDENTITIES_N)
+    if args.m is not None:
+        root_domain(args.m, args.k)  # a bad m or k exits 2 before any suite runs
     t0 = time.perf_counter()
     reports = [verify_remark_identities(args.n), check_local_confluence(args.n)]
     if args.m is not None:
@@ -224,57 +220,78 @@ def cmd_identities(args) -> int:
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qeuclid",
-        description="exact checks for quantum Euclidean 2n-space modules")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (function, {flag: type of its value, None for a bare switch},
+# required flags); a flag not given reads as None, or as its _DEFAULTS entry
+_OUT = {"--json": None, "--out": str}
+COMMANDS = {
+    "pi-degree": (cmd_pi_degree, {"--n": int, "--m": int, **_OUT}, ("--n", "--m")),
+    "identities": (cmd_identities, {"--n": int, "--m": int, "--k": int, **_OUT},
+                   ("--n",)),
+    "build": (cmd_build, {"--config": str, "--max-dim": int, **_OUT}, ("--config",)),
+    "verify": (cmd_verify, {"--config": str, "--max-dim": int, **_OUT}, ("--config",)),
+}
+_DEFAULTS = {"--k": 1}
 
-    p = sub.add_parser("pi-degree", help="PI-degree via the defining matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pi_degree)
+USAGE = """\
+usage: qeuclid pi-degree  --n N --m M [--json] [--out FILE]
+       qeuclid identities --n N [--m M] [--k K] [--json] [--out FILE]
+       qeuclid build      --config FILE [--max-dim N] [--json] [--out FILE]
+       qeuclid verify     --config FILE [--max-dim N] [--json] [--out FILE]
+       qeuclid --version | -h | --help
+Flags take --flag VALUE or --flag=VALUE and are never abbreviated.  Exit
+codes: 0 pass, 2 config or usage error, 3 check failed, 4 guard exceeded.
+"""
 
-    p = sub.add_parser("build", help="build generator matrices from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-dim", type=int)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="build and verify a module instance")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-dim", type=int)
-    p.set_defaults(func=cmd_verify)
+class UsageError(Exception):
+    """An argv that names no command or misuses a flag."""
 
-    p = sub.add_parser("identities",
-                       help="symbolic identity, confluence, centrality suites")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_identities)
-    return parser
+
+def _parse_argv(argv):
+    """The function of argv's command and the args object it reads."""
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"unknown command {argv[0]!r}" if argv else "no command")
+    func, flags, required = COMMANDS[argv[0]]
+    values = {flag: _DEFAULTS.get(flag) for flag in flags}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags or eq and flags[flag] is None:
+            raise UsageError(f"unknown argument {token!r} to {argv[0]}")
+        kind = flags[flag]
+        if kind and not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        try:
+            values[flag] = kind(value) if kind else True
+        except ValueError:
+            raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+    for flag in required:
+        if values[flag] is None:
+            raise UsageError(f"{argv[0]} needs {flag}")
+    return func, SimpleNamespace(**{flag[2:].replace("-", "_"): value
+                                    for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--version"]:
+        print(__version__)
+        return EXIT_OK
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     try:
-        return args.func(args)
-    except ParamError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        func, args = _parse_argv(argv)
+        return func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # ParamError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -63,6 +63,23 @@ class TestPiDegreeCommand:
         assert main(["pi-degree", "--n", "3", "--m", "5"]) == EXIT_OK
         assert main(["pi-degree", "--n", "4", "--m", "5"]) == EXIT_GUARD
 
+    def test_h_past_the_int_to_str_limit_is_written_in_full(self, capsys):
+        # h = m^2 has 801 digits, past the lowest limit Python allows
+        m = 10**400 + 1
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(640)
+        try:
+            assert main(["pi-degree", "--n", "2", "--m", str(m)]) == EXIT_OK
+            human = capsys.readouterr().out
+            assert main(["pi-degree", "--n", "2", "--m", str(m), "--json"]) == EXIT_OK
+            machine = capsys.readouterr().out
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert f"image cardinality h : {m * m}\n" in human
+        assert json.loads(machine)["report"]["image_cardinality"] == m * m
+
 
 class TestConfigValidation:
     def test_minimal_case1_valid(self, tmp_path):
@@ -434,6 +451,20 @@ class TestIdentitiesCommand:
         assert "config error: m must be odd >= 3" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "4"], "m must be odd >= 3"),
+        (["--m", "3", "--k", "3"], "q not primitive"),
+    ])
+    def test_bad_m_or_k_exits_before_any_suite(self, argv, message, monkeypatch,
+                                               capsys):
+        # the generic suite alone took about 1 s at n = 20
+        def must_not_run(n):
+            raise AssertionError("a suite ran before m and k were checked")
+        monkeypatch.setattr(cli, "verify_remark_identities", must_not_run)
+        monkeypatch.setattr(cli, "check_local_confluence", must_not_run)
+        assert main(["identities", "--n", "20", *argv]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
 
 class TestLargeLiterals:
     @pytest.mark.parametrize("m", [61, 105])
@@ -469,12 +500,80 @@ class TestStageTimings:
         assert "seconds" not in report.to_dict()
 
 
+class TestArgv:
+    """The command line is read by a table, not argparse: usage errors
+    exit 2 with one line on stderr, help and version exit 0, and main()
+    returns its code instead of raising SystemExit."""
+
+    CFG = "configs/case1_n2_m3.json"
+    CASES = {
+        "no-command": ([], EXIT_CONFIG),
+        "unknown-command": (["degree", "--n", "2", "--m", "3"], EXIT_CONFIG),
+        "unknown-flag": (["pi-degree", "--n", "2", "--m", "3", "--mm", "3"], EXIT_CONFIG),
+        "abbreviated-flag": (["verify", "--conf", CFG], EXIT_CONFIG),
+        "positional": (["pi-degree", "2", "3"], EXIT_CONFIG),
+        "version-after-command": (["verify", "--config", CFG, "--version"], EXIT_CONFIG),
+        "switch-with-value": (["pi-degree", "--n", "2", "--m", "3", "--json=yes"],
+                              EXIT_CONFIG),
+        "missing-value-at-end": (["verify", "--config"], EXIT_CONFIG),
+        "missing-value-before-flag": (["pi-degree", "--n", "--m", "3"], EXIT_CONFIG),
+        "missing-value-after-equals": (["pi-degree", "--n=", "--m", "3"], EXIT_CONFIG),
+        "missing-required": (["pi-degree", "--n", "2"], EXIT_CONFIG),
+        "missing-config": (["verify", "--json"], EXIT_CONFIG),
+        "missing-n": (["identities", "--m", "3"], EXIT_CONFIG),
+        "non-integer": (["pi-degree", "--n", "x", "--m", "3"], EXIT_CONFIG),
+        "non-integer-equals": (["identities", "--n", "2", "--k=1.5"], EXIT_CONFIG),
+        "non-integer-max-dim": (["verify", "--config", CFG, "--max-dim", "big"],
+                                EXIT_CONFIG),
+        "equals-form": (["pi-degree", "--n=2", "--m=3"], EXIT_OK),
+        "repeated-last-wins": (["pi-degree", "--n", "2", "--m", "4", "--m", "3"], EXIT_OK),
+        "repeated-last-is-bad": (["pi-degree", "--n", "2", "--m=3", "--m", "4"],
+                                 EXIT_CONFIG),
+        "negative-value": (["identities", "--n", "-3"], EXIT_CONFIG),
+        "help": (["--help"], EXIT_OK),
+        "short-help": (["-h"], EXIT_OK),
+        "command-help": (["verify", "--help"], EXIT_OK),
+        "version": (["--version"], EXIT_OK),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code(self, case, capsys):
+        argv, code = self.CASES[case]
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            pytest.fail(f"main raised SystemExit({exc.code})")
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if case in ("help", "short-help", "command-help"):
+            assert captured.out == cli.USAGE and captured.err == ""
+        elif case == "version":
+            assert captured.out == qeuclid.__version__ + "\n"
+        elif code == EXIT_CONFIG and not case.startswith(("repeated", "negative")):
+            assert captured.out == ""
+            assert re.fullmatch(r"usage error: [^\n]+\n", captured.err)
+
+    def test_values_reach_the_command(self, capsys):
+        assert main(["pi-degree", "--m", "3", "--n=3", "--m=5"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("PI-degree report: n=3, m=5\n")
+
+    def test_k_defaults_to_one(self, capsys):
+        assert main(["identities", "--n", "1", "--m", "3", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["k"] == 1
+
+    def test_usage_lists_every_flag(self):
+        for name, (_, flags, _) in cli.COMMANDS.items():
+            line = next(row for row in cli.USAGE.splitlines() if f" {name} " in row)
+            assert sorted(re.findall(r"--[a-z-]+", line)) == sorted(flags)
+
+
 def test_cli_import_leaves_out_dataclasses_and_random():
     # each command is a fresh interpreter, so the import is paid per run;
     # -S keeps site-packages hooks from importing these on their own
     src = os.path.dirname(os.path.dirname(os.path.abspath(qeuclid.__file__)))
+    heavy = "{'dataclasses', 'inspect', 'random', 'argparse', 'gettext', 'locale'}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import qeuclid.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))")
+            f"print(sorted({heavy} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
