@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from math import gcd
 from types import SimpleNamespace
 
 from . import __version__
@@ -40,6 +41,15 @@ EXIT_GUARD = 4
 # run); identities took 5.5 s at n = 32, 15 s at n = 40 and 30 s at n = 50.
 MAX_PI_DEGREE_N = 128
 MAX_IDENTITIES_N = 32
+
+# Bound on the estimated steps of identities' central-power suite at
+# (n, m): n^2 m^2 straightening steps, plus n^2 m rotations in Q(zeta_m)
+# that each fold up to S coordinates through the field's wrap table (S its
+# nonzero entries) at a tenth of a step each.  In a fresh process on a
+# 2-vCPU host, instances just under the bound took 1.7-4.1 s and up to
+# 190 MB: (2, 1951) 2.5 s, (3, 1301) 2.9 s, (4, 865) 3.0 s, (8, 413)
+# 4.1 s; (4, 1001), estimated at 1.4e8, took 9-16 s and 220 MB.
+MAX_IDENTITIES_WORK = 2 ** 24
 
 
 def parse_config(path: str, max_dim=None) -> ModuleParams:
@@ -126,7 +136,8 @@ def _render_verification(params, vrep, drep) -> str:
         f"  PI-degree           : {drep.degree} (expected {drep.expected})   "
         f"{_pf(drep.matches_expected)}",
         f"  relations           : {_pf(vrep.sections['relations'])}"
-        + (f"  failures: {vrep.relation_failures}" if vrep.relation_failures else ""),
+        + (f"  failures: {vrep.relation_failures}" if vrep.relation_failures else "")
+        + f"  ({vrep.relations_path} path)",
         f"  omega action        : {_pf(vrep.sections['omega_action'])}",
         f"  central scalars     : {_pf(vrep.sections['central_scalars'])}",
         f"  eigen separation    : {_pf(vrep.sections['eigen_separation'])}",
@@ -149,6 +160,20 @@ def _render_verification(params, vrep, drep) -> str:
 def _check_n(command: str, n: int, bound: int) -> None:
     if n > bound:
         raise GuardError(f"work guard: {command} --n {n} exceeds {bound}")
+
+
+def _check_identities_work(n: int, m: int, k: int) -> None:
+    """GuardError when identities' central-power suite at (n, m) is
+    estimated past MAX_IDENTITIES_WORK; a bad m or k is a config error
+    first.  n^2 m^2 alone bounds the estimate from below, so a large m is
+    refused before Q(zeta_m) is built."""
+    work = n * n * m * m
+    if work <= MAX_IDENTITIES_WORK or m < 3 or m % 2 == 0 or gcd(k, m) != 1:
+        wrap = root_domain(m, k).field.wrap
+        work = n * n * m * (m + sum(map(len, wrap)) // 10)
+    if work > MAX_IDENTITIES_WORK:
+        raise GuardError(f"work guard: identities --n {n} --m {m} is estimated "
+                         f"at {work} steps, past {MAX_IDENTITIES_WORK}")
 
 
 def cmd_pi_degree(args) -> int:
@@ -204,7 +229,8 @@ def cmd_verify(args) -> int:
 def cmd_identities(args) -> int:
     _check_n("identities", args.n, MAX_IDENTITIES_N)
     if args.m is not None:
-        root_domain(args.m, args.k)  # a bad m or k exits 2 before any suite runs
+        # a bad m or k exits 2, and too much work 4, before any suite runs
+        _check_identities_work(args.n, args.m, args.k)
     t0 = time.perf_counter()
     reports = [verify_remark_identities(args.n), check_local_confluence(args.n)]
     if args.m is not None:

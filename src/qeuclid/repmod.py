@@ -334,7 +334,11 @@ class GeneratorMatrices:
 
     ``mats`` must hold exactly the 2n generators of ``params.n``, all of
     one dimension, which becomes ``dim``, and with one ScalarTable, which
-    becomes ``table``; the checks rely on all three.
+    becomes ``table``; the checks rely on all three.  ``provenance`` is
+    set by ``build_module`` alone: generator code -> (GeneratorRule,
+    kappa codes) of the rules the matrices were built from, on which
+    verify decides the relations and omegas.  Every other constructor
+    leaves it None, and verify then walks the rows.
     """
 
     def __init__(self, params: ModuleParams, mats: dict):
@@ -352,6 +356,7 @@ class GeneratorMatrices:
         self.mats = mats
         (self.dim,) = dims
         (self.table,) = tables.values()
+        self.provenance = None
 
     def mat(self, name_or_code) -> CycMatrix:
         if isinstance(name_or_code, int):
@@ -431,9 +436,10 @@ def build_module(params: ModuleParams) -> GeneratorMatrices:
     m, k = params.m, params.k
     table = ScalarTable(params.domain.field)
     shift = table.shift
-    mats = {}
+    mats, provenance = {}, {}
     for code, rule in params.rules.items():
         kcodes = [None if v is None else table.intern(v) for v in rule.kappa]
+        provenance[code] = (rule, kcodes)
         stride = m ** rule.pos
         cols, codes = [None] * dim, [None] * dim
         for r, form in enumerate(_lattice_forms(rule.weight, m)):
@@ -443,7 +449,9 @@ def build_module(params: ModuleParams) -> GeneratorMatrices:
                 cols[r] = r + ((ai + rule.step) % m - ai) * stride
                 codes[r] = shift(kcode, k * form)
         mats[gen_name(code)] = CycMatrix(table, dim, cols, codes)
-    return GeneratorMatrices(params, mats)
+    gm = GeneratorMatrices(params, mats)
+    gm.provenance = provenance
+    return gm
 
 
 def _lattice_forms(weight: tuple, m: int) -> list:

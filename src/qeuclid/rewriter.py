@@ -100,8 +100,8 @@ class RootOfUnityDomain:
     def __init__(self, m: int, k: int):
         self.m = m
         self.k = k % m
-        self.field = CyclotomicField(m)
-        self.q = root_of_unity(m, k)
+        self.q = root_of_unity(m, k)     # checks k before the field is built
+        self.field = self.q.field
         self.one = self.field.one()
         self.zero = self.field.zero()
         self.correction = self.one - self.q_pow(-2)

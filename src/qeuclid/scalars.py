@@ -863,6 +863,8 @@ class _ScalarParser:
                 den = self.take()
                 if den is None or not den.isdigit():
                     raise ValueError("malformed rational literal")
+                if not int(den):
+                    raise ValueError(f'zero denominator in "{tok}/{den}"')
                 return QLaurent.const(Fraction(num, int(den)))
             return QLaurent.const(num)
         raise ValueError(f"unexpected token {tok!r}")
@@ -882,6 +884,9 @@ def _coordinate(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        den = value.partition("/")[2]
+        if den and not int(den):
+            raise ValueError(f'zero denominator in "{value}"')
         return Fraction(value)
     raise ValueError(f"coordinate {value!r} is not an integer or a "
                      f"rational string such as \"-2/3\"")

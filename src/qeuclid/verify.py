@@ -62,18 +62,86 @@ class OmegaCheck:
 class OmegaRows:
     """What one walk over omega_i = sum_(l<=i) (1-q^-2) y_l x_l yields.
 
-    ``xy[i]`` is the monomial product x_i y_i; ``additive[i]`` says
-    whether x_i y_i = y_i x_i + omega_(i-1) holds; ``checks`` holds the
-    OmegaCheck of omega_1, ..., omega_n.
+    ``xy[i]`` is the monomial product x_i y_i where the walk composed it;
+    ``additive[i]`` says whether x_i y_i = y_i x_i + omega_(i-1) holds;
+    ``checks`` holds the OmegaCheck of omega_1, ..., omega_n; ``path``
+    is "rules" or "dense", the walk that decided them.
     """
-    __slots__ = ("xy", "additive", "checks")
+    __slots__ = ("xy", "additive", "checks", "path")
 
-    def __init__(self, xy, additive, checks):
+    def __init__(self, xy, additive, checks, path):
         self.xy, self.additive, self.checks = xy, additive, checks
+        self.path = path
+
+
+def _shift(table, code, j):
+    return None if code is None else table.shift(code, j)
+
+
+def _sum(table, a, b):
+    return b if a is None else a if b is None else table.add(a, b)
+
+
+def _product(table, a, b, j):
+    """The code of zeta^j times the product of codes a and b, None for 0."""
+    return None if a is None or b is None else table.shift(table.mul(a, b), j)
+
+
+def _rule_omegas(gm: GeneratorMatrices):
+    """The omega walk on the rules of a built module, or None when a
+    premise or an additive relation fails.
+
+    With x = x_i, y = y_i on one coordinate p and steps s_x + s_y = 0,
+    x y and y x are diagonal with entries F(a_p) q^<W, a> and
+    G(a_p) q^<W, a>, W = w_x + w_y.  omega_(i-1) is kept as m codes
+    O(u) at u = a_p' times q^<W', a>.  Where delta = W' - W vanishes mod
+    m off p' and p, relation i reads G(v) + A(v) = F(v) with
+    A(v) = O(v) q^(delta_p v) when p' = p, and otherwise
+    A(v) = A q^(delta_p v) for the one code A = O(u) q^(delta_p' u) of
+    every u.  Then omega_i has the codes A(v) + (1-q^-2) G(v) on p, its
+    seed entry at v = 0 and a zero exactly where one of them is zero:
+    O(n m) code operations in place of O(n d) row sums.
+    """
+    params, table, rules = gm.params, gm.table, gm.provenance
+    m, k, n = table.m, params.k, params.n
+    correction = table.intern(params.domain.correction)
+    checks, omega = [], None                  # omega: (p', W', codes O)
+    for i in range(1, n + 1):
+        (rx, kx), (ry, ky) = rules[xgen(i)], rules[ygen(i)]
+        p, sx, sy = rx.pos, rx.step, ry.step
+        if ry.pos != p or sx + sy:
+            return None
+        f = [_product(table, kx[u], ky[(u + sx) % m], k * ry.weight[p] * sx)
+             for u in range(m)]
+        g = [_product(table, ky[u], kx[(u + sy) % m], k * rx.weight[p] * sy)
+             for u in range(m)]
+        weight = [a + b for a, b in zip(rx.weight, ry.weight)]
+        last, before, codes = omega or (p, weight, [None] * m)
+        delta = [(a - b) * k % m for a, b in zip(before, weight)]
+        if any(d and j not in (p, last) for j, d in enumerate(delta)):
+            return None
+        if last != p:
+            moved = {_shift(table, c, delta[last] * u) for u, c in enumerate(codes)}
+            if len(moved) != 1:
+                return None
+            codes = [moved.pop()] * m
+        seeds = [_shift(table, c, delta[p] * v) for v, c in enumerate(codes)]
+        if any(_sum(table, a, b) != c for a, b, c in zip(seeds, g, f)):
+            return None
+        codes = [_sum(table, a, _product(table, correction, b, 0))
+                 for a, b in zip(seeds, g)]
+        omega = (p, weight, codes)
+        seed = params.domain.field.zero() if codes[0] is None else table.value(codes[0])
+        checks.append(OmegaCheck(i, True, seed, seed == params.lam_i(i),
+                                 None not in codes))
+    return OmegaRows({}, dict.fromkeys(range(1, n + 1), True), checks, "rules")
 
 
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
-    """Walk the omegas once, in one live level of rows: ``rows[r]`` is
+    """Walk the omegas once.  A module that ``build_module`` made carries
+    its rules (``gm.provenance``), and the walk runs on them
+    (``_rule_omegas``) unless a premise or an additive relation fails.
+    Otherwise it runs densely, in one live level of rows: ``rows[r]`` is
     row r of omega_(i-1) as a dict column -> code of a nonzero sum
     (``ScalarTable.add``), and omega_0 is zero.
 
@@ -84,6 +152,10 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     on the diagonal (torsionfreeness).  On the paper's modules its rows
     repeat at most m eigenvalues, so each distinct sum is added once.
     """
+    if gm.provenance is not None:
+        rule_walk = _rule_omegas(gm)
+        if rule_walk is not None:
+            return rule_walk
     params, table = gm.params, gm.table
     correction = table.intern(params.domain.correction)
     mul = table.mul
@@ -111,7 +183,7 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
         seed = params.domain.field.zero() if seed is None else table.value(seed)
         checks.append(OmegaCheck(i, diagonal, seed, seed == params.lam_i(i),
                                  diagonal and nonzero))
-    return OmegaRows(xy, additive, checks)
+    return OmegaRows(xy, additive, checks, "dense")
 
 
 def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
@@ -130,9 +202,11 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
     moved coordinate only, times a power of q, so every row takes this
     path.  Any other row compares the codes of its two products
     (``table.mul``, ``table.shift``), which are equal exactly when the
-    products are.  The additive relation
+    products are.  Where the omega walk ran on the rules of a built
+    module, the q-commutations are decided on the rules too
+    (``_rules_commute``).  The additive relation
     x_i y_i = y_i x_i + omega_(i-1) is read off ``omegas.additive``,
-    which the walk over the omega sums decides row by row.
+    which the walk over the omega sums decides.
     """
     if omegas is None:
         omegas = omega_rows(gm)
@@ -143,14 +217,23 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
              for g in (ygen, xgen)]
     pairs += [(xgen(i), ygen(j)) for i in range(1, n + 1)
               for j in range(1, n + 1) if i != j]
-    split = {}
-    for code in all_gens(n):
-        mat = gm.mat(code)
-        split[code] = (mat.cols, mat.codes,
-                       [None if c is None else c - c % m for c in mat.codes])
+    if omegas.path == "rules":
+        # a generator reads its coordinate when it moves it or its kappa
+        # table is not constant
+        split = {code: (rule.pos, rule.step, [k * w for w in rule.weight], kc,
+                        rule.step != 0 or len(set(kc)) > 1)
+                 for code, (rule, kc) in gm.provenance.items()}
+        commute = _rules_commute
+    else:
+        split = {}
+        for code in all_gens(n):
+            mat = gm.mat(code)
+            split[code] = (mat.cols, mat.codes,
+                           [None if c is None else c - c % m for c in mat.codes])
+        commute = _q_commute
     failures = [_commutation_name(left, right) for left, right in pairs
-                if not _q_commute(table, split[left], split[right],
-                                  k * q_exponent(left, right))]
+                if not commute(table, split[left], split[right],
+                               k * q_exponent(left, right))]
     failures += [f"x{i}*y{i} = y{i}*x{i} + sum_(l<{i})(1-q^-2)*y_l*x_l"
                  for i in range(1, n + 1) if not omegas.additive[i]]
     return failures
@@ -176,6 +259,24 @@ def _q_commute(table, a, b, j: int) -> bool:
         elif table.mul(cr, bcodes[t]) != table.shift(table.mul(dr, acodes[u]), j):
             return False
     return True
+
+
+def _rules_commute(table, a, b, j: int) -> bool:
+    """Does A B = zeta^j B A hold on the rules of a built module?  ``a``
+    and ``b`` are (p, s, k w, kappa codes, reads p) of A and B, q =
+    zeta^k.  Both orders reach e(a + s_A e_pA + s_B e_pB).  When neither
+    generator moves a coordinate the other reads, the kappa factors
+    agree and the q-parts differ by zeta^(k w_B[p_A] s_A - k w_A[p_B] s_B
+    - j) wherever both tables are nonzero.  Otherwise p_A = p_B = p, and
+    the two sides are compared as codes at each u = a_p."""
+    (p, sa, wa, ka, reads_a), (pb, sb, wb, kb, reads_b) = a, b
+    m = table.m
+    if p != pb or not (reads_a and reads_b):
+        return ((wb[p] * sa - wa[pb] * sb - j) % m == 0
+                or ka.count(None) == m or kb.count(None) == m)
+    return all(_product(table, ka[u], kb[(u + sa) % m], wb[p] * sa)
+               == _product(table, kb[u], ka[(u + sb) % m], wa[p] * sb + j)
+               for u in range(m))
 
 
 def _commutation_name(a: int, b: int) -> str:
@@ -311,11 +412,13 @@ class JointSpectrum:
 def joint_spectrum(gm: GeneratorMatrices,
                    omegas: OmegaRows | None = None) -> JointSpectrum:
     """The x_r y_r diagonals for the separation check and the commutant,
-    read off the products in ``omegas`` when given, else composed here."""
+    read off the products in ``omegas`` where its walk composed them,
+    else composed here."""
     diagonals = {}
     for r in range(2, gm.params.n + 1):
-        xy = (omegas.xy[r] if omegas is not None
-              else gm.mat(xgen(r)) @ gm.mat(ygen(r)))
+        xy = omegas.xy.get(r) if omegas is not None else None
+        if xy is None:
+            xy = gm.mat(xgen(r)) @ gm.mat(ygen(r))
         diagonals[r] = _diagonal(xy)
     columns = [diag for diag in diagonals.values() if diag is not None]
     keys = list(zip(*columns)) if columns else [()] * gm.dim
@@ -565,15 +668,17 @@ def check_dimension_bound(params: ModuleParams) -> DimensionBound:
 # ---------------------------------------------------------------------------
 
 class VerificationReport:
-    __slots__ = ("case", "dimension", "relation_failures", "omega", "central",
-                 "separation", "bound", "commutant_dim", "commutant_skipped",
-                 "sections", "seconds")
+    __slots__ = ("case", "dimension", "relation_failures", "relations_path",
+                 "omega", "central", "separation", "bound", "commutant_dim",
+                 "commutant_skipped", "sections", "seconds")
 
-    def __init__(self, case, dimension, relation_failures, omega, central,
-                 separation, bound, commutant_dim, commutant_skipped, seconds):
+    def __init__(self, case, dimension, relation_failures, relations_path, omega,
+                 central, separation, bound, commutant_dim, commutant_skipped,
+                 seconds):
         self.case = case
         self.dimension = dimension
         self.relation_failures = relation_failures
+        self.relations_path = relations_path    # "rules" or "dense"
         self.omega = omega
         self.central = central
         self.separation = separation
@@ -606,6 +711,7 @@ class VerificationReport:
             "ok": self.ok,
             "sections": dict(self.sections),
             "relation_failures": list(self.relation_failures),
+            "relations_path": self.relations_path,
             "omega": [{
                 "i": c.index,
                 "diagonal": c.diagonal,
@@ -642,9 +748,12 @@ def run_verification(gm: GeneratorMatrices,
     """All checks on a built (or imported) instance.
 
     One walk over the omega sums decides the additive relations and the
-    omega checks, and keeps the x_i y_i products for the joint spectrum;
-    the x_r y_r diagonals are shared by the separation check and the
-    commutant.
+    omega checks; on the dense path it keeps the x_i y_i products for
+    the joint spectrum.  The path it took ("rules" for a module that
+    ``build_module`` made and whose rule premises hold, else "dense")
+    decides the q-commutations too and is reported as
+    ``relations_path``.  The x_r y_r diagonals are shared by the
+    separation check and the commutant.
     An instance whose commutant is undecided runs every other check; the
     commutant section is then reported as skipped rather than failed.
 
@@ -682,9 +791,9 @@ def run_verification(gm: GeneratorMatrices,
         commutant = timed("commutant", commutant_dimension, gm, spectrum)
     except GuardError as exc:
         skipped = str(exc)
-    return VerificationReport(gm.params.case, gm.dim, relation_failures, omega,
-                              central, separation, bound, commutant, skipped,
-                              seconds)
+    return VerificationReport(gm.params.case, gm.dim, relation_failures,
+                              omegas.path, omega, central, separation, bound,
+                              commutant, skipped, seconds)
 
 
 # ---------------------------------------------------------------------------

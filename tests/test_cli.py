@@ -245,6 +245,22 @@ class TestConfigValidation:
         assert err.startswith("config error: field 'alpha1': ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha1, literal", [
+        (["1/0"], "1/0"), (["1", "-3/00"], "-3/00")], ids=["one", "second"])
+    def test_zero_denominator_in_a_coordinate(self, tmp_path, capsys, alpha1, literal):
+        cfg = write_config(tmp_path, alpha1=alpha1)
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f'config error: field \'alpha1\': zero denominator in "{literal}"\n')
+
+    @pytest.mark.parametrize("alpha1, literal", [
+        ("1/0", "1/0"), ("q + 2*q^2 - 7/000*q", "7/000")], ids=["alone", "in-a-sum"])
+    def test_zero_denominator_in_a_q_expression(self, tmp_path, capsys, alpha1, literal):
+        cfg = write_config(tmp_path, alpha1=alpha1)
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f'config error: field \'alpha1\': zero denominator in "{literal}"\n')
+
     @pytest.mark.parametrize("alpha1", [
         "(" * 300 + "1" + ")" * 300, "2*" + "-" * 3000 + "1"],
         ids=["parentheses", "minus-signs"])
@@ -348,6 +364,8 @@ class TestVerifyCommand:
             assert f"commutant dim       : {verification['commutant_dim']}" in human
             assert verification["commutant_dim"] == 1
             assert "commutant dim       : 1   PASS\n" in human
+            assert verification["relations_path"] == "rules"
+            assert "relations           : PASS  (rules path)\n" in human
 
     def test_pi_degree_computed_once(self, tmp_path, capsys, monkeypatch):
         import qeuclid.cli as cli_mod
@@ -443,6 +461,45 @@ class TestIdentitiesCommand:
         monkeypatch.setattr(cli, "MAX_IDENTITIES_N", 2)
         assert main(["identities", "--n", "2", "--m", "3"]) == EXIT_OK
         assert main(["identities", "--n", "3", "--m", "3"]) == EXIT_GUARD
+
+    def test_work_guard_on_large_m(self, monkeypatch, capsys):
+        # --n 4 --m 1001 ran 9-16 s and took 220 MB before the guard
+        def must_not_run(*args):
+            raise AssertionError("a suite ran past the work guard")
+        for name in ("verify_remark_identities", "check_local_confluence",
+                     "verify_central_powers"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        for n, m in [("4", "1001"), ("6", "999"), ("32", "2001"), ("2", "1000001")]:
+            assert main(["identities", "--n", n, "--m", m]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert ("work guard: identities --n 4 --m 1001 is estimated at 136568432 "
+                "steps, past 16777216") in captured.err
+        assert captured.out == ""
+        # n^2 m^2 alone is past the bound: Q(zeta_m) is never built
+        assert 1000001 not in scalars._FIELD_CACHE
+
+    def test_work_guard_on_m_is_inclusive(self, monkeypatch):
+        # (2, 5): 2^2 * 5 * (5 + 4 // 10) = 100 steps
+        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 100)
+        assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 99)
+        assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_GUARD
+
+    @pytest.mark.parametrize("n, m", [(3, 61), (4, 31), (6, 9), (2, 5), (2, 999),
+                                      (3, 5), (2, 3), (1, 3), (3, 999)])
+    def test_work_guard_admits_benchmark_ci_and_golden_instances(self, n, m):
+        cli._check_identities_work(n, m, 1)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "-10001"], "m must be odd >= 3"),
+        (["--m", "4001", "--k", "4001"], "q not primitive"),
+        (["--m", "30021", "--k", "3"], "q not primitive")])
+    def test_bad_m_or_k_past_the_bound_is_a_config_error(self, argv, message, capsys):
+        # k is checked before Q(zeta_m) is built: at m = 30021 the field
+        # took 25 s
+        assert main(["identities", "--n", "32", *argv]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert int(argv[1]) not in scalars._FIELD_CACHE
 
     @pytest.mark.parametrize("m", ["0", "-5", "4"])
     def test_m_not_odd_above_two_is_a_config_error(self, m, capsys):

@@ -1,6 +1,7 @@
 """Verification suite: relations, omega, centrals, commutant, separation."""
 
 import json
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -20,10 +21,11 @@ from oracles import (
     permuted,
 )
 from qeuclid import scalars, verify
-from qeuclid.cli import main
+from qeuclid.cli import main, parse_config
 from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.repmod import (
     GeneratorMatrices,
+    GeneratorRule,
     GuardError,
     ModuleParams,
     ParamError,
@@ -42,6 +44,7 @@ from qeuclid.rewriter import (
     ygen,
 )
 from qeuclid.verify import (
+    OmegaRows,
     central_power,
     check_central_scalars,
     check_dimension_bound,
@@ -63,6 +66,12 @@ SHAPES = [(2, 3), (2, 5), (3, 3)]
 def build(case, n, m, k=1, seed=0):
     params = random_module_params(case, n, m, k, seed=seed)
     return params, build_module(params)
+
+
+def without_provenance(gm):
+    """The same matrices as a module no rules are known for, as a matrix
+    file read back would be: verify walks their rows."""
+    return GeneratorMatrices(gm.params, gm.mats)
 
 
 class TestRelations:
@@ -130,10 +139,10 @@ class TestOmegaAction:
         # as n + 1 levels of d rows each
         params = random_module_params("I", 8, 3, 1, seed=3)
         params.max_dim = 3 ** 7
-        gm = build_module(params)
+        gm = without_provenance(build_module(params))
         tracemalloc.start()
         try:
-            omega_rows(gm)
+            assert omega_rows(gm).path == "dense"
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,7 +279,7 @@ class TestCodedCoefficients:
         # and the omega sums repeat few code pairs
         params = random_module_params(case, n, m, 1, seed=3)
         params.max_dim = m ** (n - 1)
-        gm = build_module(params)
+        gm = without_provenance(build_module(params))
         calls = Counter()
 
         def counting(name, method):
@@ -282,6 +291,7 @@ class TestCodedCoefficients:
         monkeypatch.setattr(scalars.Cyclotomic, "__add__",
                             counting("add", scalars.Cyclotomic.__add__))
         omegas = omega_rows(gm)
+        assert omegas.path == "dense"
         monkeypatch.setattr(ScalarTable, "mul", counting("mul", ScalarTable.mul))
         assert check_relations(gm, omegas) == []
         assert calls["mul"] == 0
@@ -840,6 +850,161 @@ class TestFastChecksOracle:
         _, gm = build("II", 3, 3, seed=61)
         for name, mat in gm.mats.items():
             assert DictMatrix.of(mat ** e) == DictMatrix.of(mat) ** e, name
+
+
+def with_rule(params, code, kappa=None, weight=None):
+    """params whose rule for generator ``code`` has the given kappa or
+    weight, so that build_module builds the module of those rules."""
+    rules = dict(params.rules)
+    rule = rules[code]
+    rules[code] = GeneratorRule(rule.pos, kappa or rule.kappa,
+                                weight or rule.weight, rule.step)
+    params.__dict__["rules"] = rules         # the cached property's value
+    return params
+
+
+def without_path(report) -> dict:
+    doc = report.to_dict()
+    del doc["relations_path"]
+    return doc
+
+
+def rule_commutations(gm) -> list[str]:
+    """The q-commutation failures decided on the rules, whatever the
+    omega walk would decide."""
+    n = gm.params.n
+    return check_relations(gm, OmegaRows({}, dict.fromkeys(range(1, n + 1), True),
+                                         [], "rules"))
+
+
+class TestRulePath:
+    """Relations and omegas decided on the rules of a built module,
+    against the dense row walk and the full-matrix oracles."""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)])
+    def test_genuine_instances(self, case, n, m):
+        for seed in (1, 2, 3):
+            for k in sorted({1, 2, m - 1}):
+                _, gm = build(case, n, m, k, seed)
+                dense = without_provenance(gm)
+                rules, walked = run_verification(gm), run_verification(dense)
+                assert (rules.relations_path, walked.relations_path) == ("rules", "dense")
+                assert rules.ok and without_path(rules) == without_path(walked)
+                assert rules.relation_failures == oracle_relations(gm) == []
+                assert [(c.index, c.diagonal, c.seed_eigenvalue, c.seed_matches_lambda,
+                         c.all_entries_nonzero) for c in rules.omega] == oracle_omega(gm)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", [(2, 5), (3, 3)])
+    def test_kappa_entry_times_q(self, case, n, m):
+        # x_1 and y_1 then read their coordinate, so their q-commutations
+        # with x_2 and y_2 are compared entry by entry
+        for code in all_gens(n):
+            for u in range(m):
+                params = random_module_params(case, n, m, 1, seed=61)
+                kappa = list(params.rules[code].kappa)
+                if kappa[u] is None:
+                    continue
+                kappa[u] = kappa[u] * params.domain.q
+                gm = build_module(with_rule(params, code, kappa=tuple(kappa)))
+                truth = oracle_relations(gm)
+                assert rule_commutations(gm) == [f for f in truth if "sum_" not in f]
+                report = run_verification(gm)
+                assert report.relation_failures == truth
+                if any("sum_" in f for f in truth):
+                    assert report.relations_path == "dense"
+                assert without_path(report) == without_path(
+                    run_verification(without_provenance(gm)))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_weight_moved_into_kappa_keeps_the_verdict(self, case):
+        # kappa[u] q^u with weight w_p - 1 builds the same matrices, and the
+        # generator now reads its coordinate: x_1 and y_1 are compared with
+        # x_2 and y_2 entry by entry, on relations that hold
+        for code in all_gens(3):
+            params = random_module_params(case, 3, 3, 1, seed=64)
+            genuine = build_module(params)
+            rule, q_pow = params.rules[code], params.domain.q_pow
+            weight = list(rule.weight)
+            weight[rule.pos] -= 1
+            kappa = tuple(None if v is None else v * q_pow(u)
+                          for u, v in enumerate(rule.kappa))
+            gm = build_module(with_rule(params, code, kappa, tuple(weight)))
+            for name, mat in gm.mats.items():
+                assert list(mat.entries()) == list(genuine.mats[name].entries())
+            report = run_verification(gm)
+            assert report.relations_path == "rules" and report.ok
+            assert without_path(report) == without_path(run_verification(genuine))
+
+    def test_zero_on_an_omega_diagonal(self):
+        # weights 0 and y_1 = diag(0, 1, -1): the additive relations hold,
+        # omega_1 has a zero on its diagonal, and the four q-commutations
+        # of index 1 with index 2 fail
+        params = random_module_params("I", 2, 3, 1, seed=65)
+        one, c = params.domain.one, params.domain.correction
+        params.__dict__["rules"] = {
+            xgen(1): GeneratorRule(0, (one,) * 3, (0,), 0),
+            ygen(1): GeneratorRule(0, (None, one, -one), (0,), 0),
+            xgen(2): GeneratorRule(0, (one,) * 3, (0,), 1),
+            ygen(2): GeneratorRule(0, (one, one, one + c), (0,), -1)}
+        gm = build_module(params)
+        report = run_verification(gm)
+        assert report.relations_path == "rules"
+        assert len(report.relation_failures) == 4
+        assert report.relation_failures == oracle_relations(gm)
+        assert [c.all_entries_nonzero for c in report.omega] == [False, True]
+        assert [(c.index, c.diagonal, c.seed_eigenvalue, c.seed_matches_lambda,
+                 c.all_entries_nonzero) for c in report.omega] == oracle_omega(gm)
+        assert without_path(report) == without_path(
+            run_verification(without_provenance(gm)))
+
+    def test_weight_off_the_two_coordinates_falls_back(self, monkeypatch):
+        # x_1 also weighs a_4: delta of relation 2 is nonzero off
+        # p_1 = p_2 = 0, so the rule walk gives up before comparing codes
+        params = random_module_params("I", 4, 3, 1, seed=62)
+        weight = list(params.rules[xgen(1)].weight)
+        weight[2] += 1
+        gm = build_module(with_rule(params, xgen(1), weight=tuple(weight)))
+        sums, real = [], verify._sum
+        monkeypatch.setattr(verify, "_sum", lambda *args: sums.append(args) or real(*args))
+        assert verify._rule_omegas(gm) is None
+        assert len(sums) == 2 * 3           # relation 1 and omega_1 only
+        monkeypatch.undo()
+        report = run_verification(gm)
+        assert report.relations_path == "dense"
+        assert report.relation_failures == oracle_relations(gm) != []
+        assert without_path(report) == without_path(
+            run_verification(without_provenance(gm)))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tampered_copy_of_a_built_module_fails(self, case):
+        _, gm = build(case, 3, 3, seed=63)
+        for name in ("x1", "y2", "x3"):
+            r, c, _ = next(gm.mats[name].entries())
+            report = run_verification(tampered_copy(gm, name, r, c))
+            assert report.relations_path == "dense"
+            assert report.relation_failures
+            assert report.relation_failures == oracle_relations(tampered_copy(gm, name, r, c))
+
+    def test_imports_and_controls_keep_the_dense_path(self, tmp_path, capsys):
+        config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "configs", "case1_n3_m5.json")
+        out = tmp_path / "m.json"
+        assert main(["build", "--config", config, "--out", str(out)]) == 0
+        gm = build_module(parse_config(config))
+        read = GeneratorMatrices.from_wire(json.loads(out.read_text()))
+        assert gm.provenance is not None and read.provenance is None
+        built, walked = run_verification(gm).to_dict(), run_verification(read).to_dict()
+        assert (built.pop("relations_path"), walked.pop("relations_path")) == ("rules", "dense")
+        assert built == walked and built["ok"]
+        r, c, _ = next(gm.mats["y3"].entries())
+        for transform in (direct_sum, lambda g: tampered_copy(g, "y3", r, c)):
+            ours, theirs = transform(gm), transform(read)
+            assert ours.provenance is None
+            report = run_verification(ours).to_dict()
+            assert report["relations_path"] == "dense"
+            assert report == run_verification(theirs).to_dict()
 
 
 class TestEigenSeparation:
