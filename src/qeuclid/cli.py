@@ -27,7 +27,7 @@ from .rewriter import (
     verify_central_powers,
     verify_remark_identities,
 )
-from .scalars import _unlimited_int_digits
+from .scalars import _unlimited_int_digits, euler_phi
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -37,18 +37,22 @@ EXIT_GUARD = 4
 
 # Largest n that pi-degree and identities accept; past it they exit 4
 # before any work.  In a fresh process on a 2-vCPU host, pi-degree --m 3
-# took 3.5 s at n = 128 and 6.6 s at n = 150 (20 s at n = 200 on a slower
-# run); identities took 5.5 s at n = 32, 15 s at n = 40 and 30 s at n = 50.
+# took 1.9 s at n = 128 (4.3 s before the row-wise elimination);
+# identities without --m took 5.3 s at n = 28 and 8.3 s at n = 32 (15 s
+# at n = 40 and 30 s at n = 50 on a slower run).
 MAX_PI_DEGREE_N = 128
 MAX_IDENTITIES_N = 32
 
-# Bound on the estimated steps of identities' central-power suite at
-# (n, m): n^2 m^2 straightening steps, plus n^2 m rotations in Q(zeta_m)
-# that each fold up to S coordinates through the field's wrap table (S its
-# nonzero entries) at a tenth of a step each.  In a fresh process on a
-# 2-vCPU host, instances just under the bound took 1.7-4.1 s and up to
-# 190 MB: (2, 1951) 2.5 s, (3, 1301) 2.9 s, (4, 865) 3.0 s, (8, 413)
-# 4.1 s; (4, 1001), estimated at 1.4e8, took 9-16 s and 220 MB.
+# Bound on the estimated steps of identities --m at (n, m), each term
+# fitted to fresh-process time (a step is about 0.25 us) or memory: 33 n^4
+# for the two generic-q suites, which grow fastest in n; 15 n^2 (m + 48)
+# for the central-power suite, 8 n^2 words of length m + 1 that each
+# straighten in one pass, a crossing of x_i^k and y_i^c adding geometric
+# sums; and for Q(zeta_m), 9 (m - phi) phi for its wrap table and
+# phi^2 / 128 for its orbit-hash points, with phi = phi(m).  On a 2-vCPU
+# host, instances just under the bound took at most 4.2 s and 161 MB:
+# (2, 42131) 0.8 s, (8, 15241) 3.2 s, (16, 3719) 3.9 s, (26, 115) 4.0 s;
+# (2, 2001) took 0.3 s and (4, 1001) 0.2 s.
 MAX_IDENTITIES_WORK = 2 ** 24
 
 
@@ -163,14 +167,16 @@ def _check_n(command: str, n: int, bound: int) -> None:
 
 
 def _check_identities_work(n: int, m: int, k: int) -> None:
-    """GuardError when identities' central-power suite at (n, m) is
-    estimated past MAX_IDENTITIES_WORK; a bad m or k is a config error
-    first.  n^2 m^2 alone bounds the estimate from below, so a large m is
-    refused before Q(zeta_m) is built."""
-    work = n * n * m * m
-    if work <= MAX_IDENTITIES_WORK or m < 3 or m % 2 == 0 or gcd(k, m) != 1:
-        wrap = root_domain(m, k).field.wrap
-        work = n * n * m * (m + sum(map(len, wrap)) // 10)
+    """GuardError when identities --m at (n, m) is estimated past
+    MAX_IDENTITIES_WORK; a bad m or k is a config error first.  Q(zeta_m)
+    is never built here, and phi(m) is found only once the other terms
+    leave room for it, so a huge m is refused at once."""
+    if m < 3 or m % 2 == 0 or gcd(k, m) != 1:
+        root_domain(m, k)       # raises the config error, builds no field
+    work = n * n * (33 * n * n + 15 * m + 720)
+    if work <= MAX_IDENTITIES_WORK:
+        phi = euler_phi(m)
+        work += 9 * (m - phi) * phi + phi * phi // 128
     if work > MAX_IDENTITIES_WORK:
         raise GuardError(f"work guard: identities --n {n} --m {m} is estimated "
                          f"at {work} steps, past {MAX_IDENTITIES_WORK}")

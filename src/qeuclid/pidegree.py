@@ -11,7 +11,6 @@ image cardinality comes from the Smith normal form.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import mul
 
 from .rewriter import all_gens, q_exponent
 
@@ -52,14 +51,16 @@ def _mat_identity(k):
 def smith_normal_form(M) -> SnfResult:
     """U*M*V diagonal with the divisibility chain d_1 | d_2 | ...
 
-    Classic pivot-and-reduce elimination with unimodular row/column
-    operations, all over Z.
+    Pivot-and-reduce elimination with unimodular row/column operations,
+    all over Z.  V is kept transposed, so a column operation is one list
+    operation on a row of it; and once column k is zero below the pivot,
+    a column operation changes only row k of the working matrix.
     """
     A = [list(row) for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = _mat_identity(rows)
-    V = _mat_identity(cols)
+    Vt = _mat_identity(cols)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -68,30 +69,25 @@ def smith_normal_form(M) -> SnfResult:
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        Vt[i], Vt[j] = Vt[j], Vt[i]
 
     def add_row(dst, src, factor):
         A[dst] = [a + factor * b for a, b in zip(A[dst], A[src])]
         U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
 
-    def add_col(dst, src, factor):
-        for row in A:
-            row[dst] += factor * row[src]
-        for row in V:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
+    def add_col(dst, src, factor):      # V's half; the caller updates A
+        Vt[dst] = [a + factor * b for a, b in zip(Vt[dst], Vt[src])]
 
     def pivot_search(k):
         best = None
         for i in range(k, rows):
+            row = A[i]
             for j in range(k, cols):
-                v = abs(A[i][j])
+                v = abs(row[j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        return best
         return best
 
     k = 0
@@ -102,39 +98,44 @@ def smith_normal_form(M) -> SnfResult:
         _, pi, pj = found
         swap_rows(k, pi)
         swap_cols(k, pj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, rows):
-                if A[i][k]:
-                    quot = A[i][k] // A[k][k]
-                    add_row(i, k, -quot)
+        while True:
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(k + 1, rows):
                     if A[i][k]:
-                        swap_rows(i, k)
-                        dirty = True
+                        add_row(i, k, -(A[i][k] // A[k][k]))
+                        if A[i][k]:
+                            swap_rows(i, k)
+                            dirty = True
+            # column k is zero below the pivot: clear row k on row k alone
+            row, pivot = A[k], A[k][k]
             for j in range(k + 1, cols):
-                if A[k][j]:
-                    quot = A[k][j] // A[k][k]
+                if row[j]:
+                    quot = row[j] // pivot
+                    row[j] -= quot * pivot
                     add_col(j, k, -quot)
-                    if A[k][j]:
+                    if row[j]:
                         swap_cols(j, k)
-                        dirty = True
-        if A[k][k] < 0:
-            negate_row(k)
-        # enforce the divisibility chain: fold any non-multiple into the pivot
-        restart = False
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if A[i][j] % A[k][k]:
-                    add_col(k, j, 1)
-                    restart = True
-                    break
-            if restart:
+                        break
+            else:
                 break
-        if not restart:
+        if A[k][k] < 0:
+            A[k][k] = -A[k][k]
+            U[k] = [-a for a in U[k]]
+        # enforce the divisibility chain: fold any non-multiple into the pivot
+        pivot = A[k][k]
+        fold = None if pivot == 1 else next(
+            (j for i in range(k + 1, rows) for j in range(k + 1, cols)
+             if A[i][j] % pivot), None)
+        if fold is None:
             k += 1
+        else:
+            for i in range(k + 1, rows):
+                A[i][k] += A[i][fold]
+            add_col(k, fold, 1)
     diag = tuple(A[i][i] for i in range(min(rows, cols)))
-    return SnfResult(diag, U, V)
+    return SnfResult(diag, U, [list(col) for col in zip(*Vt)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,43 +156,41 @@ def _image_size(diag, m: int) -> int:
     return h
 
 
-def _hermite_columns(B):
-    """Column Hermite form of a nonsingular integer matrix (columns = basis).
+def _hermite_columns(columns):
+    """Column Hermite form of a nonsingular integer matrix, given and
+    returned as its list of columns (the basis vectors).
 
-    Pivots positive on the diagonal, every off-pivot entry reduced modulo
-    the pivot in its row, so all entries are nonnegative.
+    Lower triangular, pivots positive on the diagonal, every off-pivot
+    entry reduced modulo the pivot in its row, so all entries are
+    nonnegative.  A column operation is one list operation.
     """
-    k = len(B)
-    A = [list(row) for row in B]
+    C = [list(col) for col in columns]
+    k = len(C)
 
     def col_op(j, src, factor):
-        for row in A:
-            row[j] += factor * row[src]
+        C[j] = [a + factor * b for a, b in zip(C[j], C[src])]
 
     for i in range(k):
         while True:
-            nz = [j for j in range(i, k) if A[i][j]]
+            nz = [j for j in range(i, k) if C[j][i]]
             if not nz:
                 raise ArithmeticError("kernel basis matrix is singular")
-            jmin = min(nz, key=lambda j: abs(A[i][j]))
-            if jmin != i:
-                for row in A:
-                    row[i], row[jmin] = row[jmin], row[i]
-            if all(A[i][j] % A[i][i] == 0 for j in range(i + 1, k)):
-                for j in range(i + 1, k):
-                    if A[i][j]:
-                        col_op(j, i, -A[i][j] // A[i][i])
-                break
+            jmin = min(nz, key=lambda j: abs(C[j][i]))
+            C[i], C[jmin] = C[jmin], C[i]
+            pivot = C[i][i]
+            divides = all(C[j][i] % pivot == 0 for j in range(i + 1, k))
             for j in range(i + 1, k):
-                if A[i][j]:
-                    col_op(j, i, -(A[i][j] // A[i][i]))
-        if A[i][i] < 0:
-            for row in A:
-                row[i] = -row[i]
+                if C[j][i]:
+                    col_op(j, i, -(C[j][i] // pivot))
+            if divides:
+                break
+        if C[i][i] < 0:
+            C[i] = [-a for a in C[i]]
         for j in range(i):
-            r = A[i][j] % A[i][i]
-            col_op(j, i, (r - A[i][j]) // A[i][i])
-    return A
+            quot = C[j][i] // C[i][i]
+            if quot:
+                col_op(j, i, -quot)
+    return C
 
 
 def kernel_basis(H, m: int) -> list[tuple[int, ...]]:
@@ -207,17 +206,15 @@ def kernel_basis(H, m: int) -> list[tuple[int, ...]]:
 
 
 def _kernel_from_snf(H, m: int, snf: SnfResult) -> list[tuple[int, ...]]:
-    s = len(H)
-    diag = list(snf.diag) + [0] * (s - len(snf.diag))
-    basis_matrix = [[snf.V[r][c] * (m // gcd(diag[c], m)) for c in range(s)]
-                    for r in range(s)]
-    reduced = _hermite_columns(basis_matrix)
+    diag = list(snf.diag) + [0] * (len(H) - len(snf.diag))
+    columns = [[v * (m // gcd(d, m)) for v in col]
+               for col, d in zip(zip(*snf.V), diag)]
     out = []
-    for c in range(s):
-        vec = tuple(reduced[r][c] for r in range(s))
-        if any(sum(map(mul, row, vec)) % m for row in H):
+    for col in _hermite_columns(columns):
+        support = [(r, v) for r, v in enumerate(col) if v]
+        if any(sum(row[r] * v for r, v in support) % m for row in H):
             raise ArithmeticError("kernel basis vector fails membership check")
-        out.append(vec)
+        out.append(tuple(col))
     return out
 
 

@@ -26,12 +26,20 @@ One pass.  :func:`straighten_word` sorts a word by insertion, one run
 of equal letters at a time; each step applies one rule to an adjacent
 descent, so the result is a normal form reached by rewriting, unique by
 the checked confluence.  A run b^c passing c' copies of a larger letter
-a adds c c' ``q_exponent(a, b)`` to one exponent.  Each of the c k
-crossings of a y_i run and x_i^k swaps the pair (factor 1) and
-straightens the other reducts of ``_rewrite_pair`` in place, through
-the memo.  Only these correction words recurse; their index multisets
-are strictly smaller, so the recursion ends, and x_i^m y_i nests one
-level deep for any m.
+a adds c c' ``q_exponent(a, b)`` to one exponent E.  Each of the c k
+crossings of a y_i run and x_i^k swaps the pair (factor 1) and leaves,
+for each l < i, (1 - q^-2) q^E times the word with y_l x_l in place of
+the pair.  Where the (j+1)-th y_i crosses, y_l x_l stands right of
+y_i^j x_i^(k-1-s) for s = 0 .. k-1; moving it left past them takes
+q-swaps only (l < i), worth q^(ex (k-1-s) + ey j), where ex and ey sum
+``q_exponent(x_i, g)`` and ``q_exponent(y_i, g)`` over g in y_l x_l.  So
+the k words of one j are one word W_j = low y_l x_l y_i^j x_i^(k-1)
+y_i^(c-1-j) high times (1 - q^-2) sum_(t<k) q^(ex t), and for k = 1
+every W_j is one word, its sum taken over j with step ey.  Both sums
+telescope to a difference of two powers of q; a word whose sum
+vanishes is dropped, so x_i^m y_i = y_i x_i^m at q = zeta_m costs no
+correction word.  Only the W_j recurse; their index multisets are
+strictly smaller, so the recursion ends.
 """
 
 from __future__ import annotations
@@ -173,6 +181,17 @@ def _add_term(out: dict, w: tuple[int, ...], c) -> None:
         out[w] = c
 
 
+def _crossing_scalar(dom, e: int, step: int, count: int):
+    """q^e (1 - q^-2) sum_(t<count) q^(step t), formed with no product.  A
+    crossing's step is -2 or 2 (``q_exponent`` of x_i or y_i with each
+    letter of y_l x_l, l < i), and then the sum telescopes to
+    q^top - q^(top - 2 count), top its largest exponent."""
+    if abs(step) != 2:
+        raise ArithmeticError(f"crossing step {step} does not telescope")
+    top = max(e, e + step * (count - 1))
+    return dom.q_pow(top) - dom.q_pow(top - 2 * count)
+
+
 def straighten_word(word: tuple[int, ...], dom) -> dict:
     """Normal form of a single word as a map word -> scalar (memoized)."""
     cache = _NF_CACHE.setdefault(dom, {})
@@ -195,16 +214,21 @@ def straighten_word(word: tuple[int, ...], dom) -> dict:
             # the run has passed the letters above x_i^k and stands right of it
             low = tuple(sorted(a for a in word[:end] if a < partner))
             high = tuple(sorted(a for a in word[:end] if a > partner)) + word[end + c:]
-            _, *corrections = _rewrite_pair(partner, b, dom)
-            if e:
-                corrections = [(dom.q_pow(e) * coeff, repl) for coeff, repl in corrections]
-            for j in range(c):
-                for s in range(k):
-                    left = low + (b,) * j + (partner,) * (k - 1 - s)
-                    right = (partner,) * s + (b,) * (c - 1 - j) + high
-                    for coeff, repl in corrections:
-                        for w, nc in straighten_word(left + repl + right, dom).items():
-                            _add_term(result, w, coeff * nc)
+            for l in range(1, gen_index(b)):
+                repl = (ygen(l), xgen(l))
+                ex = sum(q_exponent(partner, g) for g in repl)
+                ey = sum(q_exponent(b, g) for g in repl)
+                if k == 1:      # every j gives the one word W_j
+                    crossings = [(_crossing_scalar(dom, e, ey, c), (b,) * (c - 1))]
+                else:
+                    crossings = [(_crossing_scalar(dom, e + ey * j, ex, k),
+                                  (b,) * j + (partner,) * (k - 1) + (b,) * (c - 1 - j))
+                                 for j in range(c)]
+                for coeff, middle in crossings:
+                    if coeff.is_zero():
+                        continue
+                    for w, nc in straighten_word(low + repl + middle + high, dom).items():
+                        _add_term(result, w, coeff * nc)
         counts[b] = counts.get(b, 0) + c
         end += c
     # the correction words have smaller index multisets: this key is new

@@ -10,9 +10,12 @@ matrix by Gaussian elimination, and ``euclid_inverse`` inverts a field
 element by the extended Euclidean algorithm over Fraction.
 ``basis_indices`` and ``basis_rank`` spell out the row order that
 ``build_module`` computes with strides.  ``brute_force_image``
-enumerates the image of the PI-degree matrix, and ``parse_element``
-reads plain-text algebra elements such as "(1-q^-2)*y1*x1" for the
-rewriter tests, with ``power`` for its powers.
+enumerates the image of the PI-degree matrix, and
+``oracle_smith_normal_form``, ``oracle_hermite_columns`` and
+``oracle_kernel_basis`` are the elimination on whole rows and columns
+that ``pidegree`` runs row-wise.  ``parse_element`` reads plain-text
+algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests, with
+``power`` for its powers.
 ``stepwise_normal_form`` straightens a word one rule application at a
 time, the reference for the insertion pass of
 ``rewriter.straighten_word``.
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from operator import mul
 
 from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.rewriter import (
@@ -305,6 +310,156 @@ def brute_force_image(H, m: int) -> int:
         seen.add(tuple(sum(H[i][j] * a[j] for j in range(s)) % m
                        for i in range(s)))
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form and kernel lattice, whole rows and columns at a time
+# ---------------------------------------------------------------------------
+
+def oracle_smith_normal_form(M):
+    """(diag, U, V) with U*M*V diagonal and the divisibility chain
+    d_1 | d_2 | ...: classic pivot-and-reduce elimination with unimodular
+    row/column operations over Z, every operation on whole rows and
+    columns (the reference for ``pidegree.smith_normal_form``).
+    """
+    A = [list(row) for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, factor):
+        A[dst] = [a + factor * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(dst, src, factor):
+        for row in A:
+            row[dst] += factor * row[src]
+        for row in V:
+            row[dst] += factor * row[src]
+
+    def negate_row(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+
+    def pivot_search(k):
+        best = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                v = abs(A[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        return best
+
+    k = 0
+    while k < min(rows, cols):
+        found = pivot_search(k)
+        if found is None:
+            break
+        _, pi, pj = found
+        swap_rows(k, pi)
+        swap_cols(k, pj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(k + 1, rows):
+                if A[i][k]:
+                    quot = A[i][k] // A[k][k]
+                    add_row(i, k, -quot)
+                    if A[i][k]:
+                        swap_rows(i, k)
+                        dirty = True
+            for j in range(k + 1, cols):
+                if A[k][j]:
+                    quot = A[k][j] // A[k][k]
+                    add_col(j, k, -quot)
+                    if A[k][j]:
+                        swap_cols(j, k)
+                        dirty = True
+        if A[k][k] < 0:
+            negate_row(k)
+        # enforce the divisibility chain: fold any non-multiple into the pivot
+        restart = False
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if A[i][j] % A[k][k]:
+                    add_col(k, j, 1)
+                    restart = True
+                    break
+            if restart:
+                break
+        if not restart:
+            k += 1
+    diag = tuple(A[i][i] for i in range(min(rows, cols)))
+    return diag, U, V
+
+
+def oracle_hermite_columns(B):
+    """Column Hermite form of a nonsingular integer matrix (columns = basis).
+
+    Pivots positive on the diagonal, every off-pivot entry reduced modulo
+    the pivot in its row, so all entries are nonnegative.
+    """
+    k = len(B)
+    A = [list(row) for row in B]
+
+    def col_op(j, src, factor):
+        for row in A:
+            row[j] += factor * row[src]
+
+    for i in range(k):
+        while True:
+            nz = [j for j in range(i, k) if A[i][j]]
+            if not nz:
+                raise ArithmeticError("kernel basis matrix is singular")
+            jmin = min(nz, key=lambda j: abs(A[i][j]))
+            if jmin != i:
+                for row in A:
+                    row[i], row[jmin] = row[jmin], row[i]
+            if all(A[i][j] % A[i][i] == 0 for j in range(i + 1, k)):
+                for j in range(i + 1, k):
+                    if A[i][j]:
+                        col_op(j, i, -A[i][j] // A[i][i])
+                break
+            for j in range(i + 1, k):
+                if A[i][j]:
+                    col_op(j, i, -(A[i][j] // A[i][i]))
+        if A[i][i] < 0:
+            for row in A:
+                row[i] = -row[i]
+        for j in range(i):
+            r = A[i][j] % A[i][i]
+            col_op(j, i, (r - A[i][j]) // A[i][i])
+    return A
+
+
+def oracle_kernel_basis(H, m: int, snf=None) -> list[tuple[int, ...]]:
+    """Basis of {a : H a = 0 mod m}: the columns of V scaled by
+    m/gcd(d_i, m), in column Hermite form, each checked against every row
+    of H (the reference for ``pidegree.kernel_basis``).  ``snf`` is
+    ``oracle_smith_normal_form(H)`` when already at hand."""
+    diag, _, V = snf or oracle_smith_normal_form(H)
+    s = len(H)
+    diag = list(diag) + [0] * (s - len(diag))
+    basis_matrix = [[V[r][c] * (m // gcd(diag[c], m)) for c in range(s)]
+                    for r in range(s)]
+    reduced = oracle_hermite_columns(basis_matrix)
+    out = []
+    for c in range(s):
+        vec = tuple(reduced[r][c] for r in range(s))
+        assert not any(sum(map(mul, row, vec)) % m for row in H)
+        out.append(vec)
+    return out
 
 
 # ---------------------------------------------------------------------------

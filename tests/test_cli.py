@@ -463,30 +463,35 @@ class TestIdentitiesCommand:
         assert main(["identities", "--n", "3", "--m", "3"]) == EXIT_GUARD
 
     def test_work_guard_on_large_m(self, monkeypatch, capsys):
-        # --n 4 --m 1001 ran 9-16 s and took 220 MB before the guard
+        # each term of the estimate refuses one instance: the generic-q
+        # suites (27, 3), the central suite (16, 4001), the wrap table of
+        # Q(zeta_3003) and the orbit-hash points of Q(zeta_99991)
         def must_not_run(*args):
             raise AssertionError("a suite ran past the work guard")
         for name in ("verify_remark_identities", "check_local_confluence",
                      "verify_central_powers"):
             monkeypatch.setattr(cli, name, must_not_run)
-        for n, m in [("4", "1001"), ("6", "999"), ("32", "2001"), ("2", "1000001")]:
+        monkeypatch.setattr(scalars, "_FIELD_CACHE", {})
+        for n, m in [("27", "3"), ("16", "4001"), ("2", "3003"), ("1", "99991"),
+                     ("32", "2001"), ("2", "1000001")]:
             assert main(["identities", "--n", n, "--m", m]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert ("work guard: identities --n 4 --m 1001 is estimated at 136568432 "
+        assert ("work guard: identities --n 16 --m 4001 is estimated at 17710848 "
                 "steps, past 16777216") in captured.err
         assert captured.out == ""
-        # n^2 m^2 alone is past the bound: Q(zeta_m) is never built
-        assert 1000001 not in scalars._FIELD_CACHE
+        # the guard reads phi(m), but Q(zeta_m) is never built
+        assert scalars._FIELD_CACHE == {}
 
     def test_work_guard_on_m_is_inclusive(self, monkeypatch):
-        # (2, 5): 2^2 * 5 * (5 + 4 // 10) = 100 steps
-        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 100)
+        # (2, 5): 2^2 (33 * 2^2 + 15 * 5 + 720) + 9 * 1 * 4 + 4^2 // 128 = 3744
+        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 3744)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_OK
-        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 99)
+        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 3743)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_GUARD
 
     @pytest.mark.parametrize("n, m", [(3, 61), (4, 31), (6, 9), (2, 5), (2, 999),
-                                      (3, 5), (2, 3), (1, 3), (3, 999)])
+                                      (3, 5), (2, 3), (1, 3), (3, 999), (8, 413),
+                                      (4, 1001), (2, 2001)])
     def test_work_guard_admits_benchmark_ci_and_golden_instances(self, n, m):
         cli._check_identities_work(n, m, 1)
 

@@ -1,11 +1,12 @@
 """PI-degree pipeline: defining matrix, SNF, image/kernel, degree."""
 
+import random
 from itertools import combinations, product
 from math import gcd
 
 import pytest
 
-from oracles import brute_force_image
+from oracles import brute_force_image, oracle_kernel_basis, oracle_smith_normal_form
 from qeuclid import pidegree
 from qeuclid.pidegree import (
     DegreeReport,
@@ -164,6 +165,60 @@ class TestSmithNormalForm:
                 assert b % a == 0
             if rows == cols:
                 assert abs(_det(snf.U)) == 1 and abs(_det(snf.V)) == 1
+
+
+def _random_matrix(rng):
+    """(M, kind): up to 6 x 6 with entries in [-9, 9], dense (kind 0),
+    with zero rows (1), every entry a multiple of 2 or 3 so the first
+    pivot is no unit (2), or diagonal, where a pair outside the
+    divisibility chain makes the elimination restart (3)."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    kind = rng.randrange(4)
+    if kind == 3:
+        return [[rng.randint(-9, 9) if i == j else 0 for j in range(cols)]
+                for i in range(rows)], kind
+    factor = rng.choice((2, 3)) if kind == 2 else 1
+    M = [[factor * rng.randint(-9 // factor, 9 // factor) for _ in range(cols)]
+         for _ in range(rows)]
+    if kind == 1:
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            M[i] = [0] * cols
+    return M, kind
+
+
+class TestEliminationAgainstOracle:
+    """The row-wise elimination against the whole-row-and-column oracle:
+    equal elementary divisors and equal Hermite kernel bases (both are
+    unique, whatever U and V each elimination reaches)."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_H_divisors_and_kernels(self, n):
+        H = build_H(n)
+        snf = smith_normal_form(H)
+        oracle = oracle_smith_normal_form(H)
+        assert snf.diag == oracle[0]
+        for m in (1, 3, 5, 9, 15, 21, 99, 101):
+            assert pidegree._kernel_from_snf(H, m, snf) == oracle_kernel_basis(H, m, oracle)
+
+    def test_random_matrices(self):
+        rng = random.Random(23)
+        shapes, kinds, restarts = set(), [0] * 4, 0
+        for _ in range(600):
+            M, kind = _random_matrix(rng)
+            snf = smith_normal_form(M)
+            oracle = oracle_smith_normal_form(M)
+            assert snf.diag == oracle[0], M
+            if len(M) == len(M[0]):
+                for m in (3, 5, 9):
+                    assert (pidegree._kernel_from_snf(M, m, snf)
+                            == oracle_kernel_basis(M, m, oracle)), M
+            shapes.add((len(M), len(M[0])))
+            kinds[kind] += 1
+            if kind == 3:
+                entries = sorted(abs(M[i][i]) for i in range(len(snf.diag)))
+                chain = [d for d in entries if d] + [0] * entries.count(0)
+                restarts += snf.diag != tuple(chain)
+        assert len(shapes) == 36 and min(kinds) >= 100 and restarts >= 20
 
 
 class TestImageCardinality:

@@ -272,13 +272,46 @@ class TestClosedFormAgainstStepwise:
                         assert straighten_word(w, dom) == stepwise_normal_form(w, dom), w
 
 
+# (domain, largest k and c): generic q, and q = zeta_m^k with k, c up to m + 1
+CROSSING_DOMAINS = [(None, 6), ((3, 1), 4), ((5, 1), 6), ((9, 1), 10), ((9, 2), 10)]
+
+
+@pytest.mark.usefixtures("fresh_memo")
+class TestCrossingsAgainstStepwise:
+    """A y_i run crossing x_i^k straightens each correction word once, as
+    a geometric sum over its crossings; at q = zeta_m^k the sum vanishes
+    when k or c is a multiple of m.  The oracle applies one rule per step."""
+
+    @pytest.mark.parametrize("spec, top", CROSSING_DOMAINS)
+    @pytest.mark.parametrize("before, after", [
+        ((), ()),
+        ((ygen(3), xgen(1)), (xgen(3), ygen(1))),
+    ])
+    def test_x_run_then_y_run(self, spec, top, before, after):
+        dom = _domain(spec)
+        x, y = xgen(2), ygen(2)
+        for k in range(1, top + 1):
+            for c in range(1, top + 1):
+                w = before + (x,) * k + (y,) * c + after
+                assert straighten_word(w, dom) == stepwise_normal_form(w, dom), (k, c)
+
+    @pytest.mark.parametrize("spec", [None, (3, 1), (5, 2)])
+    def test_two_correction_indices(self, spec):
+        # y_3 crossing x_3 corrects by y_1 x_1 and by y_2 x_2
+        dom = _domain(spec)
+        for k in range(1, 5):
+            for c in range(1, 5):
+                w = (ygen(4),) + (xgen(3),) * k + (ygen(3),) * c + (xgen(2),)
+                assert straighten_word(w, dom) == stepwise_normal_form(w, dom), (k, c)
+
+
 def test_central_powers_work_bound(monkeypatch, fresh_memo):
-    """At (n, m) = (3, 61) the suite makes at most 8 n^2 + n(n-1) m
-    straighten_word calls (one rule per step took 13,608): the 8 n^2
-    words x_i^m g, g x_i^m, y_i^m g, g y_i^m, plus one correction word
-    per l < i at each of the m crossings in x_i^m y_i and in x_i y_i^m.
-    It forms no general scalar product: every product has a power of q
-    as a factor."""
+    """At (n, m) = (3, 61) the suite makes exactly 8 n^2 straighten_word
+    calls (one rule per step took 13,608), one per word x_i^m g, g x_i^m,
+    y_i^m g, g y_i^m: in x_i^m y_i and x_i y_i^m the geometric sum over
+    the m crossings vanishes, so no correction word is straightened.  It
+    forms no general scalar product: every product has a power of q as a
+    factor, and each geometric sum is a difference of two powers of q."""
     calls, products = [], []
     original_word, original_mul = rewriter.straighten_word, scalars.vec_mul
 
@@ -294,7 +327,7 @@ def test_central_powers_work_bound(monkeypatch, fresh_memo):
     monkeypatch.setattr(scalars, "vec_mul", counting_mul)
     n, m = 3, 61
     assert verify_central_powers(n, m, 1).ok
-    assert 0 < len(calls) <= 8 * n * n + n * (n - 1) * m
+    assert len(calls) == 8 * n * n
     assert products == []
 
 
