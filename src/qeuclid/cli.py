@@ -44,15 +44,17 @@ MAX_PI_DEGREE_N = 128
 MAX_IDENTITIES_N = 32
 
 # Bound on the estimated steps of identities --m at (n, m), each term
-# fitted to fresh-process time (a step is about 0.25 us) or memory: 33 n^4
-# for the two generic-q suites, which grow fastest in n; 15 n^2 (m + 48)
-# for the central-power suite, 8 n^2 words of length m + 1 that each
-# straighten in one pass, a crossing of x_i^k and y_i^c adding geometric
-# sums; and for Q(zeta_m), 9 (m - phi) phi for its wrap table and
-# phi^2 / 128 for its orbit-hash points, with phi = phi(m).  On a 2-vCPU
-# host, instances just under the bound took at most 4.2 s and 161 MB:
-# (2, 42131) 0.8 s, (8, 15241) 3.2 s, (16, 3719) 3.9 s, (26, 115) 4.0 s;
-# (2, 2001) took 0.3 s and (4, 1001) 0.2 s.
+# fitted to fresh-process time (a step is about 0.25 us) or memory (about
+# 10 bytes): 33 n^4 for the two generic-q suites, which grow fastest in n;
+# 15 n^2 (m + 48) for the central-power suite, 8 n^2 words of length m + 1
+# that each straighten in one pass, a crossing of x_i^k and y_i^c adding
+# geometric sums; and 9 (m - phi + 3) phi, with phi = phi(m), for the
+# m - phi wrap rows of Q(zeta_m) and three more vectors of phi
+# coordinates, which the field and the central suite hold at any n (at
+# prime m without them, (1, 699007) took 262 MB).  On a 2-vCPU host,
+# instances just under the bound took at most 4.6 s and 151 MB:
+# (1, 328931) 0.9 s / 132 MB, (3, 98057) 1.9 s / 151 MB, (16, 3719)
+# 3.4 s, (26, 113) and (26, 115) 3.5-4.6 s; (2, 2001) 0.3 s, (4, 1001) 0.2 s.
 MAX_IDENTITIES_WORK = 2 ** 24
 
 
@@ -81,11 +83,14 @@ def parse_config(path: str, max_dim=None) -> ModuleParams:
 # ---------------------------------------------------------------------------
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _envelope(command: str, config_echo, report: dict, elapsed: float,
@@ -176,7 +181,7 @@ def _check_identities_work(n: int, m: int, k: int) -> None:
     work = n * n * (33 * n * n + 15 * m + 720)
     if work <= MAX_IDENTITIES_WORK:
         phi = euler_phi(m)
-        work += 9 * (m - phi) * phi + phi * phi // 128
+        work += 9 * (m - phi + 3) * phi
     if work > MAX_IDENTITIES_WORK:
         raise GuardError(f"work guard: identities --n {n} --m {m} is estimated "
                          f"at {work} steps, past {MAX_IDENTITIES_WORK}")

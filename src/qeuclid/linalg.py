@@ -20,7 +20,8 @@ it has.
 
 from __future__ import annotations
 
-from .scalars import Cyclotomic, vec_orbit_hash, vec_orbit_key, vec_rotate
+from .scalars import (Cyclotomic, cyclotomic_polynomial, vec_orbit_hash,
+                      vec_orbit_key, vec_rotate)
 
 
 class ScalarTable:
@@ -29,8 +30,9 @@ class ScalarTable:
     ``bases`` holds one value of each orbit {zeta^e v} met, the value it
     was first met as; base 0 is 1, so code e (0 <= e < m) means zeta^e.
     A value is looked up on its canonical (nums, den).  A value not seen
-    before is placed by its orbit hash (``vec_orbit_hash``) and den: in
-    an empty bucket it starts a new orbit, else the orbit keys
+    before is placed by its orbit hash (``vec_orbit_hash``, at points
+    the table forms, so a field no table uses never holds them) and den:
+    in an empty bucket it starts a new orbit, else the orbit keys
     (``vec_orbit_key``) of the value and of the bucket's bases decide
     which orbit holds it and at which exponent.  So equal codes mean
     equal values and unequal codes unequal ones.  Products of bases (on
@@ -39,12 +41,19 @@ class ScalarTable:
     grows, so matrices that share it stay valid.
     """
 
-    __slots__ = ("field", "m", "bases", "_codes", "_orbits", "_keys", "_values",
-                 "_products", "_sums", "_powers")
+    __slots__ = ("field", "m", "bases", "_points", "_modulus", "_codes", "_orbits",
+                 "_keys", "_values", "_products", "_sums", "_powers")
 
     def __init__(self, field):
         self.field = field
         self.m = field.m
+        # vec_orbit_hash at g = 2^t, with t chosen so that Phi_m(g) has
+        # about 64 bits or more
+        d = field.degree
+        t = -(-64 // d)
+        self._points = tuple(1 << (t * i) for i in range(d))
+        self._modulus = sum(c << (t * i)
+                            for i, c in enumerate(cyclotomic_polynomial(self.m)))
         self.bases = []
         self._codes = {}
         self._orbits = {}
@@ -61,9 +70,7 @@ class ScalarTable:
         key = (value.nums, value.den)
         code = self._codes.get(key)
         if code is None:
-            field = self.field
-            orbit = vec_orbit_hash(value.nums, field.orbit_points,
-                                   field.orbit_modulus, self.m)
+            orbit = vec_orbit_hash(value.nums, self._points, self._modulus, self.m)
             bucket = self._orbits.setdefault((orbit, value.den), [])
             code = self._place(value, bucket)
             if code is None:
@@ -176,20 +183,6 @@ class CycMatrix:
 
     def copy(self) -> "CycMatrix":
         return CycMatrix(self.table, self.dim, list(self.cols), list(self.codes))
-
-    def __eq__(self, other):
-        """Equal maps with equal coefficients: equal codes in one table,
-        equal values across two."""
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        if (self.field is not other.field or self.dim != other.dim
-                or self.cols != other.cols):
-            return False
-        if self.table is other.table:
-            return self.codes == other.codes
-        mine, theirs = self.table.value, other.table.value
-        return all(mine(a) == theirs(b) for a, b in zip(self.codes, other.codes)
-                   if a is not None)
 
     def __matmul__(self, other):
         """Composition, one product of codes per row: row r follows

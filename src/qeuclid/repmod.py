@@ -337,8 +337,9 @@ class GeneratorMatrices:
     becomes ``table``; the checks rely on all three.  ``provenance`` is
     set by ``build_module`` alone: generator code -> (GeneratorRule,
     kappa codes) of the rules the matrices were built from, on which
-    verify decides the relations and omegas.  Every other constructor
-    leaves it None, and verify then walks the rows.
+    verify decides the relations and omegas.  ``verify.tampered_copy``,
+    ``verify.direct_sum`` and hand-built matrices leave it None, and
+    verify then walks the rows.
     """
 
     def __init__(self, params: ModuleParams, mats: dict):
@@ -364,6 +365,8 @@ class GeneratorMatrices:
         return self.mats[name_or_code]
 
     def to_wire(self) -> dict:
+        """The matrix file that ``build`` writes: the parameters, the case
+        and each generator's [row, col, value] entries."""
         gens = {}
         for name in sorted(self.mats):
             gens[name] = [[r, c, encode_cyclotomic(v)]
@@ -375,54 +378,6 @@ class GeneratorMatrices:
             "generators": gens,
         })
         return wire
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "GeneratorMatrices":
-        params = ModuleParams.from_config(data)
-        if data.get("case") != params.case:
-            raise ParamError(
-                f"case tag {data.get('case')!r} does not match parameters "
-                f"({params.case})")
-        dim = params.m ** (params.n - 1)
-        if data.get("dimension") != dim:
-            raise ParamError("dimension field does not match m^(n-1)")
-        generators = data.get("generators")
-        if not isinstance(generators, dict):
-            raise ParamError("field 'generators' must be an object")
-        table = ScalarTable(params.domain.field)
-        mats = {name: _monomial_from_wire(name, triplets, params, table, dim)
-                for name, triplets in generators.items()}
-        return cls(params, mats)
-
-
-def _monomial_from_wire(name, triplets, params: ModuleParams,
-                        table: ScalarTable, dim: int):
-    """One generator's [row, col, value] triplets, checked to be in range
-    and to hold at most one nonzero entry per row."""
-    if not isinstance(triplets, list):
-        raise ParamError(f"generator {name!r}: entries must be an array")
-    mat = CycMatrix(table, dim)
-    for pos, triplet in enumerate(triplets):
-        if not isinstance(triplet, list) or len(triplet) != 3:
-            raise ParamError(f"generator {name!r}, entry {pos}: expected "
-                             f"[row, col, value], got {triplet!r}")
-        r, c, coeff = triplet
-        for what, index in (("row", r), ("column", c)):
-            if (not isinstance(index, int) or isinstance(index, bool)
-                    or not 0 <= index < dim):
-                raise ParamError(f"generator {name!r}, entry {pos}: {what} "
-                                 f"{index!r} is not an integer in [0, {dim})")
-        try:
-            value = parse_cyclotomic(coeff, params.m, params.k)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParamError(f"generator {name!r}, row {r}: {exc}") from exc
-        if value.is_zero():
-            continue
-        if mat.cols[r] is not None:
-            raise ParamError(f"generator {name!r}, row {r}: a second nonzero "
-                             f"entry; generator matrices must be monomial")
-        mat.set(r, c, value)
-    return mat
 
 
 def build_module(params: ModuleParams) -> GeneratorMatrices:

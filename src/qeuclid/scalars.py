@@ -277,15 +277,14 @@ _FIELD_CACHE: dict[int, "CyclotomicField"] = {}
 
 
 class CyclotomicField:
-    """Q(zeta_m) for odd m >= 3, with its wrap table, the nonzero terms
-    of the cofactor (x^m - 1) / Phi_m and the data of the orbit hash;
-    powers of zeta are formed when first asked for.
+    """Q(zeta_m) for odd m >= 3, with its wrap table and the nonzero
+    terms of the cofactor (x^m - 1) / Phi_m; powers of zeta are formed
+    when first asked for.
 
     Instances are interned per m, so field identity checks are cheap.
     """
 
-    __slots__ = ("m", "degree", "wrap", "cofactor", "orbit_points",
-                 "orbit_modulus", "_zeta_powers", "_wrap_exps")
+    __slots__ = ("m", "degree", "wrap", "cofactor", "_zeta_powers", "_wrap_exps")
 
     def __new__(cls, m: int):
         if m in _FIELD_CACHE:
@@ -311,11 +310,6 @@ class CyclotomicField:
                           for row in rows)
         self.cofactor = tuple((j, c) for j, c in enumerate(cyclotomic_cofactor(m))
                               if c)
-        # vec_orbit_hash at g = 2^t, with t chosen so that Phi_m(g) has
-        # about 64 bits or more
-        t = -(-64 // d)
-        self.orbit_points = tuple(1 << (t * i) for i in range(d))
-        self.orbit_modulus = sum(c << (t * i) for i, c in enumerate(phi))
         self._zeta_powers = {}
         self._wrap_exps = {row: d + t for t, row in enumerate(rows)}
         _FIELD_CACHE[m] = self

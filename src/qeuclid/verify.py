@@ -745,7 +745,7 @@ class VerificationReport:
 
 def run_verification(gm: GeneratorMatrices,
                      commutant_cap=None) -> VerificationReport:
-    """All checks on a built (or imported) instance.
+    """All checks on one module instance.
 
     One walk over the omega sums decides the additive relations and the
     omega checks; on the dense path it keeps the x_i y_i products for

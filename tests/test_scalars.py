@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -130,6 +131,22 @@ class TestRootOfUnity:
         assert field.zeta_pow(-1).nums == (-1,) * 4000
         assert field.zeta_exponent(field.zeta_pow(4000)) == 4000
         assert list(field._zeta_powers) == [4000]
+
+    def test_root_domain_builds_no_orbit_hash_points(self, monkeypatch):
+        # the points of linalg.ScalarTable's orbit hash take about phi^2 / 16
+        # bytes, 25 MB at m = 20011 (a prime); identities never interns a
+        # value, so the field it builds holds none of them
+        monkeypatch.setattr(scalars, "_FIELD_CACHE", {})
+        monkeypatch.setattr(rewriter, "_ROOT_DOMAINS", {})
+        tracemalloc.start()
+        try:
+            field = rewriter.root_domain(20011, 1).field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.degree == 20010
+        assert peak < 8 * 2 ** 20
+        assert not [name for name in CyclotomicField.__slots__ if "orbit" in name]
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_power_sum_vanishes(self, m):
