@@ -8,6 +8,7 @@ identical configs give byte-identical output apart from the isolated
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from math import gcd
@@ -82,6 +83,19 @@ def parse_config(path: str, max_dim=None) -> ModuleParams:
 # rendering
 # ---------------------------------------------------------------------------
 
+def _check_out(out_path) -> None:
+    """UsageError, before the command does any work, when out_path names
+    a directory or its directory is missing or not writable; nothing is
+    created.  _emit still turns a late OSError into the same error."""
+    folder = os.path.dirname(out_path) or "."
+    reason = ("Is a directory" if os.path.isdir(out_path)
+              else "No such file or directory" if not os.path.isdir(folder)
+              else "Permission denied" if not os.access(folder, os.W_OK)
+              else None)
+    if reason:
+        raise UsageError(f"cannot write {out_path}: {reason}")
+
+
 def _emit(text: str, out_path):
     if not out_path:
         sys.stdout.write(text)
@@ -146,7 +160,7 @@ def _render_verification(params, vrep, drep) -> str:
         f"{_pf(drep.matches_expected)}",
         f"  relations           : {_pf(vrep.sections['relations'])}"
         + (f"  failures: {vrep.relation_failures}" if vrep.relation_failures else "")
-        + f"  ({vrep.relations_path} path)",
+        + f"  ({vrep.path} path)",
         f"  omega action        : {_pf(vrep.sections['omega_action'])}",
         f"  central scalars     : {_pf(vrep.sections['central_scalars'])}",
         f"  eigen separation    : {_pf(vrep.sections['eigen_separation'])}",
@@ -205,8 +219,9 @@ def cmd_build(args) -> int:
     params = parse_config(args.config, args.max_dim)
     t0 = time.perf_counter()
     gm = build_module(params)
+    wire = gm.to_wire()              # forms the matrices
     elapsed = time.perf_counter() - t0
-    _emit(json.dumps(gm.to_wire(), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(wire, sort_keys=True, indent=2) + "\n", args.out)
     if args.out and args.json:
         sys.stdout.write(_envelope(
             "build", params.to_wire(),
@@ -321,6 +336,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         func, args = _parse_argv(argv)
+        if args.out:
+            _check_out(args.out)
         return func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

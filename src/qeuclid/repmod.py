@@ -335,14 +335,20 @@ class GeneratorMatrices:
     ``mats`` must hold exactly the 2n generators of ``params.n``, all of
     one dimension, which becomes ``dim``, and with one ScalarTable, which
     becomes ``table``; the checks rely on all three.  ``provenance`` is
-    set by ``build_module`` alone: generator code -> (GeneratorRule,
-    kappa codes) of the rules the matrices were built from, on which
-    verify decides the relations and omegas.  ``verify.tampered_copy``,
+    given by ``build_module`` alone, in place of ``mats``: generator code
+    -> (GeneratorRule, kappa codes in ``table``) of the rules the module
+    is made of, on which verify decides every check; ``mats`` is then
+    formed from them on first read.  ``verify.tampered_copy``,
     ``verify.direct_sum`` and hand-built matrices leave it None, and
     verify then walks the rows.
     """
 
-    def __init__(self, params: ModuleParams, mats: dict):
+    def __init__(self, params: ModuleParams, mats=None, table=None, provenance=None):
+        self.params = params
+        self.provenance = provenance
+        if provenance is not None:
+            self.dim, self.table = dimension(params), table
+            return
         names = {gen_name(g) for g in all_gens(params.n)}
         if set(mats) != names:
             raise ParamError(f"generators {sorted(mats)} are not the "
@@ -353,11 +359,30 @@ class GeneratorMatrices:
         tables = {id(mat.table): mat.table for mat in mats.values()}
         if len(tables) != 1:
             raise ParamError("generator matrices do not share one scalar table")
-        self.params = params
         self.mats = mats
         (self.dim,) = dims
         (self.table,) = tables.values()
-        self.provenance = None
+
+    @cached_property
+    def mats(self) -> dict:
+        """The matrices of the rules over all rows: each row's coefficient
+        is its kappa code shifted by the integer exponent k * <weight, a>.
+
+        Row r is the index a = (a_2, ..., a_n) with r = sum a_j m^(j-2),
+        so a_2 varies fastest and row 0 is the seed."""
+        m, k, dim, shift = self.params.m, self.params.k, self.dim, self.table.shift
+        mats = {}
+        for code, (rule, kcodes) in self.provenance.items():
+            stride = m ** rule.pos
+            cols, codes = [None] * dim, [None] * dim
+            for r, form in enumerate(_lattice_forms(rule.weight, m)):
+                ai = r // stride % m
+                kcode = kcodes[ai]
+                if kcode is not None:
+                    cols[r] = r + ((ai + rule.step) % m - ai) * stride
+                    codes[r] = shift(kcode, k * form)
+            mats[gen_name(code)] = CycMatrix(self.table, dim, cols, codes)
+        return mats
 
     def mat(self, name_or_code) -> CycMatrix:
         if isinstance(name_or_code, int):
@@ -381,32 +406,15 @@ class GeneratorMatrices:
 
 
 def build_module(params: ModuleParams) -> GeneratorMatrices:
-    """The matrices of the generator rules over all rows, in one scalar
-    table: each kappa entry is interned once and each row's coefficient
-    is its code shifted by the integer exponent k * <weight, a>.
-
-    Row r is the index a = (a_2, ..., a_n) with r = sum a_j m^(j-2), so
-    a_2 varies fastest and row 0 is the seed."""
-    dim = check_dimension(params.m, params.n, params.max_dim)
-    m, k = params.m, params.k
+    """The module of the generator rules, in one scalar table: each kappa
+    entry is interned once, and no matrix is formed until one is read
+    (``GeneratorMatrices.mats``).  GuardError past the dimension cap."""
+    check_dimension(params.m, params.n, params.max_dim)
     table = ScalarTable(params.domain.field)
-    shift = table.shift
-    mats, provenance = {}, {}
-    for code, rule in params.rules.items():
-        kcodes = [None if v is None else table.intern(v) for v in rule.kappa]
-        provenance[code] = (rule, kcodes)
-        stride = m ** rule.pos
-        cols, codes = [None] * dim, [None] * dim
-        for r, form in enumerate(_lattice_forms(rule.weight, m)):
-            ai = r // stride % m
-            kcode = kcodes[ai]
-            if kcode is not None:
-                cols[r] = r + ((ai + rule.step) % m - ai) * stride
-                codes[r] = shift(kcode, k * form)
-        mats[gen_name(code)] = CycMatrix(table, dim, cols, codes)
-    gm = GeneratorMatrices(params, mats)
-    gm.provenance = provenance
-    return gm
+    provenance = {code: (rule, [None if v is None else table.intern(v)
+                                for v in rule.kappa])
+                  for code, rule in params.rules.items()}
+    return GeneratorMatrices(params, table=table, provenance=provenance)
 
 
 def _lattice_forms(weight: tuple, m: int) -> list:

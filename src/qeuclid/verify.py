@@ -65,13 +65,16 @@ class OmegaRows:
     ``xy[i]`` is the monomial product x_i y_i where the walk composed it;
     ``additive[i]`` says whether x_i y_i = y_i x_i + omega_(i-1) holds;
     ``checks`` holds the OmegaCheck of omega_1, ..., omega_n; ``path``
-    is "rules" or "dense", the walk that decided them.
+    is "rules" or "dense", the walk that decided them, and with them
+    every other check of the module.  On the rules path ``spectrum[r]``
+    (r >= 2) holds the m codes E(u) of the eigenvalues of x_r y_r: E(a_r)
+    times a power of q that reads a_(r+1), ..., a_n only.
     """
-    __slots__ = ("xy", "additive", "checks", "path")
+    __slots__ = ("xy", "additive", "checks", "path", "spectrum")
 
-    def __init__(self, xy, additive, checks, path):
+    def __init__(self, xy, additive, checks, path, spectrum=None):
         self.xy, self.additive, self.checks = xy, additive, checks
-        self.path = path
+        self.path, self.spectrum = path, spectrum
 
 
 def _shift(table, code, j):
@@ -91,6 +94,13 @@ def _rule_omegas(gm: GeneratorMatrices):
     """The omega walk on the rules of a built module, or None when a
     premise or an additive relation fails.
 
+    Premises of the other checks on the rules, tested here so that a
+    module takes one path for all of them: every generator steps its
+    coordinate by +-1, or steps 0 with one kappa code for every u
+    (central powers); and for r >= 2 x_r y_r has its eigenvalue codes
+    E(u) = F(u) q^(W_p u) pairwise distinct, at most one of them zero,
+    with p = r - 2 and W zero mod m below p (the spectrum).
+
     With x = x_i, y = y_i on one coordinate p and steps s_x + s_y = 0,
     x y and y x are diagonal with entries F(a_p) q^<W, a> and
     G(a_p) q^<W, a>, W = w_x + w_y.  omega_(i-1) is kept as m codes
@@ -104,8 +114,11 @@ def _rule_omegas(gm: GeneratorMatrices):
     """
     params, table, rules = gm.params, gm.table, gm.provenance
     m, k, n = table.m, params.k, params.n
+    if not all(rule.step in (-1, 1) or rule.step == 0 and len(set(kc)) == 1
+               for rule, kc in rules.values()):
+        return None
     correction = table.intern(params.domain.correction)
-    checks, omega = [], None                  # omega: (p', W', codes O)
+    checks, omega, spectrum = [], None, {}      # omega: (p', W', codes O)
     for i in range(1, n + 1):
         (rx, kx), (ry, ky) = rules[xgen(i)], rules[ygen(i)]
         p, sx, sy = rx.pos, rx.step, ry.step
@@ -116,6 +129,11 @@ def _rule_omegas(gm: GeneratorMatrices):
         g = [_product(table, ky[u], kx[(u + sy) % m], k * rx.weight[p] * sy)
              for u in range(m)]
         weight = [a + b for a, b in zip(rx.weight, ry.weight)]
+        if i > 1:
+            spectrum[i] = [_shift(table, c, k * weight[p] * u) for u, c in enumerate(f)]
+            if (p != i - 2 or any(w % m for w in weight[:p])
+                    or len(set(spectrum[i])) < m):
+                return None
         last, before, codes = omega or (p, weight, [None] * m)
         delta = [(a - b) * k % m for a, b in zip(before, weight)]
         if any(d and j not in (p, last) for j, d in enumerate(delta)):
@@ -134,7 +152,8 @@ def _rule_omegas(gm: GeneratorMatrices):
         seed = params.domain.field.zero() if codes[0] is None else table.value(codes[0])
         checks.append(OmegaCheck(i, True, seed, seed == params.lam_i(i),
                                  None not in codes))
-    return OmegaRows({}, dict.fromkeys(range(1, n + 1), True), checks, "rules")
+    return OmegaRows({}, dict.fromkeys(range(1, n + 1), True), checks, "rules",
+                     spectrum)
 
 
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
@@ -184,6 +203,15 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
         checks.append(OmegaCheck(i, diagonal, seed, seed == params.lam_i(i),
                                  diagonal and nonzero))
     return OmegaRows(xy, additive, checks, "dense")
+
+
+def _rule_walk(gm: GeneratorMatrices, omegas: OmegaRows | None):
+    """The walk on gm's rules that decides a check, or None for the dense
+    path: ``omegas`` when it ran on the rules, else with no walk given
+    the rule walk of a built module."""
+    if omegas is None:
+        return None if gm.provenance is None else _rule_omegas(gm)
+    return omegas if omegas.path == "rules" else None
 
 
 def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
@@ -377,13 +405,39 @@ def _dies_within(cols, m: int) -> bool:
     return all(r is None for r in power)
 
 
-def check_central_scalars(gm: GeneratorMatrices) -> list[CentralCheck]:
+def _rule_central_power(table, rule, kcodes, m: int):
+    """central_power of a generator that steps its coordinate by +-1 or
+    steps 0 with one kappa code (a premise of the rules path), read off
+    its rule.  A step of +-1 is a permutation whose cycles run once
+    through every u of its coordinate, and the q-part of a cycle's
+    product, q^(m <w, a> + s w_p m(m-1)/2), is 1 for odd m: M^m is the
+    product of the kappa entries, or 0 when one of them is.  Step 0
+    gives (kappa q^<w, a>)^m = kappa^m."""
+    if None in kcodes:
+        return table.field.zero()
+    if rule.step == 0:
+        return table.value(table.power(kcodes[0], m))
+    product = kcodes[0]
+    for code in kcodes[1:]:
+        product = table.mul(product, code)
+    return table.value(product)
+
+
+def check_central_scalars(gm: GeneratorMatrices,
+                          omegas: OmegaRows | None = None) -> list[CentralCheck]:
+    """The m-th power of every generator against its expected central
+    value, on the rules of a built module (``_rule_central_power``) or
+    read off each map (``central_power``)."""
     params = gm.params
     expected = expected_central_values(gm)
+    rules = _rule_walk(gm, omegas) is not None
     out = []
     for code in all_gens(params.n):
         name = gen_name(code)
-        value = central_power(gm.mat(code), params.m)
+        if rules:
+            value = _rule_central_power(gm.table, *gm.provenance[code], params.m)
+        else:
+            value = central_power(gm.mat(code), params.m)
         out.append(CentralCheck(name, value is not None, value, expected[name],
                                 value is not None and value == expected[name]))
     return out
@@ -396,24 +450,31 @@ class JointSpectrum:
     the module's table, None for a zero row, or is None where the
     product is not diagonal.  ``keys[i]`` is row i's tuple of those
     codes over the diagonal products only; equal codes are equal
-    eigenvalues, so no value is materialized for them.
+    eigenvalues, so no value is materialized for them.  On the rules
+    path both are None and ``rules[r]`` holds the m codes E(u) of
+    ``OmegaRows.spectrum``.
     """
 
-    def __init__(self, diagonals, keys):
-        self.diagonals, self.keys = diagonals, keys
+    def __init__(self, diagonals, keys, rules=None):
+        self.diagonals, self.keys, self.rules = diagonals, keys, rules
 
     @cached_property
     def simple(self) -> bool:
         """Whether the keys are pairwise distinct: a simple joint
-        spectrum, on which only a diagonal X commutes with every x_r y_r."""
-        return len(set(self.keys)) == len(self.keys)
+        spectrum, on which only a diagonal X commutes with every x_r y_r.
+        The rules path takes it as a premise."""
+        return self.rules is not None or len(set(self.keys)) == len(self.keys)
 
 
 def joint_spectrum(gm: GeneratorMatrices,
                    omegas: OmegaRows | None = None) -> JointSpectrum:
-    """The x_r y_r diagonals for the separation check and the commutant,
-    read off the products in ``omegas`` where its walk composed them,
-    else composed here."""
+    """The x_r y_r eigenvalues for the separation check and the
+    commutant: on the rules of a built module their m codes per r, else
+    the diagonals read off the products in ``omegas`` where its walk
+    composed them, else composed here."""
+    walk = _rule_walk(gm, omegas)
+    if walk is not None:
+        return JointSpectrum(None, None, walk.spectrum)
     diagonals = {}
     for r in range(2, gm.params.n + 1):
         xy = omegas.xy.get(r) if omegas is not None else None
@@ -467,6 +528,8 @@ def commutant_dimension(gm: GeneratorMatrices,
     """
     if spectrum is None:
         spectrum = joint_spectrum(gm)
+    if spectrum.rules is not None:
+        return _rule_components(gm)
     dim = _components(gm)
     if spectrum.simple:
         return dim
@@ -536,6 +599,30 @@ def _components(gm: GeneratorMatrices) -> int:
                 if a != b:
                     parent[a] = b
                     count -= 1
+    return count
+
+
+def _rule_components(gm: GeneratorMatrices) -> int:
+    """_components on the rules of a built module, whose generators step
+    by +-1 or 0 (a premise of the rules path).  A generator at
+    coordinate p with step s joins every row with a_p = u to its
+    neighbour at u + s where kappa[u] is nonzero, whatever the other
+    coordinates, so the row graph is the Cartesian product of one m-cycle
+    per coordinate, and its components are the product of theirs: a
+    cycle of m nodes with e < m of its edges has m - e components, with
+    all of them one.  An edge that neither x_r nor y_r carries is a zero
+    of E_r, so under the spectrum premise the count is 1; it is counted
+    here, not assumed."""
+    m, edges = gm.table.m, {}
+    for rule, kcodes in gm.provenance.values():
+        if rule.step:
+            edges.setdefault(rule.pos, set()).update(
+                (u + min(rule.step, 0)) % m for u, c in enumerate(kcodes)
+                if c is not None)
+    count = 1
+    for p in range(gm.params.n - 1):
+        e = len(edges.get(p, ()))
+        count *= 1 if e == m else m - e
     return count
 
 
@@ -625,10 +712,19 @@ def check_eigen_separation(gm: GeneratorMatrices,
     x_s y_s for s = r..n must split the rows into classes of exactly
     m^(r-2) rows, the number of basis vectors sharing (a_r, ..., a_n).
     At r = 2 this says the joint spectrum is simple.
+
+    On the rules path it holds by the premises of the rule walk: the
+    eigenvalue of x_s y_s is E_s(a_s) times a power of q that reads
+    a_(s+1), ..., a_n only, and E_s is injective, so from s = n down the
+    eigenvalues of x_s y_s, ..., x_n y_n fix a_s, ..., a_n, and rows
+    that share those share the eigenvalues (the paper's triangular
+    induction).
     """
     params = gm.params
     if spectrum is None:
         spectrum = joint_spectrum(gm)
+    if spectrum.rules is not None:
+        return [SeparationCheck(r, True, True) for r in range(2, params.n + 1)]
     diagonals = spectrum.diagonals
     out = []
     for r in range(2, params.n + 1):
@@ -668,17 +764,17 @@ def check_dimension_bound(params: ModuleParams) -> DimensionBound:
 # ---------------------------------------------------------------------------
 
 class VerificationReport:
-    __slots__ = ("case", "dimension", "relation_failures", "relations_path",
+    __slots__ = ("case", "dimension", "relation_failures", "path",
                  "omega", "central", "separation", "bound", "commutant_dim",
                  "commutant_skipped", "sections", "seconds")
 
-    def __init__(self, case, dimension, relation_failures, relations_path, omega,
+    def __init__(self, case, dimension, relation_failures, path, omega,
                  central, separation, bound, commutant_dim, commutant_skipped,
                  seconds):
         self.case = case
         self.dimension = dimension
         self.relation_failures = relation_failures
-        self.relations_path = relations_path    # "rules" or "dense"
+        self.path = path                        # "rules" or "dense"
         self.omega = omega
         self.central = central
         self.separation = separation
@@ -711,7 +807,7 @@ class VerificationReport:
             "ok": self.ok,
             "sections": dict(self.sections),
             "relation_failures": list(self.relation_failures),
-            "relations_path": self.relations_path,
+            "path": self.path,
             "omega": [{
                 "i": c.index,
                 "diagonal": c.diagonal,
@@ -751,9 +847,9 @@ def run_verification(gm: GeneratorMatrices,
     omega checks; on the dense path it keeps the x_i y_i products for
     the joint spectrum.  The path it took ("rules" for a module that
     ``build_module`` made and whose rule premises hold, else "dense")
-    decides the q-commutations too and is reported as
-    ``relations_path``.  The x_r y_r diagonals are shared by the
-    separation check and the commutant.
+    decides every other check too and is reported as ``path``; the
+    rules path forms no matrix.  The x_r y_r eigenvalues are shared by
+    the separation check and the commutant.
     An instance whose commutant is undecided runs every other check; the
     commutant section is then reported as skipped rather than failed.
 
@@ -782,7 +878,7 @@ def run_verification(gm: GeneratorMatrices,
     omegas = timed("omega", omega_rows, gm)
     relation_failures = timed("relations", check_relations, gm, omegas)
     omega = timed("omega", check_omega_action, gm, omegas)
-    central = timed("central", check_central_scalars, gm)
+    central = timed("central", check_central_scalars, gm, omegas)
     spectrum = timed("separation", joint_spectrum, gm, omegas)
     separation = timed("separation", check_eigen_separation, gm, spectrum)
     bound = timed("bound", check_dimension_bound, gm.params)

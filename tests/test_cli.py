@@ -364,7 +364,7 @@ class TestVerifyCommand:
             assert f"commutant dim       : {verification['commutant_dim']}" in human
             assert verification["commutant_dim"] == 1
             assert "commutant dim       : 1   PASS\n" in human
-            assert verification["relations_path"] == "rules"
+            assert verification["path"] == "rules"
             assert "relations           : PASS  (rules path)\n" in human
 
     def test_pi_degree_computed_once(self, tmp_path, capsys, monkeypatch):
@@ -640,6 +640,37 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert re.fullmatch(rf"usage error: cannot write {re.escape(str(out))}: [^\n]+\n",
                             captured.err)
+        assert list(tmp_path.iterdir()) == []
+
+    # the first work each command does
+    WORK = {"pi-degree": "pi_degree", "identities": "verify_remark_identities",
+            "build": "parse_config", "verify": "parse_config"}
+
+    @pytest.mark.parametrize("command", ARGV)
+    @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+    def test_refused_before_any_work(self, command, target, tmp_path, monkeypatch,
+                                     capsys):
+        def work(*args):
+            raise AssertionError(f"{command} ran with an unwritable --out")
+
+        monkeypatch.setattr(cli, self.WORK[command], work)
+        out = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+        assert main([*self.ARGV[command], "--out", str(out)]) == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_late_failure_is_still_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a file that cannot be opened after the early check passed
+        monkeypatch.setattr(cli, "_check_out", lambda path: None)
+        out = tmp_path / "missing" / "x.json"
+        assert main([*self.ARGV["pi-degree"], "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}: ")
+
+    def test_early_failure_creates_no_file(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["verify", "--config", str(tmp_path / "none.json"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert main(["pi-degree", "--n", "999", "--m", "3", "--out", str(out)]) == EXIT_GUARD
         assert list(tmp_path.iterdir()) == []
 
 

@@ -134,6 +134,19 @@ def test_reducible_controls_match_golden():
         assert text == _golden(name), name
 
 
+def test_verify_forms_no_matrix_and_controls_keep_their_reports():
+    # verify decides a built module on its rules; the controls made from
+    # the same module afterwards form its matrices and report as before
+    built = {}
+    for case in ("II", "I"):
+        gm = built[case] = build_module(random_module_params(case, 3, 3, 1, seed=1))
+        assert run_verification(gm).path == "rules"
+        assert "mats" not in vars(gm)
+    assert _dump(run_verification(direct_sum(built["II"])).to_dict()) == _golden("direct_sum")
+    tampered = tampered_copy(built["I"], "y2", 4, 3)
+    assert _dump(run_verification(tampered).to_dict()) == _golden("tampered")
+
+
 @pytest.mark.parametrize("name", sorted(SYMBOLIC))
 def test_symbolic_output_matches_golden(tmp_path, name):
     assert _symbolic_output(name, str(tmp_path)) == _golden(name)

@@ -195,10 +195,10 @@ class TestCentralPowersAtLargeM:
                 calls.append(1)
             return vec_mul(*args)
 
-        def counting_check(gm):
+        def counting_check(*args):
             inside.append(1)
             try:
-                return check(gm)
+                return check(*args)
             finally:
                 inside.pop()
 
@@ -459,6 +459,7 @@ class TestCommutant:
     def test_simple_spectrum_materializes_no_value(self, monkeypatch):
         # on a simple spectrum every gain is c_r / c_r, read off equal codes
         _, gm = build("I", 6, 3, seed=3)                  # dim 243
+        gm = without_provenance(gm)
         spectrum = joint_spectrum(gm)
         assert gm.dim == 243 and len(set(spectrum.keys)) == gm.dim
         values = []
@@ -770,10 +771,17 @@ def assert_checks_agree(gm):
     for central in (check_central_scalars(gm), report.central):
         assert [(c.generator, c.value, c.expected)
                 for c in central] == oracle_central(gm)
-    zero = gm.params.domain.zero
+    zero, m = gm.params.domain.zero, gm.params.m
     for spectrum in (joint_spectrum(gm), joint_spectrum(gm, omega_rows(gm))):
         for r in range(2, gm.params.n + 1):
             op = DictMatrix.of(gm.mat(xgen(r))) @ DictMatrix.of(gm.mat(ygen(r)))
+            if spectrum.rules is not None:
+                # E(u) is the eigenvalue at e(u at position r - 2)
+                assert report.path == "rules" and op.is_diagonal()
+                diag = [zero if c is None else gm.table.value(c)
+                        for c in spectrum.rules[r]]
+                assert diag == op.diagonal()[::m ** (r - 2)][:m]
+                continue
             diag = spectrum.diagonals[r]
             if diag is not None:
                 diag = [zero if c is None else gm.table.value(c) for c in diag]
@@ -866,7 +874,7 @@ def with_rule(params, code, kappa=None, weight=None):
 
 def without_path(report) -> dict:
     doc = report.to_dict()
-    del doc["relations_path"]
+    del doc["path"]
     return doc
 
 
@@ -878,9 +886,20 @@ def rule_commutations(gm) -> list[str]:
                                          [], "rules"))
 
 
+def oracle_report(gm, report):
+    """The report's omega, central and commutant results against the
+    full-matrix oracles (the commutant only while d^2 unknowns are few)."""
+    assert report.relation_failures == oracle_relations(gm)
+    assert [(c.index, c.diagonal, c.seed_eigenvalue, c.seed_matches_lambda,
+             c.all_entries_nonzero) for c in report.omega] == oracle_omega(gm)
+    assert [(c.generator, c.value, c.expected) for c in report.central] == oracle_central(gm)
+    if gm.dim <= 9:
+        assert report.commutant_dim == full_commutant_dimension(gm)
+
+
 class TestRulePath:
-    """Relations and omegas decided on the rules of a built module,
-    against the dense row walk and the full-matrix oracles."""
+    """Every check decided on the rules of a built module, against the
+    dense row walk and the full-matrix oracles."""
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)])
@@ -888,13 +907,136 @@ class TestRulePath:
         for seed in (1, 2, 3):
             for k in sorted({1, 2, m - 1}):
                 _, gm = build(case, n, m, k, seed)
-                dense = without_provenance(gm)
-                rules, walked = run_verification(gm), run_verification(dense)
-                assert (rules.relations_path, walked.relations_path) == ("rules", "dense")
+                rules = run_verification(gm)
+                assert rules.path == "rules" and "mats" not in vars(gm)
+                walked = run_verification(without_provenance(gm))
+                assert walked.path == "dense"
                 assert rules.ok and without_path(rules) == without_path(walked)
-                assert rules.relation_failures == oracle_relations(gm) == []
-                assert [(c.index, c.diagonal, c.seed_eigenvalue, c.seed_matches_lambda,
-                         c.all_entries_nonzero) for c in rules.omega] == oracle_omega(gm)
+                assert rules.relation_failures == []
+                oracle_report(gm, rules)
+
+    def test_split_ladder_falls_back_to_a_reducible_module(self):
+        # x_2 and y_2 both zero on two rungs of the a_2 cycle: the cycle
+        # falls apart into two paths, and x_2 y_2 is zero on both rungs, so
+        # its eigenvalues repeat and the module takes the dense path
+        for case in CASES:
+            params = random_module_params(case, 2, 5, 1, seed=66)
+            rx, ry = params.rules[xgen(2)], params.rules[ygen(2)]
+            kx, ky = list(rx.kappa), list(ry.kappa)
+            for u in (1, 3):
+                kx[u] = ky[(u + rx.step) % 5] = None
+            with_rule(params, xgen(2), kappa=tuple(kx))
+            gm = build_module(with_rule(params, ygen(2), kappa=tuple(ky)))
+            report = run_verification(gm)
+            assert report.path == "dense" and not report.ok
+            assert report.commutant_dim == full_commutant_dimension(gm) > 1
+            # the product of per-coordinate cycle counts, off its premise
+            assert verify._rule_components(gm) == verify._components(gm) > 1
+            assert not report.sections["eigen_separation"]
+            assert without_path(report) == without_path(
+                run_verification(without_provenance(gm)))
+            oracle_report(gm, report)
+
+    @staticmethod
+    def sums_until_fallback(gm, monkeypatch) -> int:
+        """The code sums the rule walk adds before it gives up on gm."""
+        sums, real = [], verify._sum
+        monkeypatch.setattr(verify, "_sum", lambda *args: sums.append(args) or real(*args))
+        assert verify._rule_omegas(gm) is None
+        monkeypatch.undo()
+        return len(sums)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_repeated_eigenvalue_falls_back(self, case, monkeypatch):
+        # y_3's kappa edited so that x_3 y_3 has the eigenvalue of rung u on
+        # rung v too: the spectrum premise fails before relation 3 is
+        # compared, and separation fails alike on both paths
+        params = random_module_params(case, 3, 3, 1, seed=67)
+        rx, ry = params.rules[xgen(3)], params.rules[ygen(3)]
+        kx, ky, s = rx.kappa, list(ry.kappa), rx.step
+        # F(u) = kx[u] ky[u + s] q^(w_y s): match F(u) to F(v) on two
+        # nonzero rungs
+        u, v = next((u, v) for u in range(3) for v in range(3) if u != v
+                    and None not in (kx[u], kx[v], ky[(v + s) % 3]))
+        ky[(u + s) % 3] = kx[v] * ky[(v + s) % 3] / kx[u]
+        gm = build_module(with_rule(params, ygen(3), kappa=tuple(ky)))
+        dense = without_provenance(gm)
+        diag = (DictMatrix.of(dense.mat(xgen(3))) @ DictMatrix.of(dense.mat(ygen(3)))).diagonal()
+        assert diag[3 * u] == diag[3 * v] and not diag[3 * u].is_zero()
+        assert self.sums_until_fallback(gm, monkeypatch) == 2 * 2 * 3   # relations 1, 2
+        report = run_verification(gm)
+        assert report.path == "dense"
+        assert not report.sections["eigen_separation"]
+        assert without_path(report) == without_path(run_verification(dense))
+        oracle_report(gm, report)
+
+    @pytest.mark.parametrize("code", [xgen(3), ygen(3)])
+    def test_weight_below_p_falls_back(self, code, monkeypatch):
+        # x_3 y_3 also weighs a_2: its eigenvalues split the rows sharing a_3,
+        # and the walk gives up before comparing relation 3
+        params = random_module_params("I", 3, 3, 1, seed=72)
+        weight = list(params.rules[code].weight)
+        weight[0] += 1
+        gm = build_module(with_rule(params, code, weight=tuple(weight)))
+        assert self.sums_until_fallback(gm, monkeypatch) == 2 * 2 * 3
+        report = run_verification(gm)
+        assert report.path == "dense" and not report.sections["eigen_separation"]
+        assert without_path(report) == without_path(
+            run_verification(without_provenance(gm)))
+        oracle_report(gm, report)
+
+    def test_weight_at_p_folds_into_the_eigenvalue_codes(self):
+        # lambda_1 / lambda_2 = q^2 / (1 + q^-2) makes F(u) q^(-2u) take one
+        # value at u = 0, 1.  Moving q^(-2u) from x_2's weight into its kappa
+        # builds the same matrices with that F and W_p = 2: E = F q^(2u) is
+        # the genuine F, injective, so the module keeps the rules path
+        base = random_module_params("I", 2, 5, 1, seed=71)
+        dom = base.domain
+        lam = (base.lam_i(2) * dom.q_pow(2) / (dom.one + dom.q_pow(-2)), base.lam_i(2))
+        draft = ModuleParams(5, 1, 2, base.alpha1, base.alpha, base.beta, lam)
+        params = ModuleParams(5, 1, 2, base.alpha1, base.alpha,
+                              (draft.derived_beta(2),), lam)
+        genuine = build_module(params)
+        rule = params.rules[xgen(2)]
+        weight = list(rule.weight)
+        weight[rule.pos] += 2
+        kappa = tuple(c * dom.q_pow(-2 * u) for u, c in enumerate(rule.kappa))
+        gm = build_module(with_rule(params, xgen(2), kappa, tuple(weight)))
+        for name, mat in gm.mats.items():
+            assert list(mat.entries()) == list(genuine.mats[name].entries())
+        (rx, kx), (ry, ky) = gm.provenance[xgen(2)], gm.provenance[ygen(2)]
+        f = [verify._product(gm.table, kx[u], ky[(u + rx.step) % 5],
+                             ry.weight[0] * rx.step) for u in range(5)]
+        assert len(set(f)) == 4
+        report = run_verification(gm)
+        assert report.path == "rules" and report.ok
+        assert without_path(report) == without_path(run_verification(genuine))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_non_constant_x1_kappa_falls_back(self, case):
+        # -alpha_1 on the rows with a_2 = 1: x_1^m is no scalar, decided by
+        # the dense central check, as the matrix powers say
+        params = random_module_params(case, 2, 3, 1, seed=68)
+        kappa = list(params.rules[xgen(1)].kappa)
+        kappa[1] = -kappa[1]
+        gm = build_module(with_rule(params, xgen(1), kappa=tuple(kappa)))
+        report = run_verification(gm)
+        assert report.path == "dense"
+        assert [c.is_scalar for c in report.central if c.generator == "x1"] == [False]
+        assert without_path(report) == without_path(
+            run_verification(without_provenance(gm)))
+        oracle_report(gm, report)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 5)])
+    def test_nilpotent_y_is_decided_on_the_rules(self, n, m):
+        # Case III: y_i^m = 0 for i in I and J, read off the zero in kappa
+        params = random_module_params("III", n, m, 1, seed=69)
+        gm = build_module(params)
+        report = run_verification(gm)
+        assert report.path == "rules" and report.ok and "mats" not in vars(gm)
+        zero = {c.generator for c in report.central if c.value.is_zero()}
+        assert {f"y{i}" for i in params.I_set & params.J_set} <= zero
+        oracle_report(gm, report)
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("n,m", [(2, 5), (3, 3)])
@@ -914,7 +1056,7 @@ class TestRulePath:
                 report = run_verification(gm)
                 assert report.relation_failures == truth
                 if any("sum_" in f for f in truth):
-                    assert report.relations_path == "dense"
+                    assert report.path == "dense"
                 assert without_path(report) == without_path(
                     run_verification(without_provenance(gm)))
 
@@ -922,7 +1064,9 @@ class TestRulePath:
     def test_weight_moved_into_kappa_keeps_the_verdict(self, case):
         # kappa[u] q^u with weight w_p - 1 builds the same matrices, and the
         # generator now reads its coordinate: x_1 and y_1 are compared with
-        # x_2 and y_2 entry by entry, on relations that hold
+        # x_2 and y_2 entry by entry, on relations that hold.  Their kappa
+        # is then not constant, so the module takes the dense path; moved
+        # into E(u) of x_r y_r, the weight keeps the rules path
         for code in all_gens(3):
             params = random_module_params(case, 3, 3, 1, seed=64)
             genuine = build_module(params)
@@ -935,13 +1079,15 @@ class TestRulePath:
             for name, mat in gm.mats.items():
                 assert list(mat.entries()) == list(genuine.mats[name].entries())
             report = run_verification(gm)
-            assert report.relations_path == "rules" and report.ok
+            assert report.path == ("dense" if rule.step == 0 else "rules")
+            assert report.ok
             assert without_path(report) == without_path(run_verification(genuine))
 
     def test_zero_on_an_omega_diagonal(self):
         # weights 0 and y_1 = diag(0, 1, -1): the additive relations hold,
         # omega_1 has a zero on its diagonal, and the four q-commutations
-        # of index 1 with index 2 fail
+        # of index 1 with index 2 fail.  y_1's kappa is not constant, so the
+        # module takes the dense path; the q-commutations on the rules agree
         params = random_module_params("I", 2, 3, 1, seed=65)
         one, c = params.domain.one, params.domain.correction
         params.__dict__["rules"] = {
@@ -951,8 +1097,9 @@ class TestRulePath:
             ygen(2): GeneratorRule(0, (one, one, one + c), (0,), -1)}
         gm = build_module(params)
         report = run_verification(gm)
-        assert report.relations_path == "rules"
+        assert report.path == "dense"
         assert len(report.relation_failures) == 4
+        assert rule_commutations(gm) == report.relation_failures
         assert report.relation_failures == oracle_relations(gm)
         assert [c.all_entries_nonzero for c in report.omega] == [False, True]
         assert [(c.index, c.diagonal, c.seed_eigenvalue, c.seed_matches_lambda,
@@ -973,7 +1120,7 @@ class TestRulePath:
         assert len(sums) == 2 * 3           # relation 1 and omega_1 only
         monkeypatch.undo()
         report = run_verification(gm)
-        assert report.relations_path == "dense"
+        assert report.path == "dense"
         assert report.relation_failures == oracle_relations(gm) != []
         assert without_path(report) == without_path(
             run_verification(without_provenance(gm)))
@@ -984,7 +1131,7 @@ class TestRulePath:
         for name in ("x1", "y2", "x3"):
             r, c, _ = next(gm.mats[name].entries())
             report = run_verification(tampered_copy(gm, name, r, c))
-            assert report.relations_path == "dense"
+            assert report.path == "dense"
             assert report.relation_failures
             assert report.relation_failures == oracle_relations(tampered_copy(gm, name, r, c))
 
@@ -995,14 +1142,14 @@ class TestRulePath:
         bare = without_provenance(gm)
         assert gm.provenance is not None and bare.provenance is None
         built, walked = run_verification(gm).to_dict(), run_verification(bare).to_dict()
-        assert (built.pop("relations_path"), walked.pop("relations_path")) == ("rules", "dense")
+        assert (built.pop("path"), walked.pop("path")) == ("rules", "dense")
         assert built == walked and built["ok"]
         r, c, _ = next(gm.mats["y3"].entries())
         for transform in (direct_sum, lambda g: tampered_copy(g, "y3", r, c)):
             ours, theirs = transform(gm), transform(bare)
             assert ours.provenance is None
             report = run_verification(ours).to_dict()
-            assert report["relations_path"] == "dense"
+            assert report["path"] == "dense"
             assert report == run_verification(theirs).to_dict()
 
 
