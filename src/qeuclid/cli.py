@@ -21,6 +21,7 @@ from .repmod import (
     ModuleParams,
     ParamError,
     build_module,
+    check_work,
 )
 from .rewriter import (
     check_local_confluence,
@@ -28,36 +29,13 @@ from .rewriter import (
     verify_central_powers,
     verify_remark_identities,
 )
-from .scalars import _unlimited_int_digits, euler_phi
+from .scalars import _unlimited_int_digits
 from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_GUARD = 4
-
-# Largest n that pi-degree and identities accept; past it they exit 4
-# before any work.  In a fresh process on a 2-vCPU host, pi-degree --m 3
-# took 1.9 s at n = 128 (4.3 s before the row-wise elimination);
-# identities without --m took 5.3 s at n = 28 and 8.3 s at n = 32 (15 s
-# at n = 40 and 30 s at n = 50 on a slower run).
-MAX_PI_DEGREE_N = 128
-MAX_IDENTITIES_N = 32
-
-# Bound on the estimated steps of identities --m at (n, m), each term
-# fitted to fresh-process time (a step is about 0.25 us) or memory (about
-# 10 bytes): 33 n^4 for the two generic-q suites, which grow fastest in n;
-# 15 n^2 (m + 48) for the central-power suite, 8 n^2 words of length m + 1
-# that each straighten in one pass, a crossing of x_i^k and y_i^c adding
-# geometric sums; and 9 (m - phi + 3) phi, with phi = phi(m), for the
-# m - phi wrap rows of Q(zeta_m) and three more vectors of phi
-# coordinates, which the field and the central suite hold at any n (at
-# prime m without them, (1, 699007) took 262 MB).  On a 2-vCPU host,
-# instances just under the bound took at most 4.6 s and 151 MB:
-# (1, 328931) 0.9 s / 132 MB, (3, 98057) 1.9 s / 151 MB, (16, 3719)
-# 3.4 s, (26, 113) and (26, 115) 3.5-4.6 s; (2, 2001) 0.3 s, (4, 1001) 0.2 s.
-MAX_IDENTITIES_WORK = 2 ** 24
-
 
 def parse_config(path: str, max_dim=None) -> ModuleParams:
     """Load and validate an instance config, with field-precise errors.
@@ -180,29 +158,8 @@ def _render_verification(params, vrep, drep) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _check_n(command: str, n: int, bound: int) -> None:
-    if n > bound:
-        raise GuardError(f"work guard: {command} --n {n} exceeds {bound}")
-
-
-def _check_identities_work(n: int, m: int, k: int) -> None:
-    """GuardError when identities --m at (n, m) is estimated past
-    MAX_IDENTITIES_WORK; a bad m or k is a config error first.  Q(zeta_m)
-    is never built here, and phi(m) is found only once the other terms
-    leave room for it, so a huge m is refused at once."""
-    if m < 3 or m % 2 == 0 or gcd(k, m) != 1:
-        root_domain(m, k)       # raises the config error, builds no field
-    work = n * n * (33 * n * n + 15 * m + 720)
-    if work <= MAX_IDENTITIES_WORK:
-        phi = euler_phi(m)
-        work += 9 * (m - phi + 3) * phi
-    if work > MAX_IDENTITIES_WORK:
-        raise GuardError(f"work guard: identities --n {n} --m {m} is estimated "
-                         f"at {work} steps, past {MAX_IDENTITIES_WORK}")
-
-
 def cmd_pi_degree(args) -> int:
-    _check_n("pi-degree", args.n, MAX_PI_DEGREE_N)
+    check_work("pi-degree", args.n)
     t0 = time.perf_counter()
     rep = pi_degree(args.n, args.m)
     elapsed = time.perf_counter() - t0
@@ -253,10 +210,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    _check_n("identities", args.n, MAX_IDENTITIES_N)
-    if args.m is not None:
-        # a bad m or k exits 2, and too much work 4, before any suite runs
-        _check_identities_work(args.n, args.m, args.k)
+    m, k = args.m, args.k
+    if m is not None and (m < 3 or m % 2 == 0 or gcd(k, m) != 1):
+        root_domain(m, k)       # raises the config error, builds no field
+    check_work("identities", args.n, m)     # before any suite runs
     t0 = time.perf_counter()
     reports = [verify_remark_identities(args.n), check_local_confluence(args.n)]
     if args.m is not None:

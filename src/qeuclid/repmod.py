@@ -27,26 +27,22 @@ violated):
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 from .linalg import CycMatrix, ScalarTable
 from .rewriter import all_gens, gen_index, gen_name, is_x, root_domain
-from .scalars import Cyclotomic, encode_cyclotomic, parse_cyclotomic
+from .scalars import (Cyclotomic, _unlimited_int_digits, encode_cyclotomic, euler_phi,
+                      parse_cyclotomic)
 
-DEFAULT_MAX_DIM = 512
+DEFAULT_MAX_DIM = 512      # the most rows formed (GeneratorMatrices.mats)
 
-# Bound on the bit length of every numerator and denominator of a parsed
+# Bound on the bit length of every numerator and denominator of a consumed
 # config scalar, so that a 1000-digit coordinate is refused before any
 # check multiplies it.  The largest literal the parser accepts,
 # "(1+q)^128*(1+q)^128", has coordinates of at most 254 bits.
 MAX_SCALAR_BITS = 512
 
-# Bits of an m-th power that verify may raise, per unit of the dimension
-# cap: 2^23 (1 MiB) at the default cap.  On a loaded 2-vCPU host the
-# central check took 11-15 s on powers of 6.5 Mbit and 41 s on one of
-# 11.1 Mbit (n = 2, m = 151); the largest benchmark instance raises
-# 5,040 bits.
-WORK_BITS_PER_DIM = 2 ** 14
+WORK_BUDGET = 2 ** 24      # the most steps check_work admits for a command
 
 
 class ParamError(ValueError):
@@ -163,28 +159,31 @@ class ModuleParams:
         max_dim = cfg.get("max_dim", DEFAULT_MAX_DIM)
         if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 1:
             raise ParamError("field 'max_dim' must be a positive integer")
-        # before any scalar builds Q(zeta_m): phi(m) < m <= m^(n-1) for n >= 2,
-        # so the cap on the module also bounds the field's wrap table of
-        # m - phi(m) rows of phi(m) coordinates
-        check_dimension(m, n, max_dim)
+        check_work("module", n, m)      # before any scalar builds Q(zeta_m)
         _check_lengths(n, cfg["alpha"], cfg["beta"], cfg["lambda"])
 
-        def scalar(key, value):
+        def scalar(key, value, bounded=True):
             try:
                 value = parse_cyclotomic(value, m, k)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParamError(f"field {key!r}: {exc}") from exc
             bits = coordinate_bits(value)
-            if bits > MAX_SCALAR_BITS:
+            if bounded and bits > MAX_SCALAR_BITS:
                 raise ParamError(f"field {key!r}: {bits}-bit coordinates exceed "
                                  f"the bound of {MAX_SCALAR_BITS} bits")
             return value
 
         alpha1 = scalar("alpha1", cfg["alpha1"])
         alpha = [scalar(f"alpha[{i}]", v) for i, v in enumerate(cfg["alpha"])]
-        beta = [scalar(f"beta[{i}]", v) for i, v in enumerate(cfg["beta"])]
+        # beta_i outside I is forced, never consumed: any size round-trips
+        beta = [scalar(f"beta[{i}]", v, bounded=alpha[i].is_zero())
+                for i, v in enumerate(cfg["beta"])]
         lam = [scalar(f"lambda[{i}]", v) for i, v in enumerate(cfg["lambda"])]
-        return cls(m, k, n, alpha1, alpha, beta, lam, max_dim=max_dim)
+        scalars = (alpha1, alpha, lam)
+        check_work("module", n, m, scalars)     # before anything is inverted
+        params = cls(m, k, n, alpha1, alpha, beta, lam, max_dim=max_dim)
+        check_work("module", n, m, scalars, (params.y1_coeff, params._alpha_inv))
+        return params
 
 
 def _check_shape(m: int, k: int, n: int) -> None:
@@ -208,44 +207,93 @@ def dimension(params: ModuleParams) -> int:
 
 
 def check_dimension(m: int, n: int, max_dim: int) -> int:
-    """m^(n-1), or GuardError as soon as a partial power exceeds max_dim.
-
-    The power grows one factor at a time, so a huge n is refused without
-    forming a huge integer.
-    """
-    dim = 1
-    for _ in range(n - 1):
-        dim *= m
-        if dim > max_dim:
-            raise GuardError(f"dimension guard: m^(n-1) = {m}^{n - 1} "
-                             f"exceeds cap {max_dim}")
+    """m^(n-1), or GuardError past max_dim, the most rows formed."""
+    dim = m ** (n - 1)
+    if dim > max_dim:
+        raise GuardError(f"dimension guard: m^(n-1) = {m}^{n - 1} rows "
+                         f"exceed cap {max_dim}")
     return dim
 
 
 def coordinate_bits(value: Cyclotomic) -> int:
     """The largest bit length of a numerator or the denominator of value."""
-    return max(v.bit_length() for v in value.nums + (value.den,))
+    return max(map(int.bit_length, value.nums + (value.den,)))
 
 
-def check_work(params: ModuleParams) -> int:
-    """The estimated bit size of the m-th powers that verify raises, or
-    GuardError when it exceeds WORK_BITS_PER_DIM * max(max_dim,
-    DEFAULT_MAX_DIM).
-
-    The central check raises alpha_1^m, y1_coeff^m and the lambda_i^m of
-    the forced beta_i: phi(m) coordinates of about m times the bits of
-    the base's.  The estimate is phi(m) * m * bits, with bits the largest
-    coordinate bit length of those bases, so no power is formed.  A
-    larger max_dim raises the budget with the cap.
-    """
-    phi = params.domain.field.degree
-    bits = max(map(coordinate_bits, (params.alpha1, params.y1_coeff, *params.lam)))
-    work = phi * params.m * bits
-    budget = WORK_BITS_PER_DIM * max(params.max_dim, DEFAULT_MAX_DIM)
-    if work > budget:
-        raise GuardError(f"work guard: phi(m) * m * bits = {phi} * {params.m} "
-                         f"* {bits} = {work} exceeds budget {budget}")
+def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
+    """The steps estimated for ``what`` ("identities", "pi-degree", or
+    "module" for build and verify) at (n, m), or GuardError past
+    WORK_BUDGET; each named term is fitted to fresh-process time (the
+    README's table).  A module is estimated on (n, m) before any scalar is
+    parsed, on the ``scalars`` (alpha_1, alpha, lambda) before anything is
+    inverted, and with the ``inverses`` (y1_coeff, alpha_i^-1), whose
+    sizes no bound on the scalars predicts; phi(m) only once the other
+    terms leave room, so a refused shape never builds Q(zeta_m)."""
+    terms = ({"generic suites": 33 * n ** 4} if what == "identities"
+             else {"elimination": 8 * n ** 3})
+    if what == "identities" and m is not None:
+        terms["central suite"] = 15 * n * n * (m + 48)
+    if what == "module":
+        terms["rule walk"] = n * n * m
+    if m is not None and what != "pi-degree" and sum(terms.values()) <= WORK_BUDGET:
+        phi = euler_phi(m)
+        terms["field"] = 9 * (m - phi + 3) * phi
+        if what == "module":
+            terms.update(_module_terms(n, m, phi, scalars, inverses))
+    work = sum(terms.values())
+    if work > WORK_BUDGET:
+        label = (f"the module of n = {n}, m = {m}" if what == "module"
+                 else f"{what} --n {n}" + (f" --m {m}" if m else ""))
+        with _unlimited_int_digits():      # 8 n^3 of a 1500-digit n, say
+            named = ", ".join(f"{term} {steps}" for term, steps in terms.items())
+            raise GuardError(f"work guard: {label} is estimated at {work} steps "
+                             f"({named}), past {WORK_BUDGET}")
     return work
+
+
+def _module_terms(n, m, phi, scalars, inverses) -> dict:
+    """check_work's scalar terms: the norm inverses of alpha_1 and alpha_i;
+    the m-th powers of alpha_1, y1_coeff, and the lambda_i, lambda_(i-1)
+    and c = 1 / (1 - q^-2) (phi coordinates over m) of each forced beta_i;
+    the kappa tables of x_i in I and y_i outside I, y_i's multiplied out."""
+    def size(value):        # (nonzero coordinates, coordinate bits)
+        return sum(1 for v in value.nums if v), coordinate_bits(value)
+
+    corr = (phi, m.bit_length() + 1)
+    if scalars is None:
+        return {"central powers": _power(phi, *corr, m)}
+    (alpha1, alpha, lam), (y1, alpha_inv) = scalars, inverses or (None, None)
+    lam = [size(v) for v in lam]
+    raised, tables = [size(alpha1), size(y1) if y1 else corr], 0
+    for i in range(2, n + 1):
+        if alpha[i - 2]:                                    # i outside I
+            raised += [lam[i - 1], lam[i - 2], corr]
+            start = coordinate_bits(alpha_inv[i - 2]) if alpha_inv else 0
+            step = max(lam[i - 1][1], lam[i - 2][1]) + corr[1] + 1
+            tables += _chain(m, phi, phi, start, step)
+        else:       # lambda_(i-1) (1 - q^2u) / (q^2 - 1), 3 small products a step
+            tables += m * phi * min(phi, 2 * lam[i - 2][0]) // 3
+    return {"inversions": sum(_chain(phi - 1, phi, nonzero, 0, bits)
+                              for nonzero, bits in map(size, (alpha1, *alpha))),
+            "central powers": sum(_power(phi, nonzero, bits, m)
+                                  for nonzero, bits in raised),
+            "kappa tables": tables}
+
+
+def _chain(length: int, phi: int, nonzero: int, start: int, step: int) -> int:
+    """Steps of ``length`` products in turn of a dense value of ``start``
+    bits, growing by ``step``, by factors of ``nonzero`` coordinates of
+    ``step`` bits: phi * nonzero products, each 1 + digit pairs / 125."""
+    return (length * phi * nonzero
+            * (7500 + (2 * start + length * step) * -(-step // 30)) // 7500)
+
+
+def _power(phi: int, nonzero: int, bits: int, m: int) -> int:
+    """Steps of the m-th power of a value of ``nonzero`` coordinates of
+    ``bits`` bits: binary powering ends in phi^2 products (1 for a single
+    coordinate) of m * bits bits, (m * bits / 1000)^(7/4) steps by Karatsuba."""
+    pairs = phi * phi if nonzero > 1 else 1
+    return phi + pairs * (2 + isqrt(isqrt((m * bits) ** 7 // 10 ** 21)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +417,10 @@ class GeneratorMatrices:
         is its kappa code shifted by the integer exponent k * <weight, a>.
 
         Row r is the index a = (a_2, ..., a_n) with r = sum a_j m^(j-2),
-        so a_2 varies fastest and row 0 is the seed."""
-        m, k, dim, shift = self.params.m, self.params.k, self.dim, self.table.shift
+        so a_2 varies fastest and row 0 is the seed.  GuardError, before
+        any row is formed, past ``params.max_dim`` rows."""
+        m, k, shift = self.params.m, self.params.k, self.table.shift
+        dim = check_dimension(m, self.params.n, self.params.max_dim)
         mats = {}
         for code, (rule, kcodes) in self.provenance.items():
             stride = m ** rule.pos
@@ -408,8 +458,7 @@ class GeneratorMatrices:
 def build_module(params: ModuleParams) -> GeneratorMatrices:
     """The module of the generator rules, in one scalar table: each kappa
     entry is interned once, and no matrix is formed until one is read
-    (``GeneratorMatrices.mats``).  GuardError past the dimension cap."""
-    check_dimension(params.m, params.n, params.max_dim)
+    (``GeneratorMatrices.mats``)."""
     table = ScalarTable(params.domain.field)
     provenance = {code: (rule, [None if v is None else table.intern(v)
                                 for v in rule.kappa])

@@ -20,7 +20,6 @@ from .repmod import (
     GeneratorMatrices,
     GuardError,
     ModuleParams,
-    check_work,
     dimension,
 )
 from .rewriter import all_gens, gen_name, q_exponent, xgen, ygen
@@ -175,13 +174,13 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
         rule_walk = _rule_omegas(gm)
         if rule_walk is not None:
             return rule_walk
-    params, table = gm.params, gm.table
+    params, table, mats = gm.params, gm.table, gm.mats    # rows within the cap
     correction = table.intern(params.domain.correction)
     mul = table.mul
     rows = [{} for _ in range(gm.dim)]
     xy, additive, checks = {}, {}, []
     for i in range(1, params.n + 1):
-        y, x = gm.mat(ygen(i)), gm.mat(xgen(i))
+        y, x = mats[gen_name(ygen(i))], mats[gen_name(xgen(i))]
         xy[i], yx = x @ y, y @ x
         holds = diagonal = nonzero = True
         for r, (row, c, code, d, xcode) in enumerate(zip(
@@ -521,8 +520,8 @@ def commutant_dimension(gm: GeneratorMatrices,
     unknowns, and no coefficient is read.
 
     GuardError (the commutant is undecided): the equal-key pairs exceed
-    4 * max_dim, the pairs of a direct sum of two modules at the build
-    guard; or the premise fails.  A verified instance must return 1
+    4 * max_dim, the unknowns of a direct sum of two modules at the row
+    cap; or the premise fails.  A verified instance must return 1
     (only scalars commute), which is absolute irreducibility by the Schur
     criterion.
     """
@@ -853,18 +852,13 @@ def run_verification(gm: GeneratorMatrices,
     An instance whose commutant is undecided runs every other check; the
     commutant section is then reported as skipped rather than failed.
 
-    ``commutant_cap`` is accepted and ignored: the commutant's only
-    bound is the build guard ``params.max_dim``, and the benchmark's
-    worker still passes the keyword.
+    ``commutant_cap`` is accepted and ignored (the benchmark passes it):
+    ``gm.mats`` caps the rows, ``repmod.check_work`` the work, up front.
 
     The report's ``seconds`` holds the wall time of each stage; the walk
     over the omega sums, additive relations included, counts as omega,
     the joint spectrum as separation.
-
-    GuardError, before any check runs, when ``check_work`` puts the
-    central m-th powers past its budget.
     """
-    check_work(gm.params)
     seconds = {}
 
     def timed(stage, check, *args):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism, round trips."""
 
+import importlib.util
 import json
 import os
 import random
@@ -12,11 +13,14 @@ import types
 import pytest
 
 import qeuclid
-from qeuclid import cli, scalars
+from qeuclid import cli, repmod, scalars, verify
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.pidegree import pi_degree
 from qeuclid.repmod import ModuleParams, build_module
 from qeuclid.verify import run_verification
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -55,11 +59,16 @@ class TestPiDegreeCommand:
         # --n 400 did not finish in 20 s before the guard
         assert main(["pi-degree", "--n", "400", "--m", "3"]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert "work guard: pi-degree --n 400 exceeds 128" in captured.err
+        assert ("work guard: pi-degree --n 400 is estimated at 512000000 steps "
+                "(elimination 512000000), past 16777216") in captured.err
         assert captured.out == ""
 
     def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "MAX_PI_DEGREE_N", 3)
+        # 8 n^3 puts the bound at n = 128 exactly
+        assert repmod.check_work("pi-degree", 128) == repmod.WORK_BUDGET
+        with pytest.raises(repmod.GuardError):
+            repmod.check_work("pi-degree", 129)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 8 * 3 ** 3)
         assert main(["pi-degree", "--n", "3", "--m", "5"]) == EXIT_OK
         assert main(["pi-degree", "--n", "4", "--m", "5"]) == EXIT_GUARD
 
@@ -152,18 +161,21 @@ class TestConfigValidation:
         assert "'max_dim' must be a positive integer" in capsys.readouterr().err
 
     def test_max_dim_flag_wins_over_config(self, tmp_path, capsys):
+        # build forms every row, so the cap binds it
         cfg = write_config(tmp_path, max_dim=2)
-        assert main(["verify", "--config", cfg]) == EXIT_GUARD
-        assert main(["verify", "--config", cfg, "--max-dim", "3"]) == EXIT_OK
+        assert main(["build", "--config", cfg]) == EXIT_GUARD
+        assert main(["build", "--config", cfg, "--max-dim", "3"]) == EXIT_OK
         capsys.readouterr()
 
     def test_dimension_guard_before_field_is_built(self, tmp_path, capsys):
+        # y1_coeff^m alone is past the budget at m = 200003
         cfg = write_config(tmp_path, m=200003)
         t0 = time.perf_counter()
         assert main(["verify", "--config", cfg]) == EXIT_GUARD
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
-        assert "dimension guard" in err and err.count("\n") == 1
+        assert "work guard: the module of n = 2, m = 200003" in err
+        assert err.count("\n") == 1
         assert 200003 not in scalars._FIELD_CACHE
 
     def test_dimension_guard_with_huge_n(self, tmp_path, capsys):
@@ -171,12 +183,15 @@ class TestConfigValidation:
         t0 = time.perf_counter()
         assert main(["verify", "--config", cfg]) == EXIT_GUARD
         assert time.perf_counter() - t0 < 5.0
-        assert "dimension guard" in capsys.readouterr().err
+        assert "work guard: the module of n = 1000000000000" in capsys.readouterr().err
 
-    def test_work_guard_on_dense_large_m(self, tmp_path, capsys):
-        # d = 211 passes the dimension guard, but alpha_1 with 210
-        # coordinates +-1/2 gives y1_coeff 738-bit coordinates, whose
-        # 211th power did not finish in minutes
+    def test_work_guard_on_dense_large_m(self, tmp_path, capsys, monkeypatch):
+        # alpha_1 with 210 coordinates +-1/2 gives y1_coeff 738-bit
+        # coordinates, whose 211th power did not finish in minutes; its norm
+        # inverse is refused before it is formed
+        def must_not_run(self):
+            raise AssertionError("alpha_1 was inverted past the work guard")
+        monkeypatch.setattr(scalars.Cyclotomic, "inv", must_not_run)
         rng = random.Random(0)
         alpha1 = [rng.choice(["1/2", "-1/2"]) for _ in range(210)]
         cfg = write_config(tmp_path, m=211, alpha1=alpha1,
@@ -185,8 +200,7 @@ class TestConfigValidation:
         assert main(["verify", "--config", cfg]) == EXIT_GUARD
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
-        assert ("work guard: phi(m) * m * bits = 210 * 211 * 738 = 32700780 "
-                "exceeds budget 8388608") in err
+        assert "work guard: the module of n = 2, m = 211" in err and "inversions" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("overrides,message", [
@@ -313,9 +327,15 @@ class TestVerifyCommand:
             capsys.readouterr()
 
     def test_guard_exit_code(self, tmp_path, capsys):
+        # verify decides a built module on its rules and forms no row, so
+        # only build meets the row cap
         cfg = write_config(tmp_path)
-        assert main(["verify", "--config", cfg, "--max-dim", "2"]) == EXIT_GUARD
-        assert "dimension guard" in capsys.readouterr().err
+        assert main(["verify", "--config", cfg, "--max-dim", "2"]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        assert main(["build", "--config", cfg, "--max-dim", "2", "--out", str(out)]) \
+            == EXIT_GUARD
+        assert "dimension guard" in capsys.readouterr().err and not out.exists()
 
     def test_inconsistent_lambda_rejected(self, tmp_path, capsys):
         # alpha_2 = 0 forces lambda_2 = q^-2 lambda_1
@@ -443,11 +463,16 @@ class TestIdentitiesCommand:
         # --n 60 did not finish in 20 s before the guard
         assert main(["identities", "--n", "60"]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert "work guard: identities --n 60 exceeds 32" in captured.err
+        assert ("work guard: identities --n 60 is estimated at 427680000 steps "
+                "(generic suites 427680000), past 16777216") in captured.err
         assert captured.out == ""
 
     def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "MAX_IDENTITIES_N", 2)
+        # 33 n^4 admits n <= 26 without --m
+        repmod.check_work("identities", 26)
+        with pytest.raises(repmod.GuardError):
+            repmod.check_work("identities", 27)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", repmod.check_work("identities", 2, 3))
         assert main(["identities", "--n", "2", "--m", "3"]) == EXIT_OK
         assert main(["identities", "--n", "3", "--m", "3"]) == EXIT_GUARD
 
@@ -466,23 +491,28 @@ class TestIdentitiesCommand:
             assert main(["identities", "--n", n, "--m", m]) == EXIT_GUARD
         captured = capsys.readouterr()
         assert ("work guard: identities --n 16 --m 4001 is estimated at 17710848 "
-                "steps, past 16777216") in captured.err
+                "steps (generic suites 2162688, central suite 15548160), "
+                "past 16777216") in captured.err
         assert captured.out == ""
         # the guard reads phi(m), but Q(zeta_m) is never built
         assert scalars._FIELD_CACHE == {}
 
     def test_work_guard_on_m_is_inclusive(self, monkeypatch):
         # (2, 5): 2^2 (33 * 2^2 + 15 * 5 + 720) + 9 * (5 - 4 + 3) * 4 = 3852
-        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 3852)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 3852)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_OK
-        monkeypatch.setattr(cli, "MAX_IDENTITIES_WORK", 3851)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 3851)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_GUARD
 
     @pytest.mark.parametrize("n, m", [(3, 61), (4, 31), (6, 9), (2, 5), (2, 999),
                                       (3, 5), (2, 3), (1, 3), (3, 999), (8, 413),
                                       (4, 1001), (2, 2001), (1, 99991)])
     def test_work_guard_admits_benchmark_ci_and_golden_instances(self, n, m):
-        cli._check_identities_work(n, m, 1)
+        repmod.check_work("identities", n, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 24, 16, 128])
+    def test_work_guard_admits_benchmark_ci_and_golden_degrees(self, n):
+        repmod.check_work("pi-degree", n)
 
     @pytest.mark.parametrize("argv, message", [
         (["--m", "-10001"], "m must be odd >= 3"),
@@ -526,6 +556,110 @@ class TestLargeLiterals:
         start = time.perf_counter()
         assert main(["verify", "--config", cfg]) == EXIT_OK
         assert time.perf_counter() - start < 90
+
+
+def _perfbench_configs():
+    """The module configs of every perfbench verify instance, seeds 1-3."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [inst.config for name in workloads.WORKLOADS for seed in (1, 2, 3)
+            for inst in workloads.instances(name, seed) if inst.config]
+
+
+def _ci_configs():
+    """The shipped configs and the ones the CI console step writes."""
+    shipped = []
+    for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as handle:
+            shipped.append(json.load(handle))
+    return shipped + [
+        {"m": 3, "k": 1, "n": n, "alpha1": "2", "alpha": ["1"] * (n - 1),
+         "beta": ["0"] * (n - 1), "lambda": [str(i) for i in range(1, n + 1)]}
+        for n in (9, 41)]
+
+
+class TestWorkGuard:
+    """One budget over every command, in estimated steps
+    (``repmod.check_work``)."""
+
+    @pytest.mark.parametrize("source", [_perfbench_configs, _ci_configs])
+    def test_admits_benchmark_ci_and_golden_modules(self, source):
+        for cfg in source():
+            ModuleParams.from_config(cfg)
+
+    @pytest.mark.parametrize("dense", [
+        False,      # alpha_1 = "1": y_2's cycle product of m growing operands ran 38 s
+        True])      # 508 coordinates +-1/2: alpha_1's norm inverse alone ran 16 s
+    def test_measured_holes_exit_4_at_once(self, tmp_path, capsys, monkeypatch,
+                                           dense):
+        def must_not_run(*args):
+            raise AssertionError("work ran past the work guard")
+        monkeypatch.setattr(scalars.Cyclotomic, "inv", must_not_run)
+        monkeypatch.setattr(verify, "check_central_scalars", must_not_run)
+        rng = random.Random(0)
+        alpha1 = [rng.choice(["1/2", "-1/2"]) for _ in range(508)] if dense else "1"
+        cfg = write_config(tmp_path, m=509, alpha1=alpha1)
+        t0 = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_GUARD
+        assert time.perf_counter() - t0 < 5.0
+        assert "work guard: the module of n = 2, m = 509" in capsys.readouterr().err
+
+    def test_an_n_of_1500_digits_is_refused(self, tmp_path, capsys):
+        # 8 n^3 has 4500 digits, past Python's default int-to-str limit
+        n = "9" * 1500
+        cfg = write_config(tmp_path, n=int(n))
+        for argv in (["pi-degree", "--n", n, "--m", "3"], ["identities", "--n", n],
+                     ["verify", "--config", cfg]):
+            assert main(argv) == EXIT_GUARD
+            assert capsys.readouterr().err.startswith("guard exceeded: work guard: ")
+
+    @staticmethod
+    def _module(tmp_path, m, n=2, alpha1="1"):
+        return ["verify", "--config", write_config(
+            tmp_path, m=m, n=n, alpha1=alpha1, alpha=["1"] * (n - 1),
+            beta=["0"] * (n - 1), **{"lambda": [str(i) for i in range(1, n + 1)]})]
+
+    @staticmethod
+    def _dense(bits):
+        rng = random.Random(0)
+        return [str(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1)))
+                for _ in range(60)]
+
+    # each term, on one instance that it alone puts past the budget; the
+    # central powers are estimated once alpha_1 is inverted
+    TERMS = {
+        "generic suites": lambda tmp: ["identities", "--n", "27"],
+        "central suite": lambda tmp: ["identities", "--n", "16", "--m", "4001"],
+        "field": lambda tmp: ["identities", "--n", "2", "--m", "3003"],
+        "elimination": lambda tmp: ["pi-degree", "--n", "129", "--m", "3"],
+        "rule walk": lambda tmp: TestWorkGuard._module(tmp, 25, n=127),
+        "inversions": lambda tmp: TestWorkGuard._module(
+            tmp, 61, alpha1=TestWorkGuard._dense(512)),
+        "central powers": lambda tmp: TestWorkGuard._module(
+            tmp, 61, alpha1=TestWorkGuard._dense(32)),
+        "kappa tables": lambda tmp: TestWorkGuard._module(tmp, 229),
+    }
+
+    @pytest.mark.parametrize("term", TERMS)
+    def test_each_term_refuses_one_instance(self, tmp_path, capsys, monkeypatch, term):
+        def must_not_run(*args):
+            raise AssertionError("work ran past the work guard")
+        for name in ("verify_remark_identities", "check_local_confluence",
+                     "verify_central_powers", "pi_degree", "build_module",
+                     "run_verification"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(scalars.Cyclotomic, "__pow__", must_not_run)
+        if term != "central powers":
+            monkeypatch.setattr(scalars.Cyclotomic, "inv", must_not_run)
+        assert main(self.TERMS[term](tmp_path)) == EXIT_GUARD
+        err = capsys.readouterr().err
+        named, budget = re.search(r"steps \((.*)\), past (\d+)\n$", err).groups()
+        terms = {key: int(value) for key, value in
+                 (item.rsplit(" ", 1) for item in named.split(", "))}
+        total = int(re.search(r"estimated at (\d+) steps", err).group(1))
+        assert total == sum(terms.values()) > int(budget) >= total - terms[term]
 
 
 class TestStageTimings:

@@ -9,12 +9,16 @@ import pytest
 from oracles import DictMatrix, basis_indices, basis_rank, omega_matrix
 from qeuclid.repmod import (
     GeneratorMatrices,
+    DEFAULT_MAX_DIM,
+    MAX_SCALAR_BITS,
+    WORK_BUDGET,
     GuardError,
     ModuleParams,
     ParamError,
     act,
     build_module,
     check_work,
+    coordinate_bits,
     dimension,
     random_module_params,
 )
@@ -120,37 +124,60 @@ class TestDimension:
                                      lam=[1, 1, 1, 1])) == 27
 
     def test_guard(self):
+        # the cap bounds the rows formed: a built module holds its rules,
+        # and its matrices are refused before their first row
         params = make_params(m=9, n=4, alpha=[1, 1, 1], beta=[0, 0, 0],
                              lam=[1, 1, 1, 1], max_dim=100)
-        with pytest.raises(GuardError, match="dimension guard"):
-            build_module(params)
+        gm = build_module(params)
+        assert gm.dim == 729
+        with pytest.raises(GuardError, match=r"^dimension guard: m\^\(n-1\) = "
+                           r"9\^3 rows exceed cap 100$"):
+            gm.mats
+        params.max_dim = 729
+        assert gm.mat("x1").dim == 729
 
 
-def dense_params(m, max_dim):
+def dense_config(m, max_dim=DEFAULT_MAX_DIM):
     """n = 2 at a prime m: alpha_1 has m - 1 coordinates +-1/2, so that
     y1_coeff has coordinates of hundreds of bits."""
-    field = root_domain(m, 1).field
     rng = random.Random(0)
-    alpha1 = field.element([rng.choice((1, -1)) for _ in range(m - 1)], 2)
-    lam = [field.zeta_pow(1), -field.zeta_pow(2)]
-    return make_params(m=m, alpha1=alpha1, lam=lam, max_dim=max_dim)
+    return {"m": m, "k": 1, "n": 2, "max_dim": max_dim,
+            "alpha1": [rng.choice(("1/2", "-1/2")) for _ in range(m - 1)],
+            "alpha": ["1"], "beta": ["0"], "lambda": ["q", "-q^2"]}
 
 
 class TestWorkGuard:
-    def test_budget_grows_with_max_dim(self):
-        # at m = 211 y1_coeff has 738-bit coordinates, so the power has
-        # 210 * 211 * 738 = 32,700,780 bits; 2^14 * max_dim crosses that
-        # between 1995 and 1996.  The size is read off the parameters, no
-        # power is raised.
-        with pytest.raises(GuardError, match=r"^work guard: phi\(m\) \* m \* bits "
-                           r"= 210 \* 211 \* 738 = 32700780 exceeds budget 32686080$"):
-            check_work(dense_params(211, 1995))
-        assert check_work(dense_params(211, 1996)) == 32700780
+    def test_dense_alpha1_is_refused_before_its_inverse(self, monkeypatch):
+        # at m = 211 the phi - 1 conjugate products of alpha_1's norm put
+        # the module past the budget, whatever the row cap
+        def must_not_run(self):
+            raise AssertionError("alpha_1 was inverted past the work guard")
+        monkeypatch.setattr(Cyclotomic, "inv", must_not_run)
+        for max_dim in (1, DEFAULT_MAX_DIM, 10 ** 9):
+            with pytest.raises(GuardError, match=r"^work guard: the module of "
+                               r"n = 2, m = 211 is estimated at \d+ steps "
+                               r"\(.*inversions \d+.*\), past 16777216$"):
+                ModuleParams.from_config(dense_config(211, max_dim))
 
     def test_small_cap_keeps_default_budget(self):
-        # at m = 101 the power has 2,807,800 bits: past 2^14 * max_dim for
-        # max_dim = 1, within the default cap's budget, which still applies
-        assert check_work(dense_params(101, 1)) == 2807800
+        # the budget is one constant: m = 101 is admitted at any row cap
+        params = ModuleParams.from_config(dense_config(101, max_dim=1))
+        scalars = (params.alpha1, params.alpha, params.lam)
+        inverses = (params.y1_coeff, params._alpha_inv)
+        work = check_work("module", 2, 101, scalars, inverses)
+        assert 0 < work <= WORK_BUDGET == 2 ** 24
+        assert ModuleParams.from_config(dense_config(101, max_dim=10 ** 9)).lam == params.lam
+
+    def test_each_stage_adds_what_it_learns(self):
+        # (n, m) alone charges y1_coeff's power at the least; the parsed
+        # scalars add the inversions and kappa tables; the inverses add
+        # the size of y1_coeff and the alpha_i^-1
+        params = ModuleParams.from_config(dense_config(61))
+        scalars = (params.alpha1, params.alpha, params.lam)
+        inverses = (params.y1_coeff, params._alpha_inv)
+        stages = [check_work("module", 2, 61), check_work("module", 2, 61, scalars),
+                  check_work("module", 2, 61, scalars, inverses)]
+        assert stages == sorted(stages) and len(set(stages)) == 3
 
 
 class TestActCaseI:
@@ -397,6 +424,24 @@ class TestWireFormat:
                     "alpha1", "alpha", "beta", "lambda"):
             assert key in wire
         assert set(wire["generators"]) == {gen_name(g) for g in all_gens(2)}
+
+    def test_forced_beta_round_trips(self):
+        # beta_2 outside I is forced, lambda^m-sized and never consumed, so
+        # its 588 bits are not refused
+        params = random_module_params("I", 2, 61, 1, seed=3)
+        assert coordinate_bits(params.beta_i(2)) > MAX_SCALAR_BITS
+        again = ModuleParams.from_config(params.to_wire())
+        assert again.to_wire() == params.to_wire()
+
+    def test_consumed_beta_keeps_the_bit_bound(self):
+        # beta_2 in I is y_2^m: a 600-bit coordinate is still refused
+        cfg = {"m": 3, "k": 1, "n": 2, "alpha1": "1", "alpha": ["0"],
+               "beta": [[str(2 ** 599)]], "lambda": ["1", "q^-2"]}
+        with pytest.raises(ParamError, match=r"^field 'beta\[0\]': 600-bit "
+                           r"coordinates exceed the bound of 512 bits$"):
+            ModuleParams.from_config(cfg)
+        cfg["beta"] = [[str(2 ** 510)]]
+        assert ModuleParams.from_config(cfg).case == "II"
 
 
 class TestGeneratorSet:

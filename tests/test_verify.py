@@ -20,7 +20,7 @@ from oracles import (
     oracle_relations,
     permuted,
 )
-from qeuclid import scalars, verify
+from qeuclid import repmod, scalars, verify
 from qeuclid.cli import main, parse_config
 from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.repmod import (
@@ -420,10 +420,12 @@ class TestCommutant:
 
     def test_guard(self):
         params, gm = build("I", 3, 3, seed=38)   # dim 9
-        # the sum of dimension 18 keeps 2 x 2 = 4 unknowns per key: 36 > 4 * 8
+        total = direct_sum(gm)
+        # the sum of dimension 18 keeps 2 x 2 = 4 unknowns per key: 36 > 4 * 8,
+        # a cap below the rows formed
         params.max_dim = 8
         with pytest.raises(GuardError, match="commutant guard"):
-            commutant_dimension(direct_sum(gm))
+            commutant_dimension(total)
 
     def test_identity_only_solution_is_exact(self):
         # sanity-check the eliminator itself on a tiny handmade system
@@ -970,6 +972,20 @@ class TestRulePath:
         assert without_path(report) == without_path(run_verification(dense))
         oracle_report(gm, report)
 
+    def test_rules_past_the_row_cap(self, monkeypatch):
+        # d = 3^12 past the cap: the genuine module is certified on its
+        # rules, and one whose premise fails is refused before any row
+        params = random_module_params("I", 13, 3, 1, seed=73)
+        report = run_verification(build_module(params))
+        assert report.ok and report.path == "rules" and report.commutant_dim == 1
+        weight = list(params.rules[xgen(3)].weight)
+        weight[0] += 1
+        gm = build_module(with_rule(params, xgen(3), weight=tuple(weight)))
+        monkeypatch.setattr(repmod, "_lattice_forms", None)     # forms the rows
+        with pytest.raises(GuardError, match=r"^dimension guard: m\^\(n-1\) = "
+                           r"3\^12 rows exceed cap 512$"):
+            run_verification(gm)
+
     @pytest.mark.parametrize("code", [xgen(3), ygen(3)])
     def test_weight_below_p_falls_back(self, code, monkeypatch):
         # x_3 y_3 also weighs a_2: its eigenvalues split the rows sharing a_3,
@@ -1222,9 +1238,10 @@ class TestFullReport:
 
     def test_commutant_skip_keeps_other_sections(self):
         params, gm = build("I", 3, 3, seed=44)
+        total = direct_sum(gm)
         # the direct sum's 36 equal-key pairs exceed 4 * 8
         params.max_dim = 8
-        report = run_verification(direct_sum(gm))
+        report = run_verification(total)
         assert report.commutant_dim is None
         assert "commutant guard" in report.commutant_skipped
         assert report.sections["commutant"]  # skipped, not failed
