@@ -159,7 +159,7 @@ def _render_verification(params, vrep, drep) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_pi_degree(args) -> int:
-    check_work("pi-degree", args.n)
+    check_work("pi-degree", args.n, args.m)
     t0 = time.perf_counter()
     rep = pi_degree(args.n, args.m)
     elapsed = time.perf_counter() - t0

@@ -4,13 +4,18 @@ Dropping the additive corrections from the defining relations leaves a
 q^h-commutation pattern recorded in a skew-symmetric integer matrix H
 (generator order x_1..x_n, y_1..y_n).  Viewing H as a homomorphism
 Z^(2n) -> (Z/mZ)^(2n), the PI-degree is the square root of the image
-cardinality; the kernel lattice indexes the central monomials.  The
-image cardinality comes from the Smith normal form.
+cardinality; the kernel lattice indexes the central monomials.  Both are
+read off G = P D H D^T P^T (D differences consecutive generators inside
+each block, P interleaves x_i and y_i), which has at most 5 nonzeros a
+row in a constant band: its Smith form, then the kernel's Hermite form
+built modulo m.  O(n^2) in all, the size of the kernel basis.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
+from operator import itemgetter, sub
 
 from .rewriter import all_gens, q_exponent
 
@@ -33,188 +38,191 @@ def build_H(n: int) -> list[list[int]]:
     return [[q_exponent(a, b) for b in gens] for a in gens]
 
 
+def _differences(rows: list) -> list:
+    """D in the interleaved order: row a minus row a - 2, rows 0, 1 kept."""
+    return rows[:2] + [tuple(map(sub, a, b)) for a, b in zip(rows[2:], rows)]
+
+
 # ---------------------------------------------------------------------------
-# Smith normal form (exact integer arithmetic)
+# Smith normal form (exact integer arithmetic), image and kernel mod m
 # ---------------------------------------------------------------------------
+
+def _replay(ops, size: int, start: int) -> list[int]:
+    """e_start taken back through a log of operations (dst, src, f), "line
+    dst += f * line src": a row of U, or a column of V, in O(len(ops))."""
+    vec = [0] * size
+    vec[start] = 1
+    for dst, src, f in reversed(ops):
+        if vec[dst]:
+            vec[src] += f * vec[dst]
+    return vec
+
 
 class SnfResult:
-    __slots__ = ("diag", "U", "V")
+    """U*M*V = diag, U and V kept as logs of elementary operations and
+    the row and column of M at each diagonal place."""
+    __slots__ = ("diag", "_rows", "_cols", "_row_ops", "_col_ops")
 
-    def __init__(self, diag: tuple[int, ...], U, V):
-        self.diag, self.U, self.V = diag, U, V
+    def __init__(self, diag: tuple[int, ...], rows, cols, row_ops, col_ops):
+        self.diag, self._rows, self._cols = diag, rows, cols
+        self._row_ops, self._col_ops = row_ops, col_ops
 
+    def column(self, k: int) -> list[int]:
+        return _replay(self._col_ops, len(self._cols), self._cols[k])
 
-def _mat_identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    @property
+    def U(self):
+        return [_replay(self._row_ops, len(self._rows), r) for r in self._rows]
+
+    @property
+    def V(self):
+        return [list(row) for row in zip(*map(self.column, range(len(self._cols))))]
 
 
 def smith_normal_form(M) -> SnfResult:
-    """U*M*V diagonal with the divisibility chain d_1 | d_2 | ...
+    """U*M*V diagonal with the chain d_1 | d_2 | ... for an integer matrix
+    M (a list of rows): one elimination on sparse rows (a dict per row, a
+    set of rows per column), its unimodular operations logged.  The pivot
+    is an entry +-g, g the last pivot, in the first row holding one (a row
+    without one waits until it changes), in its sparsest column.  Every
+    entry left is a multiple of g, so only a pivot past g is checked to
+    divide the rest (a column it does not divide is folded in).  On G the
+    unit pivots cost O(1) a row; the 4s then clear a dense n - 1 block."""
+    A = [dict(filter(itemgetter(1), enumerate(row))) for row in M]
+    nrows, ncols = len(A), len(M[0]) if A else 0
+    where = [set(compress(range(nrows), col)) for col in zip(*M)]
+    row_ops, col_ops, pivots, done = [], [], [], [False] * nrows
+    live = set(range(nrows))        # the rows changed since they were scanned
 
-    Pivot-and-reduce elimination with unimodular row/column operations,
-    all over Z.  V is kept transposed, so a column operation is one list
-    operation on a row of it; and once column k is zero below the pivot,
-    a column operation changes only row k of the working matrix.
-    """
-    A = [list(row) for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = _mat_identity(rows)
-    Vt = _mat_identity(cols)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        Vt[i], Vt[j] = Vt[j], Vt[i]
-
-    def add_row(dst, src, factor):
-        A[dst] = [a + factor * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, factor):      # V's half; the caller updates A
-        Vt[dst] = [a + factor * b for a, b in zip(Vt[dst], Vt[src])]
-
-    def pivot_search(k):
-        best = None
-        for i in range(k, rows):
-            row = A[i]
-            for j in range(k, cols):
-                v = abs(row[j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:
-                        return best
-        return best
-
-    k = 0
-    while k < min(rows, cols):
-        found = pivot_search(k)
-        if found is None:
-            break
-        _, pi, pj = found
-        swap_rows(k, pi)
-        swap_cols(k, pj)
-        while True:
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(k + 1, rows):
-                    if A[i][k]:
-                        add_row(i, k, -(A[i][k] // A[k][k]))
-                        if A[i][k]:
-                            swap_rows(i, k)
-                            dirty = True
-            # column k is zero below the pivot: clear row k on row k alone
-            row, pivot = A[k], A[k][k]
-            for j in range(k + 1, cols):
-                if row[j]:
-                    quot = row[j] // pivot
-                    row[j] -= quot * pivot
-                    add_col(j, k, -quot)
-                    if row[j]:
-                        swap_cols(j, k)
-                        break
+    def add_row(dst, src, f):
+        row = A[dst]
+        for j, v in A[src].items():
+            if new := row.get(j, 0) + f * v:
+                row[j] = new
+                where[j].add(dst)
             else:
+                del row[j]
+                where[j].discard(dst)
+        row_ops.append((dst, src, f))
+        live.add(dst)
+
+    g = 1
+    while True:
+        r = None
+        while live:
+            i = min(live)
+            c = min((j for j, v in A[i].items() if v == g or v == -g),
+                    key=lambda j: (len(where[j]), j), default=None)
+            if c is not None:
+                r = i
                 break
-        if A[k][k] < 0:
-            A[k][k] = -A[k][k]
-            U[k] = [-a for a in U[k]]
-        # enforce the divisibility chain: fold any non-multiple into the pivot
-        pivot = A[k][k]
-        fold = None if pivot == 1 else next(
-            (j for i in range(k + 1, rows) for j in range(k + 1, cols)
-             if A[i][j] % pivot), None)
-        if fold is None:
-            k += 1
-        else:
-            for i in range(k + 1, rows):
-                A[i][k] += A[i][fold]
-            add_col(k, fold, 1)
-    diag = tuple(A[i][i] for i in range(min(rows, cols)))
-    return SnfResult(diag, U, [list(col) for col in zip(*Vt)])
+            live.discard(i)
+        if r is None:   # no entry +-g: the least entry, every row scanned again
+            found = min(((abs(v), i, j) for i in range(nrows) if not done[i]
+                         for j, v in A[i].items()), default=None)
+            if found is None:
+                break
+            _, r, c = found
+            live = {i for i in range(nrows) if not done[i]}
+        while True:     # Euclid on row r and column c, moving the pivot down
+            p = A[r][c]
+            for i in [i for i in where[c] if i != r]:
+                if A[i][c] // p:
+                    add_row(i, r, -(A[i][c] // p))
+                if c in A[i]:
+                    r = i
+                    break
+            else:
+                row = A[r]
+                for j in [j for j in row if j != c]:
+                    col_ops.append((j, c, -(row[j] // p)))   # column c is clear
+                    row[j] %= p                               # but for row r
+                    if row[j]:
+                        c = j
+                        break
+                    del row[j]
+                    where[j].discard(r)
+                else:
+                    if p < 0:
+                        add_row(r, r, -2)       # row r = -row r
+                        p = -p
+                    fold = None if p == g else next(
+                        (j for i in range(nrows) if not done[i] and i != r
+                         for j, v in A[i].items() if v % p), None)
+                    if fold is None:
+                        break
+                    for i in where[fold]:      # column c += column fold
+                        A[i][c] = A[i][fold]
+                    where[c] |= where[fold]
+                    col_ops.append((c, fold, 1))
+        g = p
+        pivots.append((r, c))
+        done[r] = True
+        live.discard(r)
+    rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
+    diag = tuple(A[r][c] for r, c in pivots)
+    return SnfResult(diag + (0,) * (min(nrows, ncols) - len(diag)),
+                     rows + sorted(set(range(nrows)).difference(rows)),
+                     cols + sorted(set(range(ncols)).difference(cols)),
+                     row_ops, col_ops)
 
-
-# ---------------------------------------------------------------------------
-# image and kernel mod m
-# ---------------------------------------------------------------------------
 
 def image_cardinality(H, m: int) -> int:
     """|image of H : Z^s -> (Z/mZ)^s| = prod of m/gcd(d_i, m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _image_size(smith_normal_form(H).diag, m)
+    return prod(m // gcd(d, m) for d in smith_normal_form(H).diag)
 
 
-def _image_size(diag, m: int) -> int:
-    h = 1
-    for d in diag:
-        h *= m // gcd(d, m)
-    return h
-
-
-def _hermite_columns(columns):
-    """Column Hermite form of a nonsingular integer matrix, given and
-    returned as its list of columns (the basis vectors).
-
-    Lower triangular, pivots positive on the diagonal, every off-pivot
-    entry reduced modulo the pivot in its row, so all entries are
-    nonnegative.  A column operation is one list operation.
-    """
-    C = [list(col) for col in columns]
-    k = len(C)
-
-    def col_op(j, src, factor):
-        C[j] = [a + factor * b for a, b in zip(C[j], C[src])]
-
-    for i in range(k):
-        while True:
-            nz = [j for j in range(i, k) if C[j][i]]
-            if not nz:
-                raise ArithmeticError("kernel basis matrix is singular")
-            jmin = min(nz, key=lambda j: abs(C[j][i]))
-            C[i], C[jmin] = C[jmin], C[i]
-            pivot = C[i][i]
-            divides = all(C[j][i] % pivot == 0 for j in range(i + 1, k))
-            for j in range(i + 1, k):
-                if C[j][i]:
-                    col_op(j, i, -(C[j][i] // pivot))
-            if divides:
-                break
-        if C[i][i] < 0:
-            C[i] = [-a for a in C[i]]
-        for j in range(i):
-            quot = C[j][i] // C[i][i]
-            if quot:
-                col_op(j, i, -quot)
-    return C
+def _combine(x: int, u: dict, y: int, w: dict, m: int) -> dict:
+    """x u + y w modulo m, on sparse columns."""
+    return {r: v for r in u.keys() | w.keys()
+            if (v := (x * u.get(r, 0) + y * w.get(r, 0)) % m)}
 
 
 def kernel_basis(H, m: int) -> list[tuple[int, ...]]:
-    """Basis of the lattice K = {a : H a = 0 mod m}, nonnegative entries.
-
-    From U H V = D: the columns of V scaled by m/gcd(d_i, m) span K; the
-    column Hermite form then gives the canonical nonnegative basis (a
-    plain mod-m reduction can annihilate the scaled columns, so the
-    Hermite reduction is used instead).  Every vector is verified to lie
-    in K before returning.
-    """
+    """Basis of the lattice K = {a : H a = 0 mod m}, nonnegative entries."""
     return _kernel_from_snf(H, m, smith_normal_form(H))
 
 
-def _kernel_from_snf(H, m: int, snf: SnfResult) -> list[tuple[int, ...]]:
-    diag = list(snf.diag) + [0] * (len(H) - len(snf.diag))
-    columns = [[v * (m // gcd(d, m)) for v in col]
-               for col, d in zip(zip(*snf.V), diag)]
-    out = []
-    for col in _hermite_columns(columns):
-        support = [(r, v) for r, v in enumerate(col) if v]
-        if any(sum(row[r] * v for r, v in support) % m for row in H):
+def _kernel_from_snf(H, m: int, snf: SnfResult, lift=list) -> list[tuple[int, ...]]:
+    """K = {a : H a = 0 mod m} in column Hermite form (lower triangular,
+    each off-pivot entry reduced modulo the pivot in its row), each vector
+    checked against H.  ``snf`` is the Smith form of H, or of L^T H L with
+    ``lift(v)`` = L v.  K holds m Z^s and is spanned by the columns of
+    (L) V scaled by m/gcd(d_i, m), so the form starts from m I and takes
+    in each column not scaled by m by extended-gcd column steps, every
+    entry below a pivot kept modulo m (Domich-Kannan-Trotter 1987)."""
+    s = len(H)
+    C = [{i: m} for i in range(s)]      # pivots divide m: C holds m Z^s
+    for k, d in enumerate(snf.diag + (0,) * (s - len(snf.diag))):
+        if (scale := m // gcd(d, m)) == m:
+            continue
+        v = {r: x * scale % m for r, x in enumerate(lift(snf.column(k))) if x * scale % m}
+        while v:
+            i = min(v)
+            a, b = C[i][i], v[i]
+            if b % a:       # x a + y b = g = gcd(a, b) < a
+                g = gcd(a, b)
+                y = pow(b // g, -1, a // g)
+                C[i], v = (_combine((g - y * b) // a, C[i], y, v, m),
+                           _combine(a // g, v, -(b // g), C[i], m))
+            else:
+                v = _combine(1, v, -(b // a), C[i], m)
+    for r in range(s):
+        if C[r][r] < m:
+            for j in range(r):
+                if C[j].get(r, 0) >= C[r][r]:
+                    C[j] = _combine(1, C[j], -(C[j][r] // C[r][r]), C[r], m)
+    columns_of_H, out = list(zip(*H)), []
+    for col in C:
+        image, vec = [0] * s, [0] * s
+        for r, v in col.items():
+            image = [a + v * b for a, b in zip(image, columns_of_H[r])]
+            vec[r] = v
+        if any(a % m for a in image):
             raise ArithmeticError("kernel basis vector fails membership check")
-        out.append(tuple(col))
+        out.append(tuple(vec))
     return out
 
 
@@ -225,48 +233,40 @@ def _kernel_from_snf(H, m: int, snf: SnfResult) -> list[tuple[int, ...]]:
 class DegreeReport:
     __slots__ = ("m", "n", "h", "degree", "expected", "kernel", "divisors")
 
-    def __init__(self, m, n, h, degree, kernel: list[tuple[int, ...]],
-                 divisors: tuple[int, ...]):
-        self.m = m
-        self.n = n
-        self.h = h
-        self.degree = degree
+    def __init__(self, m, n, h, degree, kernel, divisors):
+        self.m, self.n, self.h, self.degree = m, n, h, degree
         self.expected = m ** (n - 1)
-        self.kernel = kernel
-        self.divisors = divisors
+        self.kernel, self.divisors = kernel, divisors
 
     @property
     def matches_expected(self) -> bool:
         return self.degree == self.expected
 
     def to_dict(self):
-        return {
-            "m": self.m,
-            "n": self.n,
-            "image_cardinality": self.h,
-            "degree": self.degree,
-            "expected": self.expected,
-            "matches_expected": self.matches_expected,
-            "elementary_divisors": list(self.divisors),
-            "kernel_basis": [list(v) for v in self.kernel],
-        }
+        return {"m": self.m, "n": self.n, "image_cardinality": self.h,
+                "degree": self.degree, "expected": self.expected,
+                "matches_expected": self.matches_expected,
+                "elementary_divisors": list(self.divisors),
+                "kernel_basis": [list(v) for v in self.kernel]}
 
 
 def pi_degree(n: int, m: int) -> DegreeReport:
-    """Degree = sqrt(image cardinality), compared against m^(n-1).
-
-    m = 1 is admitted only here, as the degenerate sanity check.
-    """
+    """Degree = sqrt(image cardinality), compared against m^(n-1); m = 1
+    is admitted only here, as the degenerate sanity check."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m != 1 and (m < 3 or m % 2 == 0):
         raise ValueError("m must be odd >= 3 (or 1 for the degenerate check)")
     H = build_H(n)
-    snf = smith_normal_form(H)
-    h = _image_size(snf.diag, m)
+    pick = itemgetter(*(t for i in range(n) for t in (i, n + i)))      # P
+    back = itemgetter(*range(0, 2 * n, 2), *range(1, 2 * n, 2))       # P^T
+    G = _differences(list(zip(*_differences([pick(c) for c in pick(list(zip(*H)))]))))
+    snf = smith_normal_form(G)
+    h = prod(m // gcd(d, m) for d in snf.diag)
     degree = isqrt(h)
     if degree * degree != h:
-        raise ArithmeticError(
-            f"image cardinality {h} is not a perfect square; "
-            "skew-symmetry violated internally")
-    return DegreeReport(m, n, h, degree, _kernel_from_snf(H, m, snf), snf.diag)
+        raise ArithmeticError(f"image cardinality {h} is not a perfect square; "
+                              "skew-symmetry violated internally")
+    kernel = _kernel_from_snf(         # ker H = D^T P^T ker G
+        H, m, snf, lambda v: list(back(list(map(sub, v, v[2:] + [0, 0])))))
+    return DegreeReport(m, n, h, degree, kernel, snf.diag)

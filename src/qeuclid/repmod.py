@@ -119,8 +119,18 @@ class ModuleParams:
         """The value y_i^m must take for i outside I (forced by the action)."""
         if i in self.I_set:
             raise ValueError(f"beta_{i} is a free parameter (i in I)")
-        diff = self.lam_i(i) ** self.m - self.lam_i(i - 1) ** self.m
-        return self.alpha_inv_i(i) * self.inv_correction ** self.m * diff
+        lam, correction = self._forced_powers
+        return self.alpha_inv_i(i) * correction * (lam[i] - lam[i - 1])
+
+    @cached_property
+    def _forced_powers(self) -> tuple[dict, Cyclotomic]:
+        """lambda_j^m for each j that a forced beta_i reads (j = i - 1, i)
+        and (1 - q^-2)^-m, each raised once: at most n + 1 powers, where
+        raising them per beta_i took 3(n - 1)."""
+        read = {j for i in range(2, self.n + 1) if i not in self.I_set
+                for j in (i - 1, i)}
+        return ({j: self.lam_i(j) ** self.m for j in read},
+                self.inv_correction ** self.m)
 
     @cached_property
     def rules(self) -> dict:
@@ -230,9 +240,11 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
     sizes no bound on the scalars predicts; phi(m) only once the other
     terms leave room, so a refused shape never builds Q(zeta_m)."""
     terms = ({"generic suites": 33 * n ** 4} if what == "identities"
-             else {"elimination": 8 * n ** 3})
+             else {"elimination": 26 * n * n})
     if what == "identities" and m is not None:
         terms["central suite"] = 15 * n * n * (m + 48)
+    if what == "pi-degree" and m is not None:   # h = m^(2n-2) in decimal, twice
+        terms["report"] = ((2 * n - 2) * m.bit_length()) ** 2 // 80000
     if what == "module":
         terms["rule walk"] = n * n * m
     if m is not None and what != "pi-degree" and sum(terms.values()) <= WORK_BUDGET:
@@ -244,7 +256,7 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
     if work > WORK_BUDGET:
         label = (f"the module of n = {n}, m = {m}" if what == "module"
                  else f"{what} --n {n}" + (f" --m {m}" if m else ""))
-        with _unlimited_int_digits():      # 8 n^3 of a 1500-digit n, say
+        with _unlimited_int_digits():      # 33 n^4 of a 1500-digit n, say
             named = ", ".join(f"{term} {steps}" for term, steps in terms.items())
             raise GuardError(f"work guard: {label} is estimated at {work} steps "
                              f"({named}), past {WORK_BUDGET}")
@@ -253,8 +265,8 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
 
 def _module_terms(n, m, phi, scalars, inverses) -> dict:
     """check_work's scalar terms: the norm inverses of alpha_1 and alpha_i;
-    the m-th powers of alpha_1, y1_coeff, and the lambda_i, lambda_(i-1)
-    and c = 1 / (1 - q^-2) (phi coordinates over m) of each forced beta_i;
+    the m-th powers of alpha_1, y1_coeff, and, once each, the lambda_j and
+    c = 1 / (1 - q^-2) (phi coordinates over m) that the forced beta_i read;
     the kappa tables of x_i in I and y_i outside I, y_i's multiplied out."""
     def size(value):        # (nonzero coordinates, coordinate bits)
         return sum(1 for v in value.nums if v), coordinate_bits(value)
@@ -264,15 +276,16 @@ def _module_terms(n, m, phi, scalars, inverses) -> dict:
         return {"central powers": _power(phi, *corr, m)}
     (alpha1, alpha, lam), (y1, alpha_inv) = scalars, inverses or (None, None)
     lam = [size(v) for v in lam]
-    raised, tables = [size(alpha1), size(y1) if y1 else corr], 0
+    raised, tables, read = [size(alpha1), size(y1) if y1 else corr], 0, set()
     for i in range(2, n + 1):
         if alpha[i - 2]:                                    # i outside I
-            raised += [lam[i - 1], lam[i - 2], corr]
+            read |= {i - 1, i - 2}
             start = coordinate_bits(alpha_inv[i - 2]) if alpha_inv else 0
             step = max(lam[i - 1][1], lam[i - 2][1]) + corr[1] + 1
             tables += _chain(m, phi, phi, start, step)
         else:       # lambda_(i-1) (1 - q^2u) / (q^2 - 1), 3 small products a step
             tables += m * phi * min(phi, 2 * lam[i - 2][0]) // 3
+    raised += [lam[j] for j in read] + [corr] * bool(read)
     return {"inversions": sum(_chain(phi - 1, phi, nonzero, 0, bits)
                               for nonzero, bits in map(size, (alpha1, *alpha))),
             "central powers": sum(_power(phi, nonzero, bits, m)

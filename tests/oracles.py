@@ -12,8 +12,9 @@ element by the extended Euclidean algorithm over Fraction.
 ``build_module`` computes with strides.  ``brute_force_image``
 enumerates the image of the PI-degree matrix, and
 ``oracle_smith_normal_form``, ``oracle_hermite_columns`` and
-``oracle_kernel_basis`` are the elimination on whole rows and columns
-that ``pidegree`` runs row-wise.  ``parse_element`` reads plain-text
+``oracle_kernel_basis`` are the elimination on whole rows and columns,
+the reference for the elimination on sparse rows and the Hermite form
+built modulo m in ``pidegree``.  ``parse_element`` reads plain-text
 algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests, with
 ``power`` for its powers.
 ``stepwise_normal_form`` straightens a word one rule application at a
@@ -320,7 +321,10 @@ def oracle_smith_normal_form(M):
     """(diag, U, V) with U*M*V diagonal and the divisibility chain
     d_1 | d_2 | ...: classic pivot-and-reduce elimination with unimodular
     row/column operations over Z, every operation on whole rows and
-    columns (the reference for ``pidegree.smith_normal_form``).
+    columns (the reference for ``pidegree.smith_normal_form``).  Its
+    coefficients can blow up on dense input (some 6 x 6 matrices with
+    entries in [-9, 9] do not finish), so the tests draw random matrices
+    from ``test_pidegree._random_matrix``.
     """
     A = [list(row) for row in M]
     rows = len(A)

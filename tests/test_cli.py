@@ -9,8 +9,12 @@ import subprocess
 import sys
 import time
 import types
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qeuclid
 from qeuclid import cli, repmod, scalars, verify
@@ -56,19 +60,19 @@ class TestPiDegreeCommand:
         assert main(["pi-degree", "--n", "2", "--m", "4"]) == EXIT_CONFIG
 
     def test_work_guard_on_large_n(self, capsys):
-        # --n 400 did not finish in 20 s before the guard
-        assert main(["pi-degree", "--n", "400", "--m", "3"]) == EXIT_GUARD
+        # the first n refused; --n 803 runs about 4 s in a fresh process
+        assert main(["pi-degree", "--n", "804", "--m", "3"]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert ("work guard: pi-degree --n 400 is estimated at 512000000 steps "
-                "(elimination 512000000), past 16777216") in captured.err
+        assert ("work guard: pi-degree --n 804 --m 3 is estimated at 16806944 steps "
+                "(elimination 16806816, report 128), past 16777216") in captured.err
         assert captured.out == ""
 
     def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
-        # 8 n^3 puts the bound at n = 128 exactly
-        assert repmod.check_work("pi-degree", 128) == repmod.WORK_BUDGET
+        # 26 n^2 admits n <= 803
+        assert repmod.check_work("pi-degree", 803) == 26 * 803 ** 2 <= repmod.WORK_BUDGET
         with pytest.raises(repmod.GuardError):
-            repmod.check_work("pi-degree", 129)
-        monkeypatch.setattr(repmod, "WORK_BUDGET", 8 * 3 ** 3)
+            repmod.check_work("pi-degree", 804)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 26 * 3 ** 2)
         assert main(["pi-degree", "--n", "3", "--m", "5"]) == EXIT_OK
         assert main(["pi-degree", "--n", "4", "--m", "5"]) == EXIT_GUARD
 
@@ -580,6 +584,28 @@ def _ci_configs():
         for n in (9, 41)]
 
 
+class TestPiDegreeFuzz:
+    """``pi-degree --n N --m M`` on untrusted argv ends with exit 0, 2, 3 or
+    4 within a wall-time bound: N across the work guard's boundary (n <= 803
+    is admitted at small m), M odd, even, 1, composite, huge or no integer."""
+
+    NS = st.one_of(st.integers(-3, 40), st.integers(798, 808),
+                   st.integers(809, 10 ** 40), st.sampled_from(["x", "", "3.0", "1e3"]))
+    MS = st.one_of(st.sampled_from([1, 3, 5, 9, 15, 45, 105, 3003]), st.integers(-9, 9),
+                   st.integers(1, 10 ** 6).map(lambda k: 2 * k),
+                   st.integers(0, 4200).map(lambda k: 10 ** k + 1),
+                   st.sampled_from(["q", "", "1/3", "9" * 4400]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(NS, MS)
+    def test_exit_code_within_a_time_bound(self, n, m):
+        t0 = time.perf_counter()
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["pi-degree", "--n", str(n), "--m", str(m)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_GUARD)
+        assert time.perf_counter() - t0 < 20.0
+
+
 class TestWorkGuard:
     """One budget over every command, in estimated steps
     (``repmod.check_work``)."""
@@ -607,11 +633,13 @@ class TestWorkGuard:
         assert "work guard: the module of n = 2, m = 509" in capsys.readouterr().err
 
     def test_an_n_of_1500_digits_is_refused(self, tmp_path, capsys):
-        # 8 n^3 has 4500 digits, past Python's default int-to-str limit
+        # 33 n^4 has 6000 digits, and 26 n^2 of a 2200-digit n about 4400, past
+        # Python's default int-to-str limit
         n = "9" * 1500
         cfg = write_config(tmp_path, n=int(n))
         for argv in (["pi-degree", "--n", n, "--m", "3"], ["identities", "--n", n],
-                     ["verify", "--config", cfg]):
+                     ["verify", "--config", cfg],
+                     ["pi-degree", "--n", "9" * 2200, "--m", "3"]):
             assert main(argv) == EXIT_GUARD
             assert capsys.readouterr().err.startswith("guard exceeded: work guard: ")
 
@@ -633,8 +661,9 @@ class TestWorkGuard:
         "generic suites": lambda tmp: ["identities", "--n", "27"],
         "central suite": lambda tmp: ["identities", "--n", "16", "--m", "4001"],
         "field": lambda tmp: ["identities", "--n", "2", "--m", "3003"],
-        "elimination": lambda tmp: ["pi-degree", "--n", "129", "--m", "3"],
-        "rule walk": lambda tmp: TestWorkGuard._module(tmp, 25, n=127),
+        "elimination": lambda tmp: ["pi-degree", "--n", "804", "--m", "3"],
+        "report": lambda tmp: ["pi-degree", "--n", "100", "--m", str(10 ** 1760 + 1)],
+        "rule walk": lambda tmp: TestWorkGuard._module(tmp, 3, n=800),
         "inversions": lambda tmp: TestWorkGuard._module(
             tmp, 61, alpha1=TestWorkGuard._dense(512)),
         "central powers": lambda tmp: TestWorkGuard._module(

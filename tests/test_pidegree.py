@@ -6,7 +6,12 @@ from math import gcd
 
 import pytest
 
-from oracles import brute_force_image, oracle_kernel_basis, oracle_smith_normal_form
+from oracles import (
+    brute_force_image,
+    oracle_hermite_columns,
+    oracle_kernel_basis,
+    oracle_smith_normal_form,
+)
 from qeuclid import pidegree
 from qeuclid.pidegree import (
     DegreeReport,
@@ -187,9 +192,10 @@ def _random_matrix(rng):
 
 
 class TestEliminationAgainstOracle:
-    """The row-wise elimination against the whole-row-and-column oracle:
-    equal elementary divisors and equal Hermite kernel bases (both are
-    unique, whatever U and V each elimination reaches)."""
+    """The sparse elimination and the Hermite form modulo m against the
+    whole-row-and-column oracle: equal elementary divisors and equal
+    Hermite kernel bases (both are unique, whatever U and V each
+    elimination reaches), on H directly and through G in ``pi_degree``."""
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_H_divisors_and_kernels(self, n):
@@ -198,7 +204,10 @@ class TestEliminationAgainstOracle:
         oracle = oracle_smith_normal_form(H)
         assert snf.diag == oracle[0]
         for m in (1, 3, 5, 9, 15, 21, 99, 101):
-            assert pidegree._kernel_from_snf(H, m, snf) == oracle_kernel_basis(H, m, oracle)
+            kernel = oracle_kernel_basis(H, m, oracle)
+            assert pidegree._kernel_from_snf(H, m, snf) == kernel
+            rep = pi_degree(n, m)
+            assert rep.divisors == oracle[0] and rep.kernel == kernel
 
     def test_random_matrices(self):
         rng = random.Random(23)
@@ -219,6 +228,88 @@ class TestEliminationAgainstOracle:
                 chain = [d for d in entries if d] + [0] * entries.count(0)
                 restarts += snf.diag != tuple(chain)
         assert len(shapes) == 36 and min(kinds) >= 100 and restarts >= 20
+
+
+def _recorded_G(monkeypatch, n):
+    """The matrix that ``pi_degree(n, 3)`` hands to the Smith form."""
+    seen = []
+
+    def recording(M):
+        seen.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(pidegree, "smith_normal_form", recording)
+    pi_degree(n, 3)
+    return [list(row) for row in seen[0]]
+
+
+class TestBandedG:
+    """pi_degree works on G = P D H D^T P^T, read off build_H."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_G_is_the_congruence_of_H(self, monkeypatch, n):
+        s = 2 * n
+        order = [t for i in range(n) for t in (i, n + i)]
+        P = [[int(c == order[r]) for c in range(s)] for r in range(s)]
+        D = [[int(r == c) - int(c + 1 == r and r % n != 0) for c in range(s)]
+             for r in range(s)]        # row a = e_a - e_(a-1) inside a block
+        PD = _mat_mul(P, D)
+        PDt = [list(col) for col in zip(*PD)]
+        assert abs(_det(PD)) == 1
+        assert _recorded_G(monkeypatch, n) == _mat_mul(_mat_mul(PD, build_H(n)), PDt)
+
+    def test_G_has_five_nonzeros_a_row_in_a_constant_band(self, monkeypatch):
+        for n in range(1, 65):
+            G = _recorded_G(monkeypatch, n)
+            monkeypatch.undo()
+            assert max(sum(1 for v in row if v) for row in G) <= 5
+            assert all(abs(i - j) <= 3 for i, row in enumerate(G)
+                       for j, v in enumerate(row) if v), n
+
+    @staticmethod
+    def _other_patterns(n):
+        s = 2 * n
+        sign = [[(j > i) - (j < i) for j in range(s)] for i in range(s)]
+        H = build_H(n)
+        corrected = [[H[i][j] or (j - i == n) - (i - j == n) for j in range(s)]
+                     for i in range(s)]       # x_i y_i = q y_i x_i as well
+        doubled = [[2 * v for v in row] for row in H]
+        return {"quantum affine space": sign, "no additive pair": corrected,
+                "doubled": doubled}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_G_is_read_off_build_H(self, monkeypatch, n):
+        for name, H in self._other_patterns(n).items():
+            monkeypatch.setattr(pidegree, "build_H", lambda k, H=H: H)
+            oracle = oracle_smith_normal_form(H)
+            for m in (1, 3, 9, 15):
+                rep = pi_degree(n, m)
+                assert rep.divisors == oracle[0], name
+                assert rep.kernel == oracle_kernel_basis(H, m, oracle), name
+
+
+class TestHermiteModM:
+    """The Hermite form built modulo m from m I against the Hermite form
+    of the whole scaled basis (``oracle_hermite_columns``)."""
+
+    def test_random_lattices(self):
+        rng = random.Random(29)
+        tried = 0
+        for _ in range(400):
+            M, _ = _random_matrix(rng)
+            s = len(M)
+            if s != len(M[0]):
+                continue
+            snf = smith_normal_form(M)
+            zero = [[0] * s for _ in range(s)]    # every vector is a member
+            for m in (3, 9, 15, 45):
+                scale = [m // gcd(d, m) for d in snf.diag]
+                basis = [[snf.V[r][c] * scale[c] for c in range(s)] for r in range(s)]
+                oracle = oracle_hermite_columns(basis)
+                expected = [tuple(oracle[r][c] for r in range(s)) for c in range(s)]
+                assert pidegree._kernel_from_snf(zero, m, snf) == expected, (M, m)
+            tried += 1
+        assert tried >= 50
 
 
 class TestImageCardinality:

@@ -24,7 +24,7 @@ from qeuclid.repmod import (
 )
 from qeuclid.rewriter import all_gens, gen_name, root_domain, xgen, ygen
 from qeuclid.scalars import Cyclotomic, encode_cyclotomic, parse_cyclotomic
-from qeuclid.verify import direct_sum, run_verification
+from qeuclid.verify import direct_sum, expected_central_values, run_verification
 
 
 def make_params(m=3, k=1, n=2, alpha1=1, alpha=None, beta=None, lam=None,
@@ -311,6 +311,35 @@ class TestAlphaInverses:
         assert inverted == [dom.scalar(2), dom.scalar(3)]
         assert params.inv_correction * dom.correction == dom.one
         assert params._inv_q2_minus_1 * (dom.q_pow(2) - dom.one) == dom.one
+
+
+class TestForcedPowers:
+    """The forced beta_i (i outside I) read lambda_(i-1)^m, lambda_i^m and
+    (1 - q^-2)^-m; each is raised once per instance, not once per i."""
+
+    @pytest.mark.parametrize("case, n, m", [("I", 5, 7), ("II", 5, 7), ("III", 4, 5)])
+    def test_expected_values_raise_each_power_once(self, monkeypatch, case, n, m):
+        params = random_module_params(case, n, m, 1, seed=3)
+        gm = build_module(params)
+        raised = []
+        power = Cyclotomic.__pow__
+
+        def counting(self, e):
+            raised.append(e)
+            return power(self, e)
+
+        monkeypatch.setattr(Cyclotomic, "__pow__", counting)
+        expected = expected_central_values(gm)
+        outside = [i for i in range(2, n + 1) if i not in params.I_set]
+        lambdas = {j for i in outside for j in (i - 1, i)}
+        # alpha_1^m and y1_coeff^m, then each lambda_j^m and the correction
+        assert raised == [m] * (2 + len(lambdas) + 1)
+        assert len(raised) < 2 + 3 * len(outside)
+        monkeypatch.setattr(Cyclotomic, "__pow__", power)
+        for i in outside:
+            lam = params.lam_i(i) ** m - params.lam_i(i - 1) ** m
+            assert expected[f"y{i}"] == (params.alpha_inv_i(i)
+                                         * params.inv_correction ** m * lam)
 
 
 class TestActCaseIIandIII:
