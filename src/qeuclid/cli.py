@@ -211,6 +211,8 @@ def cmd_verify(args) -> int:
 
 def cmd_identities(args) -> int:
     m, k = args.m, args.k
+    if args.n < 1:          # before the guard, which would factor m at n = 0
+        raise ValueError("n must be >= 1")
     if m is not None and (m < 3 or m % 2 == 0 or gcd(k, m) != 1):
         root_domain(m, k)       # raises the config error, builds no field
     check_work("identities", args.n, m)     # before any suite runs

@@ -239,7 +239,7 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
     inverted, and with the ``inverses`` (y1_coeff, alpha_i^-1), whose
     sizes no bound on the scalars predicts; phi(m) only once the other
     terms leave room, so a refused shape never builds Q(zeta_m)."""
-    terms = ({"generic suites": 33 * n ** 4} if what == "identities"
+    terms = ({"generic suites": 200 * n ** 3} if what == "identities"
              else {"elimination": 26 * n * n})
     if what == "identities" and m is not None:
         terms["central suite"] = 15 * n * n * (m + 48)
@@ -256,7 +256,7 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
     if work > WORK_BUDGET:
         label = (f"the module of n = {n}, m = {m}" if what == "module"
                  else f"{what} --n {n}" + (f" --m {m}" if m else ""))
-        with _unlimited_int_digits():      # 33 n^4 of a 1500-digit n, say
+        with _unlimited_int_digits():      # 200 n^3 of a 1500-digit n, say
             named = ", ".join(f"{term} {steps}" for term, steps in terms.items())
             raise GuardError(f"work guard: {label} is estimated at {work} steps "
                              f"({named}), past {WORK_BUDGET}")

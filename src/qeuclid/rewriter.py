@@ -40,13 +40,26 @@ telescope to a difference of two powers of q; a word whose sum
 vanishes is dropped, so x_i^m y_i = y_i x_i^m at q = zeta_m costs no
 correction word.  Only the W_j recurse; their index multisets are
 strictly smaller, so the recursion ends.
+
+Identity suites by linearity.  Each residual is one dict, and
+:func:`_accumulate` adds coeff * NF(word) into it in place, dropping
+zero entries; no product or partial sum is formed as a polynomial.
+Confluence straightens an overlap's two reducts into one signed
+residual, and a central commutator vanishes when its two words have
+equal normal forms.  The omega identities follow by bilinearity, with
+c = 1 - q^-2 and Y_l = y_l x_l (:func:`verify_remark_identities`):
+omega_i g - s g omega_i adds c (NF(Y_i g) - s NF(g Y_i)) to the residual
+of i - 1, and [omega_i, omega_j] adds sum_(a<=i) c^2 [Y_a, Y_j] to that
+of [omega_i, omega_(j-1)], the terms with both indices at most i
+cancelling in pairs.  The suite makes 8 n^2 - 4 n straighten_word calls
+where the whole products made about n^4 / 3.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
-from .scalars import CyclotomicField, QLaurent, root_of_unity
+from .scalars import QLaurent, root_of_unity
 
 
 # ---------------------------------------------------------------------------
@@ -237,115 +250,6 @@ def straighten_word(word: tuple[int, ...], dom) -> dict:
     return result
 
 
-class NCPoly:
-    """Noncommutative polynomial: map from words to nonzero scalars."""
-
-    __slots__ = ("domain", "terms")
-
-    def __init__(self, domain, terms=None):
-        self.domain = domain
-        self.terms = terms or {}
-
-    @classmethod
-    def one(cls, domain):
-        return cls(domain, {(): domain.one})
-
-    @classmethod
-    def gen(cls, domain, code: int):
-        return cls(domain, {(code,): domain.one})
-
-    @classmethod
-    def word(cls, domain, codes, coeff=None):
-        return cls(domain, {tuple(codes): coeff if coeff is not None else domain.one})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_normal(self) -> bool:
-        return all(list(w) == sorted(w) for w in self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, NCPoly) and self.domain is other.domain
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.domain), frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if self.domain is not other.domain:
-            raise ValueError("mixed coefficient domains")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(out, w, c)
-        return NCPoly(self.domain, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NCPoly(self.domain, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar):
-        if scalar.is_zero():
-            return NCPoly(self.domain)
-        return NCPoly(self.domain, {w: scalar * c for w, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            mono = "*".join(gen_name(c) for c in w) or "1"
-            bits.append(f"({self.terms[w]})*{mono}")
-        return " + ".join(bits)
-
-
-def straighten(p: NCPoly) -> NCPoly:
-    """Unique normal form; equal algebra elements have equal normal forms."""
-    out: dict = {}
-    for w, c in p.terms.items():
-        for nw, nc in straighten_word(w, p.domain).items():
-            _add_term(out, nw, c * nc)
-    return NCPoly(p.domain, out)
-
-
-def multiply(p: NCPoly, r: NCPoly) -> NCPoly:
-    """Straightened product."""
-    p._check(r)
-    out: dict = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in r.terms.items():
-            c12 = c1 * c2
-            for nw, nc in straighten_word(w1 + w2, p.domain).items():
-                _add_term(out, nw, c12 * nc)
-    return NCPoly(p.domain, out)
-
-
-def omega(i: int, n: int, dom=GENERIC_Q) -> NCPoly:
-    """The normal element sum_{l<=i} (1-q^-2) y_l x_l."""
-    if not 1 <= i <= n:
-        raise ValueError(f"omega index {i} out of range 1..{n}")
-    return NCPoly(dom, {(ygen(l), xgen(l)): dom.correction for l in range(1, i + 1)})
-
-
-def rewrite_rules(n: int, dom=GENERIC_Q) -> list[tuple[tuple[int, int], NCPoly]]:
-    """The full rule table: every length-2 descent with its straightened
-    right-hand side (one q-swap family per mixed pair, plus the additive
-    x_i y_i rule)."""
-    rules = []
-    for u in sorted(all_gens(n), reverse=True):
-        for v in sorted(all_gens(n)):
-            if u > v:
-                rhs = NCPoly(dom)
-                for coeff, repl in _rewrite_pair(u, v, dom):
-                    rhs = rhs + NCPoly.word(dom, repl, coeff)
-                rules.append(((u, v), rhs))
-    return rules
-
-
 # ---------------------------------------------------------------------------
 # identity suites
 # ---------------------------------------------------------------------------
@@ -388,9 +292,16 @@ class CheckReport:
         }
 
 
-def _residual_item(report, name, residual):
-    report.add(name, residual.is_zero(),
-               "" if residual.is_zero() else f"residual {residual!r}")
+def _accumulate(residual: dict, coeff, word: tuple[int, ...], dom) -> None:
+    """residual += coeff * NF(word), in place: the suites' one primitive."""
+    for w, c in straighten_word(word, dom).items():
+        _add_term(residual, w, coeff * c)
+
+
+def _residual_item(report, name, residual: dict):
+    text = " + ".join(f"({residual[w]})*{'*'.join(map(gen_name, w)) or '1'}"
+                      for w in sorted(residual))
+    report.add(name, not residual, text and f"residual {text}")
 
 
 def verify_remark_identities(n: int, dom=GENERIC_Q) -> CheckReport:
@@ -398,46 +309,56 @@ def verify_remark_identities(n: int, dom=GENERIC_Q) -> CheckReport:
     omega_i x_j = q^2 x_j omega_i and omega_i y_j = q^-2 y_j omega_i for
     i < j, plain commutation for j <= i, and omega_i omega_j = omega_j
     omega_i -- each by straightening the difference to zero.
+
+    By bilinearity (module docstring) the residual of omega_i g grows by
+    two words per i, and is summed again from l = 1 at i = j, where s
+    drops from q^(+-2) to 1; that of [omega_i, omega_j] grows by
+    T(i, j) = sum_(a<=i) c^2 [Y_a, Y_j], and T by one term per i.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     report = CheckReport(f"omega quasicommutation identities (n={n}, {dom.name})")
-    omegas = {i: omega(i, n, dom) for i in range(1, n + 1)}
+    c = dom.correction
+    pairs = [(ygen(l), xgen(l)) for l in range(n + 1)]      # Y_l
+    residuals = {g: {} for g in all_gens(n)}                 # of omega_i g, i rising
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            xj = NCPoly.gen(dom, xgen(j))
-            yj = NCPoly.gen(dom, ygen(j))
-            if i < j:
-                res = multiply(omegas[i], xj) - multiply(xj, omegas[i]).scale(dom.q_pow(2))
-                _residual_item(report, f"omega{i}*x{j} = q^2*x{j}*omega{i}", res)
-                res = multiply(omegas[i], yj) - multiply(yj, omegas[i]).scale(dom.q_pow(-2))
-                _residual_item(report, f"omega{i}*y{j} = q^-2*y{j}*omega{i}", res)
-            else:
-                res = multiply(omegas[i], xj) - multiply(xj, omegas[i])
-                _residual_item(report, f"omega{i}*x{j} = x{j}*omega{i}", res)
-                res = multiply(omegas[i], yj) - multiply(yj, omegas[i])
-                _residual_item(report, f"omega{i}*y{j} = y{j}*omega{i}", res)
+            for g, e in ((xgen(j), 2), (ygen(j), -2)):
+                if i == j:              # s drops to 1: sum again from l = 1
+                    residuals[g] = {}
+                minus_sc = -(dom.q_pow(e) * c) if i < j else -c
+                for l in range(1 if i == j else i, i + 1):
+                    _accumulate(residuals[g], c, pairs[l] + (g,), dom)
+                    _accumulate(residuals[g], minus_sc, (g,) + pairs[l], dom)
+                name = gen_name(g)
+                rhs = f"q^{e}*{name}" if i < j else name
+                _residual_item(report, f"omega{i}*{name} = {rhs}*omega{i}", residuals[g])
+    c2 = c * c
+    T = [{} for _ in range(n + 1)]      # T[j] = sum_(a<=i) c^2 [Y_a, Y_j]
     for i in range(1, n + 1):
+        res = {}                        # of [omega_i, omega_j], j rising
         for j in range(i + 1, n + 1):
-            res = multiply(omegas[i], omegas[j]) - multiply(omegas[j], omegas[i])
+            _accumulate(T[j], c2, pairs[i] + pairs[j], dom)
+            _accumulate(T[j], -c2, pairs[j] + pairs[i], dom)
+            for w, v in T[j].items():
+                _add_term(res, w, v)
             _residual_item(report, f"omega{i}*omega{j} = omega{j}*omega{i}", res)
     return report
 
 
 def verify_central_powers(n: int, m: int, k: int) -> CheckReport:
-    """x_i^m and y_i^m commute with every generator at q = zeta_m^k."""
+    """x_i^m and y_i^m commute with every generator at q = zeta_m^k: the
+    residual NF(p g) - NF(g p) is zero exactly when the two normal forms,
+    maps with no zero entry, are equal."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dom = root_domain(m, k)
     report = CheckReport(f"centrality of m-th powers (n={n}, m={m}, k={k})")
     for i in range(1, n + 1):
-        px = NCPoly.word(dom, (xgen(i),) * m)
-        py = NCPoly.word(dom, (ygen(i),) * m)
+        px, py = (xgen(i),) * m, (ygen(i),) * m
         for g in all_gens(n):
-            gp = NCPoly.gen(dom, g)
-            rx = multiply(px, gp) - multiply(gp, px)
-            ry = multiply(py, gp) - multiply(gp, py)
-            ok = rx.is_zero() and ry.is_zero()
+            ok = all(straighten_word(p + (g,), dom) == straighten_word((g,) + p, dom)
+                     for p in (px, py))
             report.add(f"[x{i}^{m}, {gen_name(g)}] = [y{i}^{m}, {gen_name(g)}] = 0",
                        ok, "" if ok else "nonzero commutator")
     return report
@@ -448,8 +369,9 @@ def check_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
 
     Overlap words are g_a g_b g_c with both adjacent pairs rewritable,
     i.e. strictly decreasing in the canonical order.  Both one-step
-    reducts are straightened fully and compared; by the diamond lemma
-    agreement on all overlaps makes the normal form unique.
+    reducts are straightened fully into one signed residual; by the
+    diamond lemma its vanishing on all overlaps makes the normal form
+    unique.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -458,14 +380,11 @@ def check_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
     for ia, a in enumerate(codes):
         for ib, b in enumerate(codes[:ia]):
             for c in codes[:ib]:
-                left = NCPoly(dom)
+                res = {}
                 for coeff, repl in _rewrite_pair(a, b, dom):
-                    left = left + NCPoly.word(dom, repl + (c,), coeff)
-                right = NCPoly(dom)
+                    _accumulate(res, coeff, repl + (c,), dom)
                 for coeff, repl in _rewrite_pair(b, c, dom):
-                    right = right + NCPoly.word(dom, (a,) + repl, coeff)
-                res = straighten(left) - straighten(right)
+                    _accumulate(res, -coeff, (a,) + repl, dom)
                 word = "*".join(gen_name(g) for g in (a, b, c))
-                report.add(f"overlap {word}", res.is_zero(),
-                           "" if res.is_zero() else f"residual {res!r}")
+                _residual_item(report, f"overlap {word}", res)
     return report

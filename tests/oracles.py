@@ -19,7 +19,12 @@ algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests, with
 ``power`` for its powers.
 ``stepwise_normal_form`` straightens a word one rule application at a
 time, the reference for the insertion pass of
-``rewriter.straighten_word``.
+``rewriter.straighten_word``.  ``NCPoly`` is a polynomial with sums,
+scaling, ``straighten`` and ``multiply``; ``omega`` and ``rewrite_rules``
+build the normal elements and the rule table from it, and
+``oracle_remark_identities``, ``oracle_local_confluence`` and
+``oracle_central_powers`` are the identity suites by whole products, the
+reference for the residuals that ``rewriter`` accumulates in place.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from operator import mul
 from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.rewriter import (
     GENERIC_Q,
-    NCPoly,
+    CheckReport,
+    _add_term,
     _rewrite_pair,
     all_gens,
     gen_name,
-    multiply,
-    straighten,
+    root_domain,
+    straighten_word,
     xgen,
     ygen,
 )
@@ -504,6 +510,202 @@ def stepwise_normal_form(word: tuple[int, ...], dom) -> dict:
                     result[w] = acc
     cache[word] = result
     return result
+
+
+# ---------------------------------------------------------------------------
+# polynomials and the identity suites by whole products
+# ---------------------------------------------------------------------------
+
+class NCPoly:
+    """Noncommutative polynomial: map from words to nonzero scalars."""
+
+    __slots__ = ("domain", "terms")
+
+    def __init__(self, domain, terms=None):
+        self.domain = domain
+        self.terms = terms or {}
+
+    @classmethod
+    def one(cls, domain):
+        return cls(domain, {(): domain.one})
+
+    @classmethod
+    def gen(cls, domain, code: int):
+        return cls(domain, {(code,): domain.one})
+
+    @classmethod
+    def word(cls, domain, codes, coeff=None):
+        return cls(domain, {tuple(codes): coeff if coeff is not None else domain.one})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_normal(self) -> bool:
+        return all(list(w) == sorted(w) for w in self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, NCPoly) and self.domain is other.domain
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((id(self.domain), frozenset(self.terms.items())))
+
+    def _check(self, other):
+        if self.domain is not other.domain:
+            raise ValueError("mixed coefficient domains")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            _add_term(out, w, c)
+        return NCPoly(self.domain, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return NCPoly(self.domain, {w: -c for w, c in self.terms.items()})
+
+    def scale(self, scalar):
+        if scalar.is_zero():
+            return NCPoly(self.domain)
+        return NCPoly(self.domain, {w: scalar * c for w, c in self.terms.items()})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for w in sorted(self.terms):
+            mono = "*".join(gen_name(c) for c in w) or "1"
+            bits.append(f"({self.terms[w]})*{mono}")
+        return " + ".join(bits)
+
+
+def straighten(p: NCPoly) -> NCPoly:
+    """Unique normal form; equal algebra elements have equal normal forms."""
+    out: dict = {}
+    for w, c in p.terms.items():
+        for nw, nc in straighten_word(w, p.domain).items():
+            _add_term(out, nw, c * nc)
+    return NCPoly(p.domain, out)
+
+
+def multiply(p: NCPoly, r: NCPoly) -> NCPoly:
+    """Straightened product."""
+    p._check(r)
+    out: dict = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in r.terms.items():
+            c12 = c1 * c2
+            for nw, nc in straighten_word(w1 + w2, p.domain).items():
+                _add_term(out, nw, c12 * nc)
+    return NCPoly(p.domain, out)
+
+
+def omega(i: int, n: int, dom=GENERIC_Q) -> NCPoly:
+    """The normal element sum_{l<=i} (1-q^-2) y_l x_l."""
+    if not 1 <= i <= n:
+        raise ValueError(f"omega index {i} out of range 1..{n}")
+    return NCPoly(dom, {(ygen(l), xgen(l)): dom.correction for l in range(1, i + 1)})
+
+
+def rewrite_rules(n: int, dom=GENERIC_Q) -> list[tuple[tuple[int, int], NCPoly]]:
+    """The full rule table: every length-2 descent with its straightened
+    right-hand side (one q-swap family per mixed pair, plus the additive
+    x_i y_i rule)."""
+    rules = []
+    for u in sorted(all_gens(n), reverse=True):
+        for v in sorted(all_gens(n)):
+            if u > v:
+                rhs = NCPoly(dom)
+                for coeff, repl in _rewrite_pair(u, v, dom):
+                    rhs = rhs + NCPoly.word(dom, repl, coeff)
+                rules.append(((u, v), rhs))
+    return rules
+
+
+def oracle_residual_item(report, name, residual):
+    report.add(name, residual.is_zero(),
+               "" if residual.is_zero() else f"residual {residual!r}")
+
+
+def oracle_remark_identities(n: int, dom=GENERIC_Q) -> CheckReport:
+    """All quasicommutation identities of the normal elements omega_i:
+    omega_i x_j = q^2 x_j omega_i and omega_i y_j = q^-2 y_j omega_i for
+    i < j, plain commutation for j <= i, and omega_i omega_j = omega_j
+    omega_i -- each by straightening the difference to zero.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    report = CheckReport(f"omega quasicommutation identities (n={n}, {dom.name})")
+    omegas = {i: omega(i, n, dom) for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            xj = NCPoly.gen(dom, xgen(j))
+            yj = NCPoly.gen(dom, ygen(j))
+            if i < j:
+                res = multiply(omegas[i], xj) - multiply(xj, omegas[i]).scale(dom.q_pow(2))
+                oracle_residual_item(report, f"omega{i}*x{j} = q^2*x{j}*omega{i}", res)
+                res = multiply(omegas[i], yj) - multiply(yj, omegas[i]).scale(dom.q_pow(-2))
+                oracle_residual_item(report, f"omega{i}*y{j} = q^-2*y{j}*omega{i}", res)
+            else:
+                res = multiply(omegas[i], xj) - multiply(xj, omegas[i])
+                oracle_residual_item(report, f"omega{i}*x{j} = x{j}*omega{i}", res)
+                res = multiply(omegas[i], yj) - multiply(yj, omegas[i])
+                oracle_residual_item(report, f"omega{i}*y{j} = y{j}*omega{i}", res)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            res = multiply(omegas[i], omegas[j]) - multiply(omegas[j], omegas[i])
+            oracle_residual_item(report, f"omega{i}*omega{j} = omega{j}*omega{i}", res)
+    return report
+
+
+def oracle_central_powers(n: int, m: int, k: int) -> CheckReport:
+    """x_i^m and y_i^m commute with every generator at q = zeta_m^k."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    dom = root_domain(m, k)
+    report = CheckReport(f"centrality of m-th powers (n={n}, m={m}, k={k})")
+    for i in range(1, n + 1):
+        px = NCPoly.word(dom, (xgen(i),) * m)
+        py = NCPoly.word(dom, (ygen(i),) * m)
+        for g in all_gens(n):
+            gp = NCPoly.gen(dom, g)
+            rx = multiply(px, gp) - multiply(gp, px)
+            ry = multiply(py, gp) - multiply(gp, py)
+            ok = rx.is_zero() and ry.is_zero()
+            report.add(f"[x{i}^{m}, {gen_name(g)}] = [y{i}^{m}, {gen_name(g)}] = 0",
+                       ok, "" if ok else "nonzero commutator")
+    return report
+
+
+def oracle_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
+    """Resolve every length-3 overlap ambiguity both ways.
+
+    Overlap words are g_a g_b g_c with both adjacent pairs rewritable,
+    i.e. strictly decreasing in the canonical order.  Both one-step
+    reducts are straightened fully and compared; by the diamond lemma
+    agreement on all overlaps makes the normal form unique.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    report = CheckReport(f"local confluence on length-3 overlaps (n={n})")
+    codes = sorted(all_gens(n))
+    for ia, a in enumerate(codes):
+        for ib, b in enumerate(codes[:ia]):
+            for c in codes[:ib]:
+                left = NCPoly(dom)
+                for coeff, repl in _rewrite_pair(a, b, dom):
+                    left = left + NCPoly.word(dom, repl + (c,), coeff)
+                right = NCPoly(dom)
+                for coeff, repl in _rewrite_pair(b, c, dom):
+                    right = right + NCPoly.word(dom, (a,) + repl, coeff)
+                res = straighten(left) - straighten(right)
+                word = "*".join(gen_name(g) for g in (a, b, c))
+                report.add(f"overlap {word}", res.is_zero(),
+                           "" if res.is_zero() else f"residual {res!r}")
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeuclid
-from qeuclid import cli, repmod, scalars, verify
+from qeuclid import cli, repmod, rewriter, scalars, verify
 from qeuclid.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 from qeuclid.pidegree import pi_degree
 from qeuclid.repmod import ModuleParams, build_module
@@ -463,26 +463,36 @@ class TestIdentitiesCommand:
         assert "n must be >= 1" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("n", ["0", "-40"])
+    def test_n_below_one_is_refused_before_the_guard(self, n, monkeypatch, capsys):
+        # at n = 0 the suites' terms were 0 and the field term factored m:
+        # --m 10^40+1 ran for minutes
+        def must_not_run(*args):
+            raise AssertionError("m was factored")
+        monkeypatch.setattr(repmod, "euler_phi", must_not_run)
+        assert main(["identities", "--n", n, "--m", str(10 ** 40 + 1)]) == EXIT_CONFIG
+        assert "config error: n must be >= 1" in capsys.readouterr().err
+
     def test_work_guard_on_large_n(self, capsys):
         # --n 60 did not finish in 20 s before the guard
         assert main(["identities", "--n", "60"]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert ("work guard: identities --n 60 is estimated at 427680000 steps "
-                "(generic suites 427680000), past 16777216") in captured.err
+        assert ("work guard: identities --n 60 is estimated at 43200000 steps "
+                "(generic suites 43200000), past 16777216") in captured.err
         assert captured.out == ""
 
     def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
-        # 33 n^4 admits n <= 26 without --m
-        repmod.check_work("identities", 26)
+        # 200 n^3 admits n <= 43 without --m
+        repmod.check_work("identities", 43)
         with pytest.raises(repmod.GuardError):
-            repmod.check_work("identities", 27)
+            repmod.check_work("identities", 44)
         monkeypatch.setattr(repmod, "WORK_BUDGET", repmod.check_work("identities", 2, 3))
         assert main(["identities", "--n", "2", "--m", "3"]) == EXIT_OK
         assert main(["identities", "--n", "3", "--m", "3"]) == EXIT_GUARD
 
     def test_work_guard_on_large_m(self, monkeypatch, capsys):
         # each term of the estimate refuses one instance: the generic-q
-        # suites (27, 3), the central suite (16, 4001), the wrap table of
+        # suites (44, 3), the central suite (16, 4201), the wrap table of
         # Q(zeta_3003) and the vectors of phi coordinates at m = 699007
         def must_not_run(*args):
             raise AssertionError("a suite ran past the work guard")
@@ -490,22 +500,22 @@ class TestIdentitiesCommand:
                      "verify_central_powers"):
             monkeypatch.setattr(cli, name, must_not_run)
         monkeypatch.setattr(scalars, "_FIELD_CACHE", {})
-        for n, m in [("27", "3"), ("16", "4001"), ("2", "3003"), ("1", "699007"),
+        for n, m in [("44", "3"), ("16", "4201"), ("2", "3003"), ("1", "699007"),
                      ("32", "2001"), ("2", "1000001")]:
             assert main(["identities", "--n", n, "--m", m]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert ("work guard: identities --n 16 --m 4001 is estimated at 17710848 "
-                "steps (generic suites 2162688, central suite 15548160), "
+        assert ("work guard: identities --n 16 --m 4201 is estimated at 17135360 "
+                "steps (generic suites 819200, central suite 16316160), "
                 "past 16777216") in captured.err
         assert captured.out == ""
         # the guard reads phi(m), but Q(zeta_m) is never built
         assert scalars._FIELD_CACHE == {}
 
     def test_work_guard_on_m_is_inclusive(self, monkeypatch):
-        # (2, 5): 2^2 (33 * 2^2 + 15 * 5 + 720) + 9 * (5 - 4 + 3) * 4 = 3852
-        monkeypatch.setattr(repmod, "WORK_BUDGET", 3852)
+        # (2, 5): 200 * 2^3 + 15 * 2^2 * (5 + 48) + 9 * (5 - 4 + 3) * 4 = 4924
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 4924)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_OK
-        monkeypatch.setattr(repmod, "WORK_BUDGET", 3851)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 4923)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_GUARD
 
     @pytest.mark.parametrize("n, m", [(3, 61), (4, 31), (6, 9), (2, 5), (2, 999),
@@ -606,6 +616,38 @@ class TestPiDegreeFuzz:
         assert time.perf_counter() - t0 < 20.0
 
 
+class TestIdentitiesFuzz:
+    """``identities --n N --m M --k K`` on untrusted argv ends with exit 0, 2,
+    3 or 4 within a wall-time bound: N across the work guard's boundary
+    (n <= 43 is admitted without --m), M absent, odd, even, 1, composite,
+    huge or no integer, K prime to M or not."""
+
+    NS = st.one_of(st.integers(-3, 12), st.integers(40, 47),
+                   st.integers(48, 10 ** 40), st.sampled_from(["x", "", "3.0", "1e3"]))
+    MS = st.one_of(st.none(), st.sampled_from([1, 3, 5, 9, 15, 45, 105, 3003]),
+                   st.integers(-9, 9), st.integers(1, 10 ** 6).map(lambda k: 2 * k),
+                   st.integers(0, 4200).map(lambda k: 10 ** k + 1),
+                   st.sampled_from(["q", "", "1/3", "9" * 4400]))
+    KS = st.one_of(st.none(), st.integers(-9, 9),
+                   st.integers(1, 10 ** 6).map(lambda k: 3 * k), st.just("1.5"))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(NS, MS, KS)
+    def test_exit_code_within_a_time_bound(self, n, m, k):
+        argv = ["identities", "--n", str(n)]
+        for flag, value in (("--m", m), ("--k", k)):
+            if value is not None:
+                argv += [flag, str(value)]
+        t0 = time.perf_counter()
+        try:
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                code = main(argv)
+        finally:
+            rewriter._NF_CACHE.clear()      # up to 200 MB near the boundary
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_GUARD)
+        assert time.perf_counter() - t0 < 20.0
+
+
 class TestWorkGuard:
     """One budget over every command, in estimated steps
     (``repmod.check_work``)."""
@@ -633,7 +675,7 @@ class TestWorkGuard:
         assert "work guard: the module of n = 2, m = 509" in capsys.readouterr().err
 
     def test_an_n_of_1500_digits_is_refused(self, tmp_path, capsys):
-        # 33 n^4 has 6000 digits, and 26 n^2 of a 2200-digit n about 4400, past
+        # 200 n^3 has 4503 digits, and 26 n^2 of a 2200-digit n about 4400, past
         # Python's default int-to-str limit
         n = "9" * 1500
         cfg = write_config(tmp_path, n=int(n))
@@ -658,8 +700,8 @@ class TestWorkGuard:
     # each term, on one instance that it alone puts past the budget; the
     # central powers are estimated once alpha_1 is inverted
     TERMS = {
-        "generic suites": lambda tmp: ["identities", "--n", "27"],
-        "central suite": lambda tmp: ["identities", "--n", "16", "--m", "4001"],
+        "generic suites": lambda tmp: ["identities", "--n", "44"],
+        "central suite": lambda tmp: ["identities", "--n", "16", "--m", "4201"],
         "field": lambda tmp: ["identities", "--n", "2", "--m", "3003"],
         "elimination": lambda tmp: ["pi-degree", "--n", "804", "--m", "3"],
         "report": lambda tmp: ["pi-degree", "--n", "100", "--m", str(10 ** 1760 + 1)],

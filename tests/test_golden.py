@@ -24,18 +24,10 @@ import tempfile
 
 import pytest
 
+from oracles import NCPoly, straighten
 from qeuclid.cli import main
 from qeuclid.repmod import build_module, random_module_params
-from qeuclid.rewriter import (
-    GENERIC_Q,
-    NCPoly,
-    all_gens,
-    gen_name,
-    root_domain,
-    straighten,
-    xgen,
-    ygen,
-)
+from qeuclid.rewriter import GENERIC_Q, all_gens, gen_name, root_domain, xgen, ygen
 from qeuclid.verify import direct_sum, run_verification, tampered_copy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

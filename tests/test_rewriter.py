@@ -7,19 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_element, power, stepwise_normal_form
+import oracles
+from oracles import (
+    NCPoly,
+    multiply,
+    omega,
+    oracle_central_powers,
+    oracle_local_confluence,
+    oracle_remark_identities,
+    parse_element,
+    power,
+    rewrite_rules,
+    stepwise_normal_form,
+    straighten,
+)
 from qeuclid import rewriter, scalars
 from qeuclid.rewriter import (
     GENERIC_Q,
-    NCPoly,
+    GenericQDomain,
     all_gens,
     check_local_confluence,
+    gen_index,
     gen_name,
-    multiply,
-    omega,
+    is_x,
     q_exponent,
     root_domain,
-    straighten,
     straighten_word,
     verify_central_powers,
     verify_remark_identities,
@@ -191,8 +203,6 @@ class TestEngineProperties:
     def test_termination_measure_drops_at_every_rule(self):
         # the measure (index multiset sorted descending, inversion count)
         # must strictly decrease lexicographically on every rule output
-        from qeuclid.rewriter import _rewrite_pair, gen_index, rewrite_rules
-
         def measure(w):
             indices = tuple(sorted((gen_index(c) for c in w), reverse=True))
             inversions = sum(1 for i in range(len(w))
@@ -201,7 +211,7 @@ class TestEngineProperties:
 
         for (u, v), _ in rewrite_rules(3):
             before = measure((u, v))
-            for _, replacement in _rewrite_pair(u, v, D):
+            for _, replacement in rewriter._rewrite_pair(u, v, D):
                 assert measure(replacement) < before
 
 
@@ -331,6 +341,103 @@ def test_central_powers_work_bound(monkeypatch, fresh_memo):
     assert products == []
 
 
+def test_remark_identities_work_bound(monkeypatch, fresh_memo):
+    """By bilinearity each omega_i g residual grows by two words per i and
+    is summed again once, at i = j, and [omega_i, omega_j] grows by two
+    words per pair: 7 n^2 - 3 n words, 8 n^2 - 4 n straighten_word calls
+    with the recursive ones (1,104 at n = 12), where multiplying out every
+    omega_i g and omega_i omega_j made 9,365."""
+    calls = []
+    original = rewriter.straighten_word
+
+    def counting_word(word, dom):
+        calls.append(word)
+        return original(word, dom)
+
+    monkeypatch.setattr(rewriter, "straighten_word", counting_word)
+    n = 12
+    assert verify_remark_identities(n).ok
+    assert len(calls) <= 8 * n * n
+
+
+class WrongCorrection(GenericQDomain):
+    """Generic q with 1 - q^-4 where the x_i y_i rule has 1 - q^-2."""
+
+    name = "generic-q, wrong correction"
+
+    def __init__(self):
+        super().__init__()
+        self.correction = self.one - scalars.QLaurent.q_pow(-4)
+
+
+def _x_past_y_flipped(original):
+    """q_exponent with x_i y_j = q y_j x_i (j < i) in place of q^-1."""
+    def tampered(a, b):
+        if is_x(a) and not is_x(b) and gen_index(a) > gen_index(b):
+            return -original(a, b)
+        return original(a, b)
+    return tampered
+
+
+@pytest.mark.usefixtures("fresh_memo")
+class TestSuitesAgainstOracle:
+    """The suites accumulate each residual in place, and the remark suite
+    by bilinearity; the oracles multiply out whole products.  Names, ok
+    flags and residual texts must agree, passing or failing."""
+
+    @pytest.mark.parametrize("spec, top", [(None, 6), ((5, 2), 6), ((9, 1), 6)])
+    def test_remark_identities(self, spec, top):
+        dom = _domain(spec)
+        for n in range(1, top + 1):
+            assert (verify_remark_identities(n, dom).to_dict()
+                    == oracle_remark_identities(n, dom).to_dict()), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_local_confluence(self, n):
+        assert check_local_confluence(n).to_dict() == oracle_local_confluence(n).to_dict()
+
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_central_powers(self, n, m):
+        assert (verify_central_powers(n, m, 1).to_dict()
+                == oracle_central_powers(n, m, 1).to_dict())
+
+    def test_wrong_correction(self):
+        # the one-step reducts read the domain's correction and the
+        # straightener does not, so confluence fails; each omega_i only
+        # scales by (1 - q^-4) / (1 - q^-2), and the remark identities,
+        # homogeneous in the omegas, still hold
+        dom = WrongCorrection()
+        report = check_local_confluence(3, dom)
+        assert not report.ok
+        assert report.to_dict() == oracle_local_confluence(3, dom).to_dict()
+        report = verify_remark_identities(3, dom)
+        assert report.ok
+        assert report.to_dict() == oracle_remark_identities(3, dom).to_dict()
+
+    def test_wrong_q_swap_fails_remark_identities(self, monkeypatch):
+        monkeypatch.setattr(rewriter, "q_exponent", _x_past_y_flipped(q_exponent))
+        for n in (2, 3, 4):
+            report = verify_remark_identities(n)
+            assert not report.ok
+            assert all(item.detail.startswith("residual ") for item in report.failures())
+            assert report.to_dict() == oracle_remark_identities(n).to_dict()
+
+    def test_dropped_correction_words_fail_confluence(self, monkeypatch):
+        original = rewriter._rewrite_pair
+
+        def dropped(u, v, dom):
+            return original(u, v, dom)[:1]
+
+        monkeypatch.setattr(rewriter, "_rewrite_pair", dropped)
+        monkeypatch.setattr(oracles, "_rewrite_pair", dropped)
+        for n in (2, 3, 4):
+            report = check_local_confluence(n)
+            assert not report.ok
+            assert all(item.detail.startswith("residual ") for item in report.failures())
+            assert report.to_dict() == oracle_local_confluence(n).to_dict()
+
+
 def test_deep_word_straightens_without_deep_recursion(fresh_memo):
     """y_2 crosses L copies of x_2 in x_2^L y_2; crossing s adds
     (1-q^-2) q^(-2s) y_1 x_1 x_2^(L-1), and the sum telescopes.  The
@@ -355,7 +462,6 @@ def test_suites_reject_n_below_one(n):
 
 class TestRuleTable:
     def test_rule_count_and_shape(self):
-        from qeuclid.rewriter import rewrite_rules
         rules = rewrite_rules(2)
         # one rule per descent pair: C(4, 2) = 6 for n = 2
         assert len(rules) == 6
@@ -381,7 +487,6 @@ class TestRuleTable:
             assert q_exponent(xgen(i), xgen(i)) == q_exponent(ygen(i), ygen(i)) == 0
 
     def test_additive_rule_carries_correction(self):
-        from qeuclid.rewriter import rewrite_rules
         rules = dict(rewrite_rules(3))
         rhs = rules[(xgen(3), ygen(3))]
         assert rhs == (word(ygen(3), xgen(3))

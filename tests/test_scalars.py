@@ -347,12 +347,17 @@ class TestRotationGuard:
         assert calls == []
 
     def test_central_powers_run_no_general_product(self, monkeypatch):
-        # a fresh normal-form memo, so the rewriter really multiplies
+        # a fresh normal-form memo, so the rewriter really straightens; the
+        # suite compares the two normal forms of each commutator and the
+        # crossing sums are differences of powers of zeta, so nothing is
+        # multiplied at all, not even by a power of zeta
         monkeypatch.setattr(rewriter, "_NF_CACHE", {})
         rotations = _count_calls(monkeypatch, "vec_rotate")
         calls = _count_calls(monkeypatch)
         assert rewriter.verify_central_powers(2, 31, 1).ok
-        assert calls == [] and rotations
+        assert calls == [] and rotations == []
+        # 8 n^2 words, of which x_i^(m+1) and y_i^(m+1) are met twice
+        assert len(rewriter._NF_CACHE[rewriter.root_domain(31, 1)]) == 8 * 2 * 2 - 2 * 2
 
 
 class TestPower:

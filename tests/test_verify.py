@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     DictMatrix,
+    NCPoly,
     full_commutant_dimension,
     monomial,
+    multiply,
+    omega,
     oracle_central,
     oracle_omega,
     oracle_relations,
     permuted,
+    straighten,
 )
 from qeuclid import repmod, scalars, verify
 from qeuclid.cli import main, parse_config
@@ -32,17 +36,7 @@ from qeuclid.repmod import (
     build_module,
     random_module_params,
 )
-from qeuclid.rewriter import (
-    NCPoly,
-    all_gens,
-    gen_name,
-    multiply,
-    omega,
-    root_domain,
-    straighten,
-    xgen,
-    ygen,
-)
+from qeuclid.rewriter import all_gens, gen_name, root_domain, xgen, ygen
 from qeuclid.verify import (
     OmegaRows,
     central_power,
