@@ -239,10 +239,10 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
     inverted, and with the ``inverses`` (y1_coeff, alpha_i^-1), whose
     sizes no bound on the scalars predicts; phi(m) only once the other
     terms leave room, so a refused shape never builds Q(zeta_m)."""
-    terms = ({"generic suites": 200 * n ** 3} if what == "identities"
+    terms = ({"generic suites": 104 * n ** 3} if what == "identities"
              else {"elimination": 26 * n * n})
     if what == "identities" and m is not None:
-        terms["central suite"] = 15 * n * n * (m + 48)
+        terms["central suite"] = 3 * n * n * (m + 48)
     if what == "pi-degree" and m is not None:   # h = m^(2n-2) in decimal, twice
         terms["report"] = ((2 * n - 2) * m.bit_length()) ** 2 // 80000
     if what == "module":

@@ -16,7 +16,7 @@ enumerates the image of the PI-degree matrix, and
 the reference for the elimination on sparse rows and the Hermite form
 built modulo m in ``pidegree``.  ``parse_element`` reads plain-text
 algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests, with
-``power`` for its powers.
+``power`` for its powers and ``from_qlaurent`` for its coefficients.
 ``stepwise_normal_form`` straightens a word one rule application at a
 time, the reference for the insertion pass of
 ``rewriter.straighten_word``.  ``NCPoly`` is a polynomial with sums,
@@ -38,6 +38,7 @@ from qeuclid.linalg import CycMatrix, ScalarTable, nullspace_dimension
 from qeuclid.rewriter import (
     GENERIC_Q,
     CheckReport,
+    GenericQDomain,
     _add_term,
     _rewrite_pair,
     all_gens,
@@ -719,6 +720,12 @@ def power(p: NCPoly, e: int) -> NCPoly:
     return result
 
 
+def from_qlaurent(ql, dom):
+    """A Laurent polynomial in q as a coefficient of dom: itself over
+    generic q, its value at q = zeta_m^k at a root of unity."""
+    return ql if isinstance(dom, GenericQDomain) else ql.substitute(dom.m, dom.k)
+
+
 class _ElementParser(_ScalarParser):
     """Extends the scalar grammar with generator letters x<i>, y<i>."""
 
@@ -730,7 +737,7 @@ class _ElementParser(_ScalarParser):
     def _wrap(self, scalar_or_poly):
         if isinstance(scalar_or_poly, NCPoly):
             return scalar_or_poly
-        coeff = self.domain.from_qlaurent(scalar_or_poly)
+        coeff = from_qlaurent(scalar_or_poly, self.domain)
         if coeff.is_zero():
             return NCPoly(self.domain)
         return NCPoly(self.domain, {(): coeff})

@@ -477,22 +477,22 @@ class TestIdentitiesCommand:
         # --n 60 did not finish in 20 s before the guard
         assert main(["identities", "--n", "60"]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert ("work guard: identities --n 60 is estimated at 43200000 steps "
-                "(generic suites 43200000), past 16777216") in captured.err
+        assert ("work guard: identities --n 60 is estimated at 22464000 steps "
+                "(generic suites 22464000), past 16777216") in captured.err
         assert captured.out == ""
 
     def test_work_guard_bound_is_inclusive(self, monkeypatch, capsys):
-        # 200 n^3 admits n <= 43 without --m
-        repmod.check_work("identities", 43)
+        # 104 n^3 admits n <= 54 without --m
+        repmod.check_work("identities", 54)
         with pytest.raises(repmod.GuardError):
-            repmod.check_work("identities", 44)
+            repmod.check_work("identities", 55)
         monkeypatch.setattr(repmod, "WORK_BUDGET", repmod.check_work("identities", 2, 3))
         assert main(["identities", "--n", "2", "--m", "3"]) == EXIT_OK
         assert main(["identities", "--n", "3", "--m", "3"]) == EXIT_GUARD
 
     def test_work_guard_on_large_m(self, monkeypatch, capsys):
         # each term of the estimate refuses one instance: the generic-q
-        # suites (44, 3), the central suite (16, 4201), the wrap table of
+        # suites (55, 3), the central suite (16, 20297), the wrap table of
         # Q(zeta_3003) and the vectors of phi coordinates at m = 699007
         def must_not_run(*args):
             raise AssertionError("a suite ran past the work guard")
@@ -500,22 +500,22 @@ class TestIdentitiesCommand:
                      "verify_central_powers"):
             monkeypatch.setattr(cli, name, must_not_run)
         monkeypatch.setattr(scalars, "_FIELD_CACHE", {})
-        for n, m in [("44", "3"), ("16", "4201"), ("2", "3003"), ("1", "699007"),
+        for n, m in [("55", "3"), ("16", "20297"), ("2", "3003"), ("1", "699007"),
                      ("32", "2001"), ("2", "1000001")]:
             assert main(["identities", "--n", n, "--m", m]) == EXIT_GUARD
         captured = capsys.readouterr()
-        assert ("work guard: identities --n 16 --m 4201 is estimated at 17135360 "
-                "steps (generic suites 819200, central suite 16316160), "
-                "past 16777216") in captured.err
+        assert ("work guard: identities --n 16 --m 20297 is estimated at 16781600 "
+                "steps (generic suites 425984, central suite 15624960, "
+                "field 730656), past 16777216") in captured.err
         assert captured.out == ""
         # the guard reads phi(m), but Q(zeta_m) is never built
         assert scalars._FIELD_CACHE == {}
 
     def test_work_guard_on_m_is_inclusive(self, monkeypatch):
-        # (2, 5): 200 * 2^3 + 15 * 2^2 * (5 + 48) + 9 * (5 - 4 + 3) * 4 = 4924
-        monkeypatch.setattr(repmod, "WORK_BUDGET", 4924)
+        # (2, 5): 104 * 2^3 + 3 * 2^2 * (5 + 48) + 9 * (5 - 4 + 3) * 4 = 1612
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 1612)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_OK
-        monkeypatch.setattr(repmod, "WORK_BUDGET", 4923)
+        monkeypatch.setattr(repmod, "WORK_BUDGET", 1611)
         assert main(["identities", "--n", "2", "--m", "5"]) == EXIT_GUARD
 
     @pytest.mark.parametrize("n, m", [(3, 61), (4, 31), (6, 9), (2, 5), (2, 999),
@@ -619,10 +619,10 @@ class TestPiDegreeFuzz:
 class TestIdentitiesFuzz:
     """``identities --n N --m M --k K`` on untrusted argv ends with exit 0, 2,
     3 or 4 within a wall-time bound: N across the work guard's boundary
-    (n <= 43 is admitted without --m), M absent, odd, even, 1, composite,
+    (n <= 54 is admitted without --m), M absent, odd, even, 1, composite,
     huge or no integer, K prime to M or not."""
 
-    NS = st.one_of(st.integers(-3, 12), st.integers(40, 47),
+    NS = st.one_of(st.integers(-3, 12), st.integers(51, 58),
                    st.integers(48, 10 ** 40), st.sampled_from(["x", "", "3.0", "1e3"]))
     MS = st.one_of(st.none(), st.sampled_from([1, 3, 5, 9, 15, 45, 105, 3003]),
                    st.integers(-9, 9), st.integers(1, 10 ** 6).map(lambda k: 2 * k),
@@ -643,7 +643,7 @@ class TestIdentitiesFuzz:
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 code = main(argv)
         finally:
-            rewriter._NF_CACHE.clear()      # up to 200 MB near the boundary
+            rewriter._NF_CACHE.clear()      # 20,250 words after --n 54
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_GUARD)
         assert time.perf_counter() - t0 < 20.0
 
@@ -700,8 +700,8 @@ class TestWorkGuard:
     # each term, on one instance that it alone puts past the budget; the
     # central powers are estimated once alpha_1 is inverted
     TERMS = {
-        "generic suites": lambda tmp: ["identities", "--n", "44"],
-        "central suite": lambda tmp: ["identities", "--n", "16", "--m", "4201"],
+        "generic suites": lambda tmp: ["identities", "--n", "55"],
+        "central suite": lambda tmp: ["identities", "--n", "16", "--m", "20297"],
         "field": lambda tmp: ["identities", "--n", "2", "--m", "3003"],
         "elimination": lambda tmp: ["pi-degree", "--n", "804", "--m", "3"],
         "report": lambda tmp: ["pi-degree", "--n", "100", "--m", str(10 ** 1760 + 1)],

@@ -325,9 +325,9 @@ def test_central_powers_work_bound(monkeypatch, fresh_memo):
     calls, products = [], []
     original_word, original_mul = rewriter.straighten_word, scalars.vec_mul
 
-    def counting_word(word, dom):
+    def counting_word(word, dom, keep=True):
         calls.append(word)
-        return original_word(word, dom)
+        return original_word(word, dom, keep)
 
     def counting_mul(*args):
         products.append(1)
@@ -339,6 +339,24 @@ def test_central_powers_work_bound(monkeypatch, fresh_memo):
     assert verify_central_powers(n, m, 1).ok
     assert len(calls) == 8 * n * n
     assert products == []
+
+
+def test_local_confluence_work_bound(monkeypatch, fresh_memo):
+    """Only the 2n(n-1) overlaps with a pair x_i, y_i are straightened
+    (264 of the 2,024 at n = 12); the q-swap overlaps are decided on
+    their rules and reach no _accumulate."""
+    residuals = {}
+    original = rewriter._accumulate
+
+    def counting(residual, coeff, word, dom):
+        residuals[id(residual)] = residual      # kept alive: ids stay distinct
+        return original(residual, coeff, word, dom)
+
+    monkeypatch.setattr(rewriter, "_accumulate", counting)
+    n = 12
+    report = check_local_confluence(n)
+    assert report.ok and len(report.items) == 2024
+    assert len(residuals) == 2 * n * (n - 1)
 
 
 def test_remark_identities_work_bound(monkeypatch, fresh_memo):
@@ -392,9 +410,16 @@ class TestSuitesAgainstOracle:
             assert (verify_remark_identities(n, dom).to_dict()
                     == oracle_remark_identities(n, dom).to_dict()), n
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_local_confluence(self, n):
         assert check_local_confluence(n).to_dict() == oracle_local_confluence(n).to_dict()
+
+    @pytest.mark.parametrize("spec", [(5, 2), (9, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_local_confluence_at_roots(self, n, spec):
+        dom = _domain(spec)
+        assert (check_local_confluence(n, dom).to_dict()
+                == oracle_local_confluence(n, dom).to_dict())
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -422,6 +447,26 @@ class TestSuitesAgainstOracle:
             assert not report.ok
             assert all(item.detail.startswith("residual ") for item in report.failures())
             assert report.to_dict() == oracle_remark_identities(n).to_dict()
+
+    def test_q_swap_rule_scaled_by_q_fails_its_overlaps(self, monkeypatch):
+        # x_3 x_1 -> q^-1 x_1 x_3 made q^0: the premise fails on that pair,
+        # so the q-swap overlaps x4*x3*x1 and y4*x3*x1 are straightened
+        # and fail, as x3*x1*y1 does; a shortcut that skipped its premise
+        # would pass them
+        original = rewriter._rewrite_pair
+        pair = (xgen(3), xgen(1))
+
+        def scaled(u, v, dom):
+            rule = original(u, v, dom)
+            return [(dom.q_pow(1) * c, w) for c, w in rule] if (u, v) == pair else rule
+
+        monkeypatch.setattr(rewriter, "_rewrite_pair", scaled)
+        monkeypatch.setattr(oracles, "_rewrite_pair", scaled)
+        for n, failing in ((3, {"x3*x1*y1"}), (4, {"x3*x1*y1", "y4*x3*x1", "x4*x3*x1"})):
+            report = check_local_confluence(n)
+            assert {item.name.split()[1] for item in report.failures()} == failing
+            assert all(item.detail.startswith("residual ") for item in report.failures())
+            assert report.to_dict() == oracle_local_confluence(n).to_dict()
 
     def test_dropped_correction_words_fail_confluence(self, monkeypatch):
         original = rewriter._rewrite_pair

@@ -356,8 +356,8 @@ class TestRotationGuard:
         calls = _count_calls(monkeypatch)
         assert rewriter.verify_central_powers(2, 31, 1).ok
         assert calls == [] and rotations == []
-        # 8 n^2 words, of which x_i^(m+1) and y_i^(m+1) are met twice
-        assert len(rewriter._NF_CACHE[rewriter.root_domain(31, 1)]) == 8 * 2 * 2 - 2 * 2
+        # and keeps none of its 8 n^2 words of length m + 1 in the memo
+        assert rewriter._NF_CACHE[rewriter.root_domain(31, 1)] == {}
 
 
 class TestPower:
