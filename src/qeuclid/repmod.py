@@ -275,6 +275,7 @@ def _module_terms(n, m, phi, scalars, inverses) -> dict:
     if scalars is None:
         return {"central powers": _power(phi, *corr, m)}
     (alpha1, alpha, lam), (y1, alpha_inv) = scalars, inverses or (None, None)
+    wrap = sum(map(len, alpha1.field.wrap))         # its nonzero entries
     lam = [size(v) for v in lam]
     raised, tables, read = [size(alpha1), size(y1) if y1 else corr], 0, set()
     for i in range(2, n + 1):
@@ -283,8 +284,8 @@ def _module_terms(n, m, phi, scalars, inverses) -> dict:
             start = coordinate_bits(alpha_inv[i - 2]) if alpha_inv else 0
             step = max(lam[i - 1][1], lam[i - 2][1]) + corr[1] + 1
             tables += _chain(m, phi, phi, start, step)
-        else:       # lambda_(i-1) (1 - q^2u) / (q^2 - 1), 3 small products a step
-            tables += m * phi * min(phi, 2 * lam[i - 2][0]) // 3
+        else:   # L - q^2u L: m rotations, each folded through the wrap table
+            tables += 2 * phi * (m + wrap) * (1 + lam[i - 2][1] // 256)
     raised += [lam[j] for j in read] + [corr] * bool(read)
     return {"inversions": sum(_chain(phi - 1, phi, nonzero, 0, bits)
                               for nonzero, bits in map(size, (alpha1, *alpha))),
@@ -348,21 +349,21 @@ def _generator_rule(code: int, params: ModuleParams) -> GeneratorRule:
     sign = 1 if is_x(code) else -1
     weight = tuple(sign if j < i else 0 if j == i or not lowering
                    else 2 if j in I else -2 for j in range(2, n + 1))
-    one = dom.one
     if not lowering:
         # raising along an x-built (y-built) direction; the wrap from m-1
         # to 0 multiplies by alpha_i (beta_i)
         top = params.alpha_i(i) if is_x(code) else params.beta_i(i)
-        kappa = (one,) * (m - 1) + (top,)
+        kappa = (dom.one,) * (m - 1) + (top,)
     elif is_x(code):
-        # lowering along a y-built direction; kills the bottom rung
-        kappa = tuple(params.lam_i(i - 1) * (one - dom.q_pow(2 * ai))
-                      * params._inv_q2_minus_1 for ai in range(m))
+        # lowering along a y-built direction, L - q^2u L with
+        # L = lambda_(i-1) / (q^2 - 1); kills the bottom rung
+        low = params.lam_i(i - 1) * params._inv_q2_minus_1
+        kappa = tuple(low - dom.q_pow(2 * ai) * low for ai in range(m))
     else:
-        # lowering along an x-built direction; the wrap through zero
-        # multiplies by alpha_i^(-1)
-        kappa = tuple((params.lam_i(i) - dom.q_pow(-2 * ai) * params.lam_i(i - 1))
-                      * params.inv_correction for ai in range(m))
+        # lowering along an x-built direction, L_i - q^-2u L_(i-1) with
+        # L_j = lambda_j / (1 - q^-2); the wrap through 0 multiplies by 1 / alpha_i
+        low, high = (params.lam_i(j) * params.inv_correction for j in (i - 1, i))
+        kappa = tuple(high - dom.q_pow(-2 * ai) * low for ai in range(m))
         kappa = (kappa[0] * params.alpha_inv_i(i),) + kappa[1:]
     kappa = tuple(None if v.is_zero() else v for v in kappa)
     return GeneratorRule(i - 2, kappa, weight, -1 if lowering else 1)

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, sub
 
 
@@ -139,15 +139,7 @@ def vec_normalize(nums, den):
         g = gcd(g, v)
         if g == 1:
             return tuple(nums), den
-    if g == 0:
-        # all numerators zero and den == 0 cannot happen (den > 0 invariant)
-        return tuple(nums), 1
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    if den == 1 and not any(nums):
-        return tuple(nums), 1
-    return tuple(nums), den
+    return tuple(v // g for v in nums), den // g     # 0 becomes (0, ...) / 1
 
 
 def vec_add(anums, aden, bnums, bden):
@@ -324,14 +316,6 @@ class CyclotomicField:
             raise ValueError(
                 f"coefficient vector longer than phi({self.m}) = {self.degree}")
         return Cyclotomic(self, *vec_normalize(nums, den))
-
-    def from_fractions(self, fracs) -> "Cyclotomic":
-        fracs = list(fracs)
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [int(f * den) for f in fracs]
-        return self.element(nums, den)
 
     def scalar(self, value) -> "Cyclotomic":
         f = Fraction(value)
@@ -512,21 +496,7 @@ class Cyclotomic:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, f in enumerate(self.to_fractions()):
-            if not f:
-                continue
-            mag = str(abs(f))
-            if e == 0:
-                body = mag
-            else:
-                zpow = "z" if e == 1 else f"z^{e}"
-                body = zpow if mag == "1" else f"{mag}*{zpow}"
-            parts.append(("- " if f < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return _terms_text(enumerate(self.to_fractions()), "z")
 
 
 def root_of_unity(m: int, k: int) -> Cyclotomic:
@@ -547,13 +517,10 @@ def root_of_unity(m: int, k: int) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 
 def _rational(c):
-    """An exact rational as an int when it is integral, else as a
-    reduced Fraction; int and Fraction of equal value compare and hash
-    equal, so the choice never shows."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    """An int or (reduced) Fraction as an int when it is integral; int
+    and Fraction of equal value compare and hash equal, so the choice
+    never shows."""
+    return c.numerator if type(c) is not int and c.denominator == 1 else c
 
 
 class QLaurent:
@@ -632,22 +599,22 @@ class QLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            if len(self.terms) != 1:
-                raise ValueError("only monomials are invertible in QLaurent")
-            (exp, c), = self.terms.items()
-            return QLaurent({exp * e: Fraction(1) / c ** (-e)})
-        return _power(self, e, QLaurent.const(1))
+        return QLaurent(_raise(self.terms, e))
 
     def substitute(self, m: int, k: int) -> Cyclotomic:
-        """Evaluate at q = zeta_m^k."""
+        """Evaluate at q = zeta_m^k: each coefficient, over one common
+        denominator, is added at exponent k e mod m of a list of m
+        integers, which folds once through the field's wrap table."""
         field = CyclotomicField(m)
         if gcd(k, m) != 1:
             raise ValueError("q not primitive")
-        out = field.zero()
-        for e, c in self.terms.items():
-            out = out + field.zeta_pow(k * e) * c
-        return out
+        terms, d = self.terms, field.degree
+        den = lcm(*(c.denominator for c in terms.values()))
+        lifted = [0] * m
+        for e, c in terms.items():
+            lifted[k * e % m] += c.numerator * (den // c.denominator)
+        return Cyclotomic(field, *vec_normalize(
+            _fold(lifted[:d], lifted[d:], field.wrap), den))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -662,20 +629,25 @@ class QLaurent:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mag = str(abs(c))
-            if e == 0:
-                body = mag
-            else:
-                qp = "q" if e == 1 else f"q^{e}"
-                body = qp if mag == "1" else f"{mag}*{qp}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return _terms_text(sorted(self.terms.items()), "q")
+
+
+def _terms_text(terms, symbol: str) -> str:
+    """(exponent, rational) pairs as "c0 + c1*z - z^2 ...", zeros left
+    out; "0" when all are zero."""
+    parts = []
+    for e, c in terms:
+        if not c:
+            continue
+        mag = str(abs(c))
+        if e == 0:
+            body = mag
+        else:
+            power = symbol if e == 1 else f"{symbol}^{e}"
+            body = power if mag == "1" else f"{mag}*{power}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts) or "+ 0"
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +658,15 @@ _TOKEN_RE = re.compile(r"\s*(\d+|[xy]\d+|q|\^|\*|/|\+|\-|\(|\))")
 
 
 def tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ValueError(f"bad token at {text[pos:pos + 10]!r}")
-        out.append(match.group(1))
+    """The tokens of text, each after optional white space, in one scan;
+    when they do not make up the whole text, the first bad one is named."""
+    out = _TOKEN_RE.findall(text)
+    if "".join(out) == "".join(text.split()) and not text[-1:].isspace():
+        return out
+    pos = 0
+    while match := _TOKEN_RE.match(text, pos):
         pos = match.end()
-    return out
+    raise ValueError(f"bad token at {text[pos:pos + 10]!r}")
 
 
 # Bound on |e| * _power_size(base) for a power written in a literal, so
@@ -703,12 +676,13 @@ def tokenize(text: str):
 # "((1+q)^64)^64" is refused too.
 MAX_LITERAL_POWER = 256
 
-# Work budget of one literal: the summed _product_size of its products
-# plus the _power_size of every power and sum it forms, so that a chain
-# "(1+q)^128*(1+q)^128*..." or a sum "(1+q)^128+(1+q)^128+..." is
-# refused instead of computed.  (1+q)^128*(1+q)^128 (two powers of size
-# 129 * 125 and a product of size 257 * 250) is the largest product of
-# two such powers it allows; a third factor or a fifth term is refused.
+# Work budget of one literal: the summed sizes of its products (width
+# times summed bit lengths) plus the _power_size of every power and sum
+# it forms, so that a chain "(1+q)^128*(1+q)^128*..." or a sum
+# "(1+q)^128+(1+q)^128+..." is refused instead of computed.
+# (1+q)^128*(1+q)^128 (two powers of size 129 * 125 and a product of
+# size 257 * 250) is the largest product of two such powers it allows;
+# a third factor or a fifth term is refused.
 MAX_LITERAL_WORK = 131072
 
 # Bound on the nesting of parentheses and unary minus signs in a
@@ -717,34 +691,50 @@ MAX_LITERAL_WORK = 131072
 MAX_LITERAL_DEPTH = 200
 
 
-def _shape(p: QLaurent) -> tuple[int, int]:
-    """(degree width, largest coefficient bit length); (0, 0) for 0 and q^a."""
-    if not p.terms or (len(p.terms) == 1 and 1 in p.terms.values()):
+def _shape(terms) -> tuple[int, int]:
+    """(degree width, largest coefficient bit length) of a dict of
+    nonzero terms; (0, 0) for 0 and q^a."""
+    if not terms or (len(terms) == 1 and 1 in terms.values()):
         return 0, 0
-    width = max(p.terms) - min(p.terms) + 1
+    width = max(terms) - min(terms) + 1
     bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-               for c in p.terms.values())
+               for c in terms.values())
     return width, bits
 
 
-def _power_size(p: QLaurent) -> int:
+def _power_size(terms) -> int:
     """Degree width times the largest coefficient bit length; 0 for q^a.
 
     base^e has at most e times the width in terms and about e times the
     bits per coefficient, so e * size bounds the work of the power.  A
     pure power of q stays one term with coefficient 1 at any exponent.
     """
-    width, bits = _shape(p)
-    return width * bits
+    return mul(*_shape(terms))
 
 
-def _product_size(a: QLaurent, b: QLaurent) -> int:
-    """Width times bits that bound a * b; 0 when either factor is 0 or a
-    pure power of q, since the product is then a shift."""
-    (wa, ba), (wb, bb) = _shape(a), _shape(b)
-    if not (wa and wb):
-        return 0
-    return (wa + wb - 1) * (ba + bb)
+def _times(a, b) -> dict:
+    """The nonzero terms of the product of two dicts of terms; a
+    monomial factor shifts and scales the other one."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) != 1:
+        return (QLaurent(a) * QLaurent(b)).terms
+    (s, k), = b.items()
+    return {e + s: k if c == 1 else c if k == 1 else c * k for e, c in a.items()}
+
+
+def _raise(terms, e: int) -> dict:
+    """The terms of a dict of terms to the power e: a monomial c q^a in
+    one step, to c^e q^(a e), anything else by binary powering (e >= 0)."""
+    if len(terms) == 1:
+        (a, c), = terms.items()
+        return {a * e: c ** e if e >= 0 else Fraction(1) / c ** -e}
+    if e < 0:
+        raise ValueError("only monomials are invertible in QLaurent")
+    return _power(QLaurent(terms), e, QLaurent.const(1)).terms
+
+
+_SIGNS = ("+", "-")
 
 
 class _ScalarParser:
@@ -756,19 +746,20 @@ class _ScalarParser:
     is bounded by MAX_LITERAL_POWER, the products, powers and sums of
     the whole literal together by MAX_LITERAL_WORK, and the nesting of
     parentheses and unary minus signs by MAX_LITERAL_DEPTH.
+
+    Values are read as dicts of nonzero terms, exponent -> coefficient,
+    and become one QLaurent at the end; a sum accumulates in place.  The
+    token list ends in None, and reading that None always raises.
     """
 
     def __init__(self, tokens):
-        self.tokens = tokens
+        self.tokens = [*tokens, None]
         self.pos = 0
         self.work = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -778,90 +769,88 @@ class _ScalarParser:
             raise ValueError(f"{what} too large: the literal's summed work "
                              f"exceeds {MAX_LITERAL_WORK}")
 
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
+    def parse(self) -> QLaurent:
+        terms = self.expr()
+        if self.tokens[self.pos] is not None:
+            raise ValueError(f"trailing input {self.tokens[self.pos]!r}")
+        return QLaurent(terms)
 
-    def parse(self):
-        value = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input {self.peek()!r}")
-        return value
+    def expr(self) -> dict:
+        tokens, terms, first = self.tokens, {}, True
+        while first or tokens[self.pos] in _SIGNS:
+            negate = False
+            while tokens[self.pos] in _SIGNS:
+                negate ^= self.take() == "-"
+            for e, c in self.term().items():
+                c = terms.pop(e, 0) + (-c if negate else c)
+                if c:
+                    terms[e] = c
+            if not first:
+                self.charge("sums", _power_size(terms))
+            first = False
+        return terms
 
-    def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        value = self.term() * sign
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            value = value + self.term() * sign
-            self.charge("sums", _power_size(value))
-        return value
-
-    def term(self):
+    def term(self) -> dict:
         value = self.factor()
-        while self.peek() == "*":
-            self.take()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
             factor = self.factor()
-            self.charge("products", _product_size(value, factor))
-            value = value * factor
+            # width times bits that bound the product; 0 for a shift
+            (wa, ba), (wb, bb) = _shape(value), _shape(factor)
+            self.charge("products", (wa + wb - 1) * (ba + bb) if wa and wb else 0)
+            value = _times(value, factor)
         return value
 
-    def factor(self):
+    def factor(self) -> dict:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
             e = self.exponent()
             if abs(e) * _power_size(base) > MAX_LITERAL_POWER:
                 raise ValueError(
                     f"exponent {e} too large for its base: |exponent| times "
                     f"base size exceeds {MAX_LITERAL_POWER}")
-            base = base ** e
+            base = _raise(base, e)
             self.charge("powers", _power_size(base))
         return base
 
-    def exponent(self):
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
+    def exponent(self) -> int:
+        negate = self.tokens[self.pos] == "-"
+        self.pos += negate
         tok = self.take()
         if tok is None or not tok.isdigit():
             raise ValueError(f"expected integer exponent, got {tok!r}")
-        return sign * int(tok)
+        return -int(tok) if negate else int(tok)
 
-    def atom(self):
+    def atom(self) -> dict:
         tok = self.take()
-        if tok in ("(", "-"):
-            self.depth += 1
-            if self.depth > MAX_LITERAL_DEPTH:
-                raise ValueError(f"literal nested deeper than "
-                                 f"{MAX_LITERAL_DEPTH} parentheses and signs")
-            value = self.expr() if tok == "(" else -self.factor()
-            if tok == "(":
-                self.expect(")")
-            self.depth -= 1
-            return value
         if tok == "q":
-            return QLaurent.q_pow(1)
+            return {1: 1}
         if tok is not None and tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.take()
+            c = int(tok)
+            if self.tokens[self.pos] == "/":
+                self.pos += 1
                 den = self.take()
                 if den is None or not den.isdigit():
                     raise ValueError("malformed rational literal")
                 if not int(den):
                     raise ValueError(f'zero denominator in "{tok}/{den}"')
-                return QLaurent.const(Fraction(num, int(den)))
-            return QLaurent.const(num)
-        raise ValueError(f"unexpected token {tok!r}")
+                c = Fraction(c, int(den))
+            return {0: c} if c else {}
+        if tok not in ("(", "-"):
+            raise ValueError(f"unexpected token {tok!r}")
+        self.depth += 1
+        if self.depth > MAX_LITERAL_DEPTH:
+            raise ValueError(f"literal nested deeper than "
+                             f"{MAX_LITERAL_DEPTH} parentheses and signs")
+        if tok == "-":
+            value = {e: -c for e, c in self.factor().items()}
+        else:
+            value = self.expr()
+            if (got := self.take()) != ")":
+                raise ValueError(f"expected ')', got {got!r}")
+        self.depth -= 1
+        return value
 
 
 def parse_qlaurent(text: str) -> QLaurent:
@@ -871,17 +860,19 @@ def parse_qlaurent(text: str) -> QLaurent:
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _coordinate(value) -> Fraction:
-    """One zeta-basis coordinate: an int (not a bool) or a rational
-    string such as "-2/3" or "5"; floats, exponents and anything else
-    are refused."""
+def _coordinate(value) -> tuple[int, int]:
+    """One zeta-basis coordinate as (numerator, positive denominator),
+    not necessarily reduced: an int (not a bool) or a rational string
+    such as "-2/3" or "5"; floats, exponents and anything else are
+    refused."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
-        den = value.partition("/")[2]
-        if den and not int(den):
+        num, _, den = value.partition("/")
+        den = int(den) if den else 1
+        if not den:
             raise ValueError(f'zero denominator in "{value}"')
-        return Fraction(value)
+        return int(num), den
     raise ValueError(f"coordinate {value!r} is not an integer or a "
                      f"rational string such as \"-2/3\"")
 
@@ -892,19 +883,21 @@ def parse_cyclotomic(value, m: int, k: int) -> Cyclotomic:
     Accepts an array of coordinates in the zeta basis (ints or rational
     strings, e.g. ["1", "-2/3"]), an int, or a string holding a
     q-expression such as "q^2" or "(1-q^-2)", evaluated at q = zeta_m^k.
+    Coordinates are read as integer numerators over one common
+    denominator.
     """
     field = CyclotomicField(m)
     if isinstance(value, (list, tuple)):
         if len(value) > field.degree:
             raise ValueError(
                 f"coefficient vector longer than phi({m}) = {field.degree}")
-        fracs = [_coordinate(s) for s in value]
-        return field.from_fractions(
-            fracs + [Fraction(0)] * (field.degree - len(fracs)))
+        coords = [_coordinate(s) for s in value]
+        den = lcm(*(d for _, d in coords))
+        return field.element([v * (den // d) for v, d in coords], den)
     if isinstance(value, str):
         return parse_qlaurent(value).substitute(m, k)
     if isinstance(value, int) and not isinstance(value, bool):
-        return field.scalar(value)
+        return field.element([value])
     raise ValueError(f"cannot parse cyclotomic literal {value!r}")
 
 
@@ -926,8 +919,13 @@ def _unlimited_int_digits():
 def encode_cyclotomic(c: Cyclotomic) -> list[str]:
     """Canonical wire form: rational strings for all phi(m) coordinates.
 
-    Computed values such as alpha_1^m can have more digits than Python
-    converts by default, so they are written with the limit lifted.
+    Each coordinate v / den is written in lowest terms, as str(Fraction)
+    would.  Computed values such as alpha_1^m can have more digits than
+    Python converts by default, so they are written with the limit lifted.
     """
+    den, out = c.den, []
     with _unlimited_int_digits():
-        return [str(f) for f in c.to_fractions()]
+        for v in c.nums:
+            g = gcd(v, den)
+            out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out

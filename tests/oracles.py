@@ -10,11 +10,17 @@ matrix by Gaussian elimination, and ``euclid_inverse`` inverts a field
 element by the extended Euclidean algorithm over Fraction.
 ``basis_indices`` and ``basis_rank`` spell out the row order that
 ``build_module`` computes with strides.  ``brute_force_image``
-enumerates the image of the PI-degree matrix, and
+enumerates the image of the PI-degree matrix, ``oracle_kappa`` forms a
+lowering generator's kappa table one dense product an entry, and
 ``oracle_smith_normal_form``, ``oracle_hermite_columns`` and
 ``oracle_kernel_basis`` are the elimination on whole rows and columns,
 the reference for the elimination on sparse rows and the Hermite form
-built modulo m in ``pidegree``.  ``parse_element`` reads plain-text
+built modulo m in ``pidegree``.  ``oracle_tokenize``,
+``oracle_parse_qlaurent``, ``oracle_substitute``,
+``oracle_parse_cyclotomic`` and ``oracle_encode`` read and write config
+scalars one regex match a token, by whole QLaurent products and binary
+powers and by Fraction coordinates, the reference for the integer path
+in ``scalars``.  ``parse_element`` reads plain-text
 algebra elements such as "(1-q^-2)*y1*x1" for the rewriter tests, with
 ``power`` for its powers and ``from_qlaurent`` for its coefficients.
 ``stepwise_normal_form`` straightens a word one rule application at a
@@ -42,17 +48,26 @@ from qeuclid.rewriter import (
     _add_term,
     _rewrite_pair,
     all_gens,
+    gen_index,
     gen_name,
+    is_x,
     root_domain,
     straighten_word,
     xgen,
     ygen,
 )
 from qeuclid.scalars import (
+    MAX_LITERAL_DEPTH,
+    MAX_LITERAL_POWER,
+    MAX_LITERAL_WORK,
+    _RATIONAL_RE,
+    _TOKEN_RE,
     Cyclotomic,
-    _ScalarParser,
+    CyclotomicField,
+    QLaurent,
+    _power,
+    _unlimited_int_digits,
     cyclotomic_polynomial,
-    tokenize,
 )
 from qeuclid.verify import expected_central_values
 
@@ -709,6 +724,244 @@ def oracle_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
     return report
 
 
+def oracle_kappa(code: int, params) -> tuple:
+    """The kappa table of a lowering generator i >= 2 by one dense
+    product per entry: lambda_(i-1) (1 - q^2u) / (q^2 - 1) for x_i in I,
+    (lambda_i - q^-2u lambda_(i-1)) / (1 - q^-2) for y_i outside I (the
+    entry at u = 0 times 1 / alpha_i); None for a zero entry."""
+    dom, i = params.domain, gen_index(code)
+    one, lam = dom.one, params.lam_i
+    if is_x(code):
+        kappa = [lam(i - 1) * (one - dom.q_pow(2 * u)) * params._inv_q2_minus_1
+                 for u in range(params.m)]
+    else:
+        kappa = [(lam(i) - dom.q_pow(-2 * u) * lam(i - 1)) * params.inv_correction
+                 for u in range(params.m)]
+        kappa[0] = kappa[0] * params.alpha_inv_i(i)
+    return tuple(None if v.is_zero() else v for v in kappa)
+
+
+# ---------------------------------------------------------------------------
+# config scalars by Fraction and products, the reference for the integer path
+# ---------------------------------------------------------------------------
+
+def from_fractions(field, fracs) -> Cyclotomic:
+    """The element with coordinates fracs, over their least common
+    denominator."""
+    fracs = list(fracs)
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // gcd(den, f.denominator)
+    return field.element([int(f * den) for f in fracs], den)
+
+
+def oracle_power(p: QLaurent, e: int) -> QLaurent:
+    """p^e by binary powering, monomials too; e < 0 for monomials only."""
+    if e < 0:
+        if len(p.terms) != 1:
+            raise ValueError("only monomials are invertible in QLaurent")
+        (exp, c), = p.terms.items()
+        return QLaurent({exp * e: Fraction(1) / c ** (-e)})
+    return _power(p, e, QLaurent.const(1))
+
+
+def oracle_substitute(p: QLaurent, m: int, k: int) -> Cyclotomic:
+    """p at q = zeta_m^k, one product by a power of zeta and one sum a
+    term."""
+    field = CyclotomicField(m)
+    if gcd(k, m) != 1:
+        raise ValueError("q not primitive")
+    out = field.zero()
+    for e, c in p.terms.items():
+        out = out + field.zeta_pow(k * e) * c
+    return out
+
+
+def _oracle_shape(p: QLaurent) -> tuple[int, int]:
+    if not p.terms or (len(p.terms) == 1 and 1 in p.terms.values()):
+        return 0, 0
+    width = max(p.terms) - min(p.terms) + 1
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in p.terms.values())
+    return width, bits
+
+
+def _oracle_power_size(p: QLaurent) -> int:
+    width, bits = _oracle_shape(p)
+    return width * bits
+
+
+def _oracle_product_size(a: QLaurent, b: QLaurent) -> int:
+    (wa, ba), (wb, bb) = _oracle_shape(a), _oracle_shape(b)
+    if not (wa and wb):
+        return 0
+    return (wa + wb - 1) * (ba + bb)
+
+
+class OracleScalarParser:
+    """The scalar grammar of ``scalars._ScalarParser`` with the same
+    bounds, messages and charges, building every value by whole QLaurent
+    sums, products and binary powers."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.work = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def charge(self, what: str, size: int):
+        self.work += size
+        if self.work > MAX_LITERAL_WORK:
+            raise ValueError(f"{what} too large: the literal's summed work "
+                             f"exceeds {MAX_LITERAL_WORK}")
+
+    def expect(self, tok):
+        got = self.take()
+        if got != tok:
+            raise ValueError(f"expected {tok!r}, got {got!r}")
+
+    def parse(self):
+        value = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input {self.peek()!r}")
+        return value
+
+    def expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        value = self.term() * sign
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.take() == "-":
+                    sign = -sign
+            value = value + self.term() * sign
+            self.charge("sums", _oracle_power_size(value))
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek() == "*":
+            self.take()
+            factor = self.factor()
+            self.charge("products", _oracle_product_size(value, factor))
+            value = value * factor
+        return value
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            e = self.exponent()
+            if abs(e) * _oracle_power_size(base) > MAX_LITERAL_POWER:
+                raise ValueError(
+                    f"exponent {e} too large for its base: |exponent| times "
+                    f"base size exceeds {MAX_LITERAL_POWER}")
+            base = oracle_power(base, e)
+            self.charge("powers", _oracle_power_size(base))
+        return base
+
+    def exponent(self):
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        tok = self.take()
+        if tok is None or not tok.isdigit():
+            raise ValueError(f"expected integer exponent, got {tok!r}")
+        return sign * int(tok)
+
+    def atom(self):
+        tok = self.take()
+        if tok in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_LITERAL_DEPTH:
+                raise ValueError(f"literal nested deeper than "
+                                 f"{MAX_LITERAL_DEPTH} parentheses and signs")
+            value = self.expr() if tok == "(" else -self.factor()
+            if tok == "(":
+                self.expect(")")
+            self.depth -= 1
+            return value
+        if tok == "q":
+            return QLaurent.q_pow(1)
+        if tok is not None and tok.isdigit():
+            num = int(tok)
+            if self.peek() == "/":
+                self.take()
+                den = self.take()
+                if den is None or not den.isdigit():
+                    raise ValueError("malformed rational literal")
+                if not int(den):
+                    raise ValueError(f'zero denominator in "{tok}/{den}"')
+                return QLaurent.const(Fraction(num, int(den)))
+            return QLaurent.const(num)
+        raise ValueError(f"unexpected token {tok!r}")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """The tokens of text one match at a time."""
+    pos, out = 0, []
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if not match:
+            raise ValueError(f"bad token at {text[pos:pos + 10]!r}")
+        out.append(match.group(1))
+        pos = match.end()
+    return out
+
+
+def oracle_parse_qlaurent(text: str) -> tuple[QLaurent, int]:
+    """The literal's value and the work the parser charged for it."""
+    parser = OracleScalarParser(oracle_tokenize(text))
+    return parser.parse(), parser.work
+
+
+def _oracle_coordinate(value) -> Fraction:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        den = value.partition("/")[2]
+        if den and not int(den):
+            raise ValueError(f'zero denominator in "{value}"')
+        return Fraction(value)
+    raise ValueError(f"coordinate {value!r} is not an integer or a "
+                     f"rational string such as \"-2/3\"")
+
+
+def oracle_parse_cyclotomic(value, m: int, k: int) -> Cyclotomic:
+    """``scalars.parse_cyclotomic`` by a Fraction per coordinate and a
+    product per q-literal term."""
+    field = CyclotomicField(m)
+    if isinstance(value, (list, tuple)):
+        if len(value) > field.degree:
+            raise ValueError(
+                f"coefficient vector longer than phi({m}) = {field.degree}")
+        fracs = [_oracle_coordinate(s) for s in value]
+        return from_fractions(field, fracs + [Fraction(0)] * (field.degree - len(fracs)))
+    if isinstance(value, str):
+        return oracle_substitute(oracle_parse_qlaurent(value)[0], m, k)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return field.scalar(value)
+    raise ValueError(f"cannot parse cyclotomic literal {value!r}")
+
+
+def oracle_encode(c: Cyclotomic) -> list[str]:
+    """``scalars.encode_cyclotomic`` as a str(Fraction) per coordinate."""
+    with _unlimited_int_digits():
+        return [str(f) for f in c.to_fractions()]
+
+
 # ---------------------------------------------------------------------------
 # plain-text element syntax, e.g. "(1-q^-2)*y1*x1"
 # ---------------------------------------------------------------------------
@@ -723,10 +976,10 @@ def power(p: NCPoly, e: int) -> NCPoly:
 def from_qlaurent(ql, dom):
     """A Laurent polynomial in q as a coefficient of dom: itself over
     generic q, its value at q = zeta_m^k at a root of unity."""
-    return ql if isinstance(dom, GenericQDomain) else ql.substitute(dom.m, dom.k)
+    return ql if isinstance(dom, GenericQDomain) else oracle_substitute(ql, dom.m, dom.k)
 
 
-class _ElementParser(_ScalarParser):
+class _ElementParser(OracleScalarParser):
     """Extends the scalar grammar with generator letters x<i>, y<i>."""
 
     def __init__(self, tokens, domain, n):
@@ -804,7 +1057,7 @@ class _ElementParser(_ScalarParser):
 
 def parse_element(text: str, n: int, dom=GENERIC_Q) -> NCPoly:
     """Parse the plain-text element syntax into a straightened NCPoly."""
-    poly = _ElementParser(tokenize(text), dom, n).parse()
+    poly = _ElementParser(oracle_tokenize(text), dom, n).parse()
     return straighten(poly)
 
 
@@ -864,4 +1117,4 @@ def euclid_inverse(a: Cyclotomic) -> Cyclotomic:
     u = [c / g[0] for c in u]
     _, rem = qpoly_divmod(u, modulus)
     rem += [Fraction(0)] * (a.field.degree - len(rem))
-    return a.field.from_fractions(rem)
+    return from_fractions(a.field, rem)

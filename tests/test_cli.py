@@ -532,9 +532,12 @@ class TestIdentitiesCommand:
         (["--m", "-10001"], "m must be odd >= 3"),
         (["--m", "4001", "--k", "4001"], "q not primitive"),
         (["--m", "30021", "--k", "3"], "q not primitive")])
-    def test_bad_m_or_k_past_the_bound_is_a_config_error(self, argv, message, capsys):
+    def test_bad_m_or_k_past_the_bound_is_a_config_error(self, argv, message, capsys,
+                                                          monkeypatch):
         # k is checked before Q(zeta_m) is built: at m = 30021 the field
-        # took 25 s
+        # took 25 s.  An empty cache of its own, since other tests build
+        # Q(zeta_4001)
+        monkeypatch.setattr(scalars, "_FIELD_CACHE", {})
         assert main(["identities", "--n", "32", *argv]) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
         assert int(argv[1]) not in scalars._FIELD_CACHE

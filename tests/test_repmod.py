@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import DictMatrix, basis_indices, basis_rank, omega_matrix
+from oracles import DictMatrix, basis_indices, basis_rank, omega_matrix, oracle_kappa
 from qeuclid.repmod import (
     GeneratorMatrices,
     DEFAULT_MAX_DIM,
@@ -22,7 +22,8 @@ from qeuclid.repmod import (
     dimension,
     random_module_params,
 )
-from qeuclid.rewriter import all_gens, gen_name, root_domain, xgen, ygen
+from qeuclid import scalars
+from qeuclid.rewriter import all_gens, gen_name, is_x, root_domain, xgen, ygen
 from qeuclid.scalars import Cyclotomic, encode_cyclotomic, parse_cyclotomic
 from qeuclid.verify import direct_sum, expected_central_values, run_verification
 
@@ -244,6 +245,34 @@ class TestBuildMatchesAct:
                     c = basis_rank(target, m)
                     assert mat.cols[r] == c and mat.get(r, c) == coeff, \
                         (gen_name(code), a)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("n,m,k", [(2, 3, 1), (3, 5, 2), (4, 9, 4), (3, 15, 7),
+                                       (2, 21, 1)])
+    def test_kappa_by_linearity_equals_one_product_an_entry(self, case, n, m, k):
+        params = random_module_params(case, n, m, k, seed=n * m + k)
+        for code, rule in params.rules.items():
+            i = rule.pos + 2
+            if rule.step == -1:         # lowering: x_i in I, y_i outside I
+                assert is_x(code) == (i in params.I_set)
+                assert rule.kappa == oracle_kappa(code, params), gen_name(code)
+
+    def test_kappa_tables_take_three_dense_products_a_generator(self, monkeypatch):
+        # m rotations and at most three products a generator; one product
+        # an entry would take m = 21
+        params = random_module_params("II", 4, 21, 1, seed=5)
+        calls = []
+        vec_mul = scalars.vec_mul
+
+        def counting(*args):
+            calls.append(1)
+            return vec_mul(*args)
+
+        monkeypatch.setattr(scalars, "vec_mul", counting)
+        params.rules
+        lowering = sum(1 for rule in params.rules.values() if rule.step == -1)
+        assert lowering == params.n - 1
+        assert 0 < len(calls) <= 3 * lowering < params.m
 
     def test_kappa_is_computed_once_per_generator_and_coordinate(self, monkeypatch):
         params = random_module_params("II", 4, 3, 1, seed=7)

@@ -8,12 +8,21 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import euclid_inverse, qpoly_divmod
+from oracles import (
+    euclid_inverse,
+    oracle_encode,
+    oracle_parse_cyclotomic,
+    oracle_parse_qlaurent,
+    oracle_substitute,
+    oracle_tokenize,
+    qpoly_divmod,
+)
 from qeuclid import rewriter, scalars
 from qeuclid.scalars import (
+    MAX_LITERAL_DEPTH,
     MAX_LITERAL_WORK,
     CyclotomicField,
     QLaurent,
@@ -24,6 +33,7 @@ from qeuclid.scalars import (
     parse_cyclotomic,
     parse_qlaurent,
     root_of_unity,
+    tokenize,
     vec_normalize,
 )
 
@@ -655,3 +665,152 @@ class TestTextEncoding:
             parse_cyclotomic("q^", 3, 1)
         with pytest.raises(ValueError):
             parse_cyclotomic("spam", 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# config ingestion in integers against the Fraction-and-products oracle
+# ---------------------------------------------------------------------------
+
+_INGEST_MODULI = (3, 5, 9, 15, 21, 105)
+
+
+def _outcome(fn, *args):
+    """("ok", value) or (exception type name, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:            # the two paths must fail alike
+        return type(exc).__name__, str(exc)
+
+
+def _parse_with_work(text):
+    parser = scalars._ScalarParser(tokenize(text))
+    return parser.parse(), parser.work
+
+
+_ATOMS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.builds("{}/{}".format, st.integers(0, 30), st.integers(0, 9)),
+    st.just("q"),
+)
+
+
+def _extend(inner):
+    return st.one_of(
+        st.builds("{}^{}".format, inner, st.integers(-9, 9)),
+        st.builds("{}{}{}".format, inner,
+                  st.sampled_from(["+", "-", "*", " + ", "*-", "--", "-+"]), inner),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+    )
+
+
+# well-formed literals, sums of q-powers as in config files, literals at
+# the power, work and depth bounds, and token soup for the parse errors
+_LITERALS = st.one_of(
+    st.recursive(_ATOMS, _extend, max_leaves=12),
+    st.lists(st.tuples(st.sampled_from(["+", "-"]), st.integers(1, 9),
+                       st.integers(1, 13), st.integers(-30, 30)),
+             min_size=1, max_size=24).map(
+        lambda ts: "".join(f"{s}{a}/{b}*q^{e}" for s, a, b, e in ts)),
+    st.builds("({}+q)^{}".format, st.integers(1, 3), st.integers(-2, 300)),
+    st.builds("{}^{}".format, st.sampled_from(["2", "3/2", "-q", "1/7*q^2"]),
+              st.integers(-300, 300)),
+    st.builds(lambda term, count, sign: sign.join([term] * count),
+              st.sampled_from(["(1+q)^128", "(1+q)^64*(1+q)^64", "(2-q)^100"]),
+              st.integers(1, 6), st.sampled_from(["+", "-", "*"])),
+    st.builds(lambda d, body: "(" * d + body + ")" * d,
+              st.integers(MAX_LITERAL_DEPTH - 2, MAX_LITERAL_DEPTH + 2),
+              st.sampled_from(["1", "q-1"])),
+    st.builds(lambda d: "-" * d + "q", st.integers(MAX_LITERAL_DEPTH - 2,
+                                                    MAX_LITERAL_DEPTH + 2)),
+    st.text(alphabet="0123456789q^*/+-() x", max_size=16),
+)
+
+
+class TestIngestOracle:
+    """The integer path of config ingestion (tokenize, _ScalarParser,
+    QLaurent.substitute, parse_cyclotomic, encode_cyclotomic) against
+    the Fraction-and-products oracle in tests/oracles.py: the same
+    values, the same work charged, the same refusals."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_LITERALS)
+    @example("(1+q)^257")                               # power bound
+    @example("(1+q)^128*(1+q)^128*(1+q)^128")           # work bound
+    @example("+".join(["(1+q)^128"] * 5))               # work bound, sums
+    @example("(" * (MAX_LITERAL_DEPTH + 1) + "1" + ")" * (MAX_LITERAL_DEPTH + 1))
+    @example("3/0*q")                                   # zero denominator
+    @example("(1+q)^-1")                                # not a monomial
+    @example("1 ")                                      # trailing blank
+    @example("q^" + "9" * 5000)                         # int digit limit
+    def test_literal_value_work_and_refusal(self, text):
+        new, old = _outcome(_parse_with_work, text), _outcome(oracle_parse_qlaurent, text)
+        assert new[0] == old[0]
+        if new[0] != "ok":
+            assert new[1] == old[1]
+            return
+        (value, work), (expected, expected_work) = new[1], old[1]
+        assert work == expected_work
+        assert value == expected and repr(value) == repr(expected)
+        assert {e: type(c) for e, c in value.terms.items()} == \
+            {e: type(c) for e, c in expected.terms.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789qxy^*/+-() \t\n.!", max_size=24))
+    def test_tokens_and_bad_token(self, text):
+        assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_INGEST_MODULI).flatmap(lambda m: st.tuples(
+               st.just(m), st.sampled_from([k for k in range(-m, 2 * m)
+                                            if gcd(k, m) == 1]))),
+           _LITERALS)
+    def test_substituted_literal(self, mk, text):
+        m, k = mk
+        assert _outcome(parse_cyclotomic, text, m, k) == \
+            _outcome(oracle_parse_cyclotomic, text, m, k)
+        parsed = _outcome(parse_qlaurent, text)
+        if parsed[0] == "ok":
+            value = parsed[1].substitute(m, k)
+            expected = oracle_substitute(parsed[1], m, k)
+            assert (value.nums, value.den) == (expected.nums, expected.den)
+
+    def test_substitute_refuses_like_the_oracle(self):
+        p = parse_qlaurent("1/3*q^2-q^-5")
+        for m, k in [(9, 3), (15, 10), (4, 1), (1, 1)]:
+            assert _outcome(p.substitute, m, k) == _outcome(oracle_substitute, p, m, k)
+
+    _COORDINATES = st.one_of(
+        st.integers(-10 ** 40, 10 ** 40),
+        st.builds("{}{}/{}".format, st.sampled_from(["", "-", "00"]),
+                  st.integers(0, 10 ** 12), st.integers(0, 60)),
+        st.builds("{}{}".format, st.sampled_from(["", "-", "0"]),
+                  st.integers(0, 10 ** 30)),
+        st.sampled_from(["1.5", "1e3", "", " 1", "--1", "1/", "/2", "0x10",
+                         "1/2/3", "\u0663", "1" * 4400, "1/" + "7" * 4400,
+                         True, False, None, 1.5, [1]]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_INGEST_MODULI).flatmap(lambda m: st.tuples(
+               st.just(m), st.lists(TestIngestOracle._COORDINATES,
+                                    max_size=euler_phi(m) + 1))))
+    @example((3, ["1/0"]))                              # zero denominator
+    @example((5, ["2/4", "-6/8", 3, "0/7"]))
+    def test_coordinates(self, m_coords):
+        m, coords = m_coords
+        assert _outcome(parse_cyclotomic, coords, m, 1) == \
+            _outcome(oracle_parse_cyclotomic, coords, m, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_INGEST_MODULI).flatmap(lambda m: st.builds(
+               CyclotomicField(m).element,
+               st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                                  st.integers(-99, 99).map(
+                                      lambda v: v * 10 ** 4400 + 1)),
+                        min_size=euler_phi(m), max_size=euler_phi(m)),
+               st.one_of(st.integers(1, 10 ** 6), st.just(2 * 10 ** 4500)))))
+    def test_encode_equals_str_of_fractions(self, c):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert encode_cyclotomic(c) == oracle_encode(c)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
