@@ -111,8 +111,9 @@ def _render_degree(rep) -> str:
         f"  image cardinality h : {rep.h}",
         f"  degree sqrt(h)      : {rep.degree}",
         f"  expected m^(n-1)    : {rep.expected}   {_pf(rep.matches_expected)}",
-        f"  elementary divisors : {list(rep.divisors)}",
-        "  kernel basis        : " + ", ".join(str(list(v)) for v in rep.kernel),
+        f"  rank modulo m       : {rep.rank}",
+        f"  kernel basis        : {rep.m} Z^{2 * rep.n}"
+        + "".join(f" + Z {list(v)}" for v in rep.kernel),
     ]
     return "\n".join(lines) + "\n"
 

@@ -169,12 +169,13 @@ def q_exponent(a: int, b: int) -> int:
     x_i, y_i.  The one statement of the q-commutation pattern: the
     rewrite rules, the matrix relation check and the PI-degree matrix H
     read it.  On a descent (a after b in the canonical order), moving an
-    x left costs q^-1 and moving a y left costs q."""
+    x left costs q^-1 and moving a y left costs q: in closed form,
+    s * (-1 if is_x(max(a, b)) else 1) with s = 1 for a > b, -1 for a < b."""
     if gen_index(a) == gen_index(b):
         return 0
-    if a < b:
-        return -q_exponent(b, a)
-    return -1 if is_x(a) else 1
+    if a > b:
+        return -1 if is_x(a) else 1
+    return 1 if is_x(b) else -1
 
 
 def _rewrite_pair(u: int, v: int, dom) -> list[tuple[object, tuple[int, ...]]]:

@@ -13,9 +13,9 @@ element by the extended Euclidean algorithm over Fraction.
 enumerates the image of the PI-degree matrix, ``oracle_kappa`` forms a
 lowering generator's kappa table one dense product an entry, and
 ``oracle_smith_normal_form``, ``oracle_hermite_columns`` and
-``oracle_kernel_basis`` are the elimination on whole rows and columns,
-the reference for the elimination on sparse rows and the Hermite form
-built modulo m in ``pidegree``.  ``oracle_tokenize``,
+``oracle_kernel_basis`` are the integer Smith and Hermite forms on whole
+rows and columns, the reference for the image and the kernel lattice
+that ``pidegree`` reads off one elimination modulo m.  ``oracle_tokenize``,
 ``oracle_parse_qlaurent``, ``oracle_substitute``,
 ``oracle_parse_cyclotomic`` and ``oracle_encode`` read and write config
 scalars one regex match a token, by whole QLaurent products and binary
@@ -324,14 +324,14 @@ def full_commutant_dimension(gm):
 
 
 def brute_force_image(H, m: int) -> int:
-    """Independent oracle: enumerate all of (Z/mZ)^s and collect H*a mod m."""
-    s = len(H)
+    """Independent oracle: enumerate all of (Z/mZ)^s, s the columns of H,
+    and collect H*a mod m."""
+    s = len(H[0]) if H else 0
     if m ** s > BRUTE_FORCE_LIMIT:
         raise ValueError("instance too large for oracle")
     seen = set()
     for a in product(range(m), repeat=s):
-        seen.add(tuple(sum(H[i][j] * a[j] for j in range(s)) % m
-                       for i in range(s)))
+        seen.add(tuple(sum(map(mul, row, a)) % m for row in H))
     return len(seen)
 
 
@@ -343,10 +343,10 @@ def oracle_smith_normal_form(M):
     """(diag, U, V) with U*M*V diagonal and the divisibility chain
     d_1 | d_2 | ...: classic pivot-and-reduce elimination with unimodular
     row/column operations over Z, every operation on whole rows and
-    columns (the reference for ``pidegree.smith_normal_form``).  Its
-    coefficients can blow up on dense input (some 6 x 6 matrices with
-    entries in [-9, 9] do not finish), so the tests draw random matrices
-    from ``test_pidegree._random_matrix``.
+    columns, over Z: the integer invariants that ``pidegree``'s
+    elimination modulo m must agree with.  Its coefficients can blow up
+    on dense input (some 6 x 6 matrices with entries in [-9, 9] do not
+    finish).
     """
     A = [list(row) for row in M]
     rows = len(A)
@@ -472,8 +472,9 @@ def oracle_hermite_columns(B):
 def oracle_kernel_basis(H, m: int, snf=None) -> list[tuple[int, ...]]:
     """Basis of {a : H a = 0 mod m}: the columns of V scaled by
     m/gcd(d_i, m), in column Hermite form, each checked against every row
-    of H (the reference for ``pidegree.kernel_basis``).  ``snf`` is
-    ``oracle_smith_normal_form(H)`` when already at hand."""
+    of H: the lattice that ``pidegree.pi_degree`` reports as m Z^s plus
+    its kernel vectors.  ``snf`` is ``oracle_smith_normal_form(H)`` when
+    already at hand."""
     diag, _, V = snf or oracle_smith_normal_form(H)
     s = len(H)
     diag = list(diag) + [0] * (s - len(diag))

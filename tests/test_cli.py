@@ -59,8 +59,18 @@ class TestPiDegreeCommand:
     def test_bad_m(self, capsys):
         assert main(["pi-degree", "--n", "2", "--m", "4"]) == EXIT_CONFIG
 
+    def test_json_report_is_linear_in_n(self, capsys):
+        # two kernel vectors of 2n entries: about 11 KB at n = 200, where
+        # a dense 2n x 2n kernel basis wrote 1.77 MB
+        assert main(["pi-degree", "--n", "200", "--m", "3", "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 64 * 1024
+        report = json.loads(out)["report"]
+        assert report["matches_expected"] is True and report["rank"] == 398
+        assert len(report["kernel_basis"]["vectors"]) == 2
+
     def test_work_guard_on_large_n(self, capsys):
-        # the first n refused; --n 803 runs about 4 s in a fresh process
+        # the first n refused; --n 803 runs 1.1-1.4 s in a fresh process
         assert main(["pi-degree", "--n", "804", "--m", "3"]) == EXIT_GUARD
         captured = capsys.readouterr()
         assert ("work guard: pi-degree --n 804 --m 3 is estimated at 16806944 steps "

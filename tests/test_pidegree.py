@@ -1,14 +1,14 @@
-"""PI-degree pipeline: defining matrix, SNF, image/kernel, degree."""
+"""PI-degree pipeline: defining matrix, elimination modulo m, image, kernel, degree."""
 
 import random
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt, prod
+from operator import mul
 
 import pytest
 
 from oracles import (
     brute_force_image,
-    oracle_hermite_columns,
     oracle_kernel_basis,
     oracle_smith_normal_form,
 )
@@ -16,7 +16,6 @@ from qeuclid import pidegree
 from qeuclid.pidegree import (
     DegreeReport,
     build_H,
-    image_cardinality,
     kernel_basis,
     pi_degree,
     smith_normal_form,
@@ -105,78 +104,98 @@ class TestBuildH:
             build_H(0)
 
 
+def _rank(M, m):
+    return sum(smith_normal_form(M, m)[0])
+
+
+def _in_kernel(M, m, vec):
+    return not any(sum(map(mul, row, vec)) % m for row in M)
+
+
+def _same_lattice(H, m, vectors, hermite):
+    """m Z^s + span(vectors) equals the lattice {a : H a = 0 mod m} whose
+    triangular Hermite basis is ``hermite``: the vectors lie in it, a
+    k x k minor of theirs is a unit mod m, so they span m^k classes and
+    their lattice has index m^(s - k), and that is the basis's determinant."""
+    s, k = len(H), len(vectors)
+    assert all(_in_kernel(H, m, v) and all(0 <= x < m for x in v) for v in vectors)
+    assert k == 0 or any(gcd(_det([[v[i] for i in idx] for v in vectors]), m) == 1
+                         for idx in combinations(range(s), k))
+    return m ** (s - k) == prod(hermite[c][c] for c in range(s))
+
+
 class TestSmithNormalForm:
+    """The Smith form over Z/m: diag(1^r, 0^(s - r)) and the echelon."""
+
     def test_zero_matrix(self):
-        snf = smith_normal_form([[0, 0], [0, 0]])
-        assert snf.diag == (0, 0)
-        assert snf.U == [[1, 0], [0, 1]] and snf.V == [[1, 0], [0, 1]]
+        assert smith_normal_form([[0, 0], [0, 0]], 3) == ((0, 0), {})
+        assert smith_normal_form([[3, 0], [0, -6]], 3) == ((0, 0), {})
 
     def test_identity(self):
-        snf = smith_normal_form([[1, 0], [0, 1]])
-        assert snf.diag == (1, 1)
+        assert smith_normal_form([[1, 0], [0, 1]], 3) == ((1, 1), {0: {0: 1}, 1: {1: 1}})
 
     def test_H2_divisors_match_minor_gcd_oracle(self):
         H = build_H(2)
-        snf = smith_normal_form(H)
-        assert snf.diag == (1, 1, 0, 0)
         dd = _determinantal_divisors(H)
-        # d_k = D_k / D_(k-1) until the rank is exhausted
-        prev = 1
-        for k, d in enumerate(snf.diag):
-            if dd[k] == 0:
-                assert d == 0
-            else:
-                assert d == dd[k] // prev
-                prev = dd[k]
+        assert dd == [1, 1, 0, 0]
+        for m in (3, 5, 9, 15):
+            # d_k = D_k / D_(k-1): a unit mod m becomes 1, a multiple of m 0
+            diag, _ = smith_normal_form(H, m)
+            assert diag == (1, 1, 0, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_umv_is_diagonal_and_unimodular(self, n):
+    def test_echelon_reduces_every_row(self, n):
+        # the pivot rows are the rows of M up to invertible steps over
+        # Z/m: each has 1 at its column and nothing at an earlier pivot,
+        # and every row of M reduces to 0 by them
         H = build_H(n)
-        snf = smith_normal_form(H)
-        D = _mat_mul(_mat_mul(snf.U, H), snf.V)
-        size = 2 * n
-        for i in range(size):
-            for j in range(size):
-                expected = snf.diag[i] if i == j else 0
-                assert D[i][j] == expected
-        assert abs(_det(snf.U)) == 1
-        assert abs(_det(snf.V)) == 1
+        for m in (3, 5, 9):
+            diag, echelon = smith_normal_form(H, m)
+            assert len(echelon) == sum(diag)
+            for c, row in echelon.items():
+                assert row[c] == 1 and all(0 < v < m for v in row.values())
+                assert not set(row).intersection(d for d in echelon if d < c)
+            for source in H:
+                left = [v % m for v in source]
+                for c, row in echelon.items():
+                    f = left[c]
+                    for j, v in row.items():
+                        left[j] = (left[j] - f * v) % m
+                assert not any(left), (n, m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_divisibility_chain_and_rank(self, n):
-        diag = smith_normal_form(build_H(n)).diag
-        nonzero = [d for d in diag if d]
-        assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        # rank over Q is 2n - 2: exactly two zero divisors
-        assert len(nonzero) == 2 * n - 2
+        for m in (3, 9, 15):
+            diag = smith_normal_form(build_H(n), m)[0]
+            rank = sum(diag)
+            assert diag == (1,) * rank + (0,) * (2 * n - rank)
+            # rank 2n - 2: exactly two zero divisors, as over Q
+            assert rank == max(2 * n - 2, 0)
 
     def test_random_matrices_roundtrip(self, rng):
-        for _ in range(20):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
+        # over a prime m every nonzero entry is a unit: the elimination
+        # never refuses, and rank + kernel dimension = columns
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-            snf = smith_normal_form(M)
-            D = _mat_mul(_mat_mul(snf.U, M), snf.V)
-            for i in range(rows):
-                for j in range(cols):
-                    if i == j and i < len(snf.diag):
-                        assert D[i][j] == snf.diag[i] >= 0
-                    else:
-                        assert D[i][j] == 0
-            nonzero = [d for d in snf.diag if d]
-            for a, b in zip(nonzero, nonzero[1:]):
-                assert b % a == 0
-            if rows == cols:
-                assert abs(_det(snf.U)) == 1 and abs(_det(snf.V)) == 1
+            for m in (3, 5):
+                diag, echelon = smith_normal_form(M, m)
+                vectors = kernel_basis(echelon, cols, m)
+                assert len(vectors) == cols - sum(diag)
+                assert all(_in_kernel(M, m, v) for v in vectors)
+                assert m ** sum(diag) == brute_force_image(M, m), (M, m)
+
+    def test_non_unit_pivot_raises(self):
+        # the image of diag(3, 1) mod 9 has 27 elements, no power of 9
+        assert brute_force_image([[3, 0], [0, 1]], 9) == 27
+        with pytest.raises(ArithmeticError, match="no unit pivot"):
+            smith_normal_form([[3, 0], [0, 1]], 9)
 
 
 def _random_matrix(rng):
     """(M, kind): up to 6 x 6 with entries in [-9, 9], dense (kind 0),
-    with zero rows (1), every entry a multiple of 2 or 3 so the first
-    pivot is no unit (2), or diagonal, where a pair outside the
-    divisibility chain makes the elimination restart (3)."""
+    with zero rows (1), every entry a multiple of 2 or 3, so that no
+    entry is a unit modulo 9 or 15 when it is 3 (2), or diagonal (3)."""
     rows, cols = rng.randint(1, 6), rng.randint(1, 6)
     kind = rng.randrange(4)
     if kind == 3:
@@ -192,51 +211,54 @@ def _random_matrix(rng):
 
 
 class TestEliminationAgainstOracle:
-    """The sparse elimination and the Hermite form modulo m against the
-    whole-row-and-column oracle: equal elementary divisors and equal
-    Hermite kernel bases (both are unique, whatever U and V each
-    elimination reaches), on H directly and through G in ``pi_degree``."""
+    """The elimination modulo m against the integer Smith and Hermite
+    forms on whole rows and columns: the same image cardinality and
+    degree, rank 2n - 2, and the same kernel lattice."""
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_H_divisors_and_kernels(self, n):
         H = build_H(n)
-        snf = smith_normal_form(H)
         oracle = oracle_smith_normal_form(H)
-        assert snf.diag == oracle[0]
         for m in (1, 3, 5, 9, 15, 21, 99, 101):
-            kernel = oracle_kernel_basis(H, m, oracle)
-            assert pidegree._kernel_from_snf(H, m, snf) == kernel
             rep = pi_degree(n, m)
-            assert rep.divisors == oracle[0] and rep.kernel == kernel
+            h = prod(m // gcd(d, m) for d in oracle[0])
+            assert rep.h == h and rep.degree == isqrt(h) == m ** (n - 1)
+            if n >= 2 and m > 1:
+                assert rep.rank == 2 * n - 2
+            assert _same_lattice(H, m, rep.kernel, oracle_kernel_basis(H, m, oracle))
 
     def test_random_matrices(self):
+        # each draw is refused or right: m^rank is the image's size
         rng = random.Random(23)
-        shapes, kinds, restarts = set(), [0] * 4, 0
+        shapes, kinds, outcomes = set(), [0] * 4, {}
         for _ in range(600):
             M, kind = _random_matrix(rng)
-            snf = smith_normal_form(M)
-            oracle = oracle_smith_normal_form(M)
-            assert snf.diag == oracle[0], M
-            if len(M) == len(M[0]):
-                for m in (3, 5, 9):
-                    assert (pidegree._kernel_from_snf(M, m, snf)
-                            == oracle_kernel_basis(M, m, oracle)), M
+            oracle = oracle_smith_normal_form(M)[0]
+            for m in (3, 9, 15):
+                try:
+                    rank = _rank(M, m)
+                except ArithmeticError:
+                    outcomes[m, "refused"] = outcomes.get((m, "refused"), 0) + 1
+                    continue
+                image = (brute_force_image(M, m) if m ** len(M[0]) <= 10 ** 4
+                         else prod(m // gcd(d, m) for d in oracle))
+                assert m ** rank == image, (M, m)
+                outcomes[m, "right"] = outcomes.get((m, "right"), 0) + 1
             shapes.add((len(M), len(M[0])))
             kinds[kind] += 1
-            if kind == 3:
-                entries = sorted(abs(M[i][i]) for i in range(len(snf.diag)))
-                chain = [d for d in entries if d] + [0] * entries.count(0)
-                restarts += snf.diag != tuple(chain)
-        assert len(shapes) == 36 and min(kinds) >= 100 and restarts >= 20
+        assert len(shapes) == 36 and min(kinds) >= 100
+        assert outcomes[3, "right"] == 600 and (3, "refused") not in outcomes
+        assert min(outcomes[m, verdict] for m in (9, 15)
+                   for verdict in ("refused", "right")) >= 50
 
 
 def _recorded_G(monkeypatch, n):
-    """The matrix that ``pi_degree(n, 3)`` hands to the Smith form."""
+    """The matrix that ``pi_degree(n, 3)`` hands to the elimination."""
     seen = []
 
-    def recording(M):
+    def recording(M, m):
         seen.append(M)
-        return smith_normal_form(M)
+        return smith_normal_form(M, m)
 
     monkeypatch.setattr(pidegree, "smith_normal_form", recording)
     pi_degree(n, 3)
@@ -284,49 +306,24 @@ class TestBandedG:
             oracle = oracle_smith_normal_form(H)
             for m in (1, 3, 9, 15):
                 rep = pi_degree(n, m)
-                assert rep.divisors == oracle[0], name
-                assert rep.kernel == oracle_kernel_basis(H, m, oracle), name
-
-
-class TestHermiteModM:
-    """The Hermite form built modulo m from m I against the Hermite form
-    of the whole scaled basis (``oracle_hermite_columns``)."""
-
-    def test_random_lattices(self):
-        rng = random.Random(29)
-        tried = 0
-        for _ in range(400):
-            M, _ = _random_matrix(rng)
-            s = len(M)
-            if s != len(M[0]):
-                continue
-            snf = smith_normal_form(M)
-            zero = [[0] * s for _ in range(s)]    # every vector is a member
-            for m in (3, 9, 15, 45):
-                scale = [m // gcd(d, m) for d in snf.diag]
-                basis = [[snf.V[r][c] * scale[c] for c in range(s)] for r in range(s)]
-                oracle = oracle_hermite_columns(basis)
-                expected = [tuple(oracle[r][c] for r in range(s)) for c in range(s)]
-                assert pidegree._kernel_from_snf(zero, m, snf) == expected, (M, m)
-            tried += 1
-        assert tried >= 50
+                assert rep.h == prod(m // gcd(d, m) for d in oracle[0]), name
+                assert _same_lattice(H, m, rep.kernel,
+                                     oracle_kernel_basis(H, m, oracle)), name
 
 
 class TestImageCardinality:
     def test_trivial_image(self):
-        assert image_cardinality(build_H(1), 3) == 1
+        assert pi_degree(1, 3).h == 1
         assert brute_force_image(build_H(1), 3) == 1
 
     @pytest.mark.parametrize("m,expected", [(3, 9), (5, 25)])
     def test_n2_against_enumeration(self, m, expected):
-        H = build_H(2)
-        assert image_cardinality(H, m) == expected
-        assert brute_force_image(H, m) == expected
+        assert pi_degree(2, m).h == expected
+        assert brute_force_image(build_H(2), m) == expected
 
     @pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
     def test_oracle_equivalence(self, n, m):
-        H = build_H(n)
-        assert image_cardinality(H, m) == brute_force_image(H, m)
+        assert pi_degree(n, m).h == brute_force_image(build_H(n), m)
 
     def test_oracle_guard(self):
         with pytest.raises(ValueError, match="too large"):
@@ -341,26 +338,28 @@ class TestImageCardinality:
                     M[i][j] = rng.randint(-2, 2)
                     M[j][i] = -M[i][j]
             for m in (3, 5):
-                assert image_cardinality(M, m) == brute_force_image(M, m)
+                assert m ** _rank(M, m) == brute_force_image(M, m)
 
 
 class TestKernelBasis:
     def test_n1_full_lattice(self):
-        assert kernel_basis(build_H(1), 3) == [(1, 0), (0, 1)]
+        _, echelon = smith_normal_form(build_H(1), 3)
+        assert kernel_basis(echelon, 2, 3) == [[1, 0], [0, 1]]
+        assert pi_degree(1, 3).kernel == [[1, 0], [0, 1]]
+        assert pi_degree(1, 1).kernel == []
 
     def test_n2_membership_and_index(self):
         H = build_H(2)
         m = 3
-        basis = kernel_basis(H, m)
-        for vec in basis:
-            assert all(v >= 0 for v in vec)
-            assert all(sum(H[i][j] * vec[j] for j in range(4)) % m == 0
-                       for i in range(4))
-        # index of K in Z^4 = product of the Hermite pivots = h = 9
-        pivots = 1
-        for i, vec in enumerate(basis):
-            pivots *= vec[i]
-        assert pivots == image_cardinality(H, m) == 9
+        rep = pi_degree(2, m)
+        assert len(rep.kernel) == 2
+        for vec in rep.kernel:
+            assert all(0 <= v < m for v in vec)
+            assert _in_kernel(H, m, vec)
+        # the kernel holds m^2 classes mod m: m^4 / h of them
+        classes = {tuple((a * u + b * w) % m for u, w in zip(*rep.kernel))
+                   for a in range(m) for b in range(m)}
+        assert len(classes) == m ** 4 // rep.h == 9
 
     def test_m_e1_always_in_kernel(self):
         for n, m in ((2, 3), (3, 5)):
@@ -371,16 +370,26 @@ class TestKernelBasis:
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (2, 5), (3, 3)])
     def test_kernel_image_duality(self, n, m):
-        # |K intersect [0,m)^2n| * h = m^(2n)
+        # |K intersect [0,m)^2n| * h = m^(2n), and the vectors span K mod m
         H = build_H(n)
-        h = image_cardinality(H, m)
+        rep = pi_degree(n, m)
         if m ** (2 * n) <= 10 ** 6:
             count = 0
             for a in product(range(m), repeat=2 * n):
-                if all(sum(H[i][j] * a[j] for j in range(2 * n)) % m == 0
-                       for i in range(2 * n)):
+                if _in_kernel(H, m, a):
                     count += 1
-            assert count * h == m ** (2 * n)
+            assert count * rep.h == m ** (2 * n)
+            assert count == m ** len(rep.kernel)
+
+    def test_tampered_vector_fails_membership(self, monkeypatch):
+        def shifted(echelon, size, m):
+            vectors = kernel_basis(echelon, size, m)
+            vectors[0][0] += 1
+            return vectors
+
+        monkeypatch.setattr(pidegree, "kernel_basis", shifted)
+        with pytest.raises(ArithmeticError, match="membership"):
+            pi_degree(6, 5)
 
 
 class TestPiDegree:
@@ -413,19 +422,27 @@ class TestPiDegree:
     def test_one_smith_form_per_call(self, n, m, monkeypatch):
         calls = []
 
-        def counting(M):
-            calls.append(M)
-            return smith_normal_form(M)
+        def counting(name, step):
+            def wrapped(*args):
+                calls.append(name)
+                return step(*args)
+            return wrapped
 
-        monkeypatch.setattr(pidegree, "smith_normal_form", counting)
+        monkeypatch.setattr(pidegree, "smith_normal_form",
+                            counting("smith", smith_normal_form))
+        monkeypatch.setattr(pidegree, "kernel_basis", counting("kernel", kernel_basis))
         rep = pi_degree(n, m)
-        assert len(calls) == 1
-        assert rep.kernel == kernel_basis(build_H(n), m)
-        assert rep.h == image_cardinality(build_H(n), m)
+        assert calls == ["smith", "kernel"]
+        assert rep.h == m ** rep.rank
 
     def test_report_shape(self):
         rep = pi_degree(2, 3)
         assert isinstance(rep, DegreeReport)
         d = rep.to_dict()
         assert d["degree"] == 3 and d["matches_expected"] is True
-        assert len(d["kernel_basis"]) == 4
+        assert d["rank"] == 2 and d["image_cardinality"] == 9
+        assert d["kernel_basis"] == {"modulus_lattice": 3,
+                                     "vectors": [list(v) for v in rep.kernel]}
+        assert len(d["kernel_basis"]["vectors"]) == 2
+        assert pi_degree(2, 1).to_dict()["kernel_basis"] == {
+            "modulus_lattice": 1, "vectors": []}
