@@ -239,6 +239,9 @@ def check_work(what: str, n: int, m=None, scalars=None, inverses=None) -> int:
     inverted, and with the ``inverses`` (y1_coeff, alpha_i^-1), whose
     sizes no bound on the scalars predicts; phi(m) only once the other
     terms leave room, so a refused shape never builds Q(zeta_m)."""
+    # generic suites: the omega identities' 8 n^2 - 4 n straightenings and
+    # the C(2n, 3) confluence items, decided on their rules; the --json
+    # report of those items, not steps, sets its boundary n = 54
     terms = ({"generic suites": 104 * n ** 3} if what == "identities"
              else {"elimination": 26 * n * n})
     if what == "identities" and m is not None:

@@ -22,14 +22,38 @@ letter indices; the lexicographic pair (index multiset, inversions)
 therefore drops at every step.  Confluence is not assumed: it is checked
 on all length-3 overlap ambiguities by :func:`check_local_confluence`.
 
-Q-swap overlaps.  An overlap a b c (a > b > c) whose three letters have
-distinct indices is decided on its rules once their premise holds: the
-rules of a.b and b.c, as :func:`_rewrite_pair` gives them, are each
-q^e times the swapped pair, e the pair's ``q_exponent``.  Its reducts
-q^e_ab b a c and q^e_bc a c b then hold no pair x_i, y_i, so each
-straightens by q-swaps alone to q^(e_ab + e_ac + e_bc) c b a, and the
-overlap resolves.  Only the 2n(n - 1) overlaps with a pair x_i, y_i,
-and any whose premise fails, are straightened.
+Decided overlaps.  Write c = 1 - q^-2, e = ``q_exponent`` and an
+overlap as its letters in descending order.  Each is decided on its
+rules once their premise holds, and straightened otherwise.
+
+- Q-swaps.  An overlap a b g with three distinct indices, whose rules
+  of a.b and b.g are each q^e times the swapped pair, has reducts that
+  hold no pair x_i, y_i; both straighten by q-swaps alone to
+  q^(e_ab + e_ag + e_bg) g b a.
+- Sign pattern.  For a > b of different indices, e(a, b) = -1 when a
+  is an x and +1 when a is a y.  So a letter g above y_l and x_l has
+  E_l = e(g, y_l) + e(g, x_l) = +-2, the same for every l, and one
+  below them has e(x_l, g) + e(y_l, g) = 0.
+- g x_i y_i, g of index j > i.  The reduct q^e(g,x_i) x_i g y_i
+  straightens to q^E_i (y_i x_i g + sum_(l<i) c y_l x_l g), the reduct
+  g y_i x_i + sum_(l<i) c g y_l x_l to q^E_i y_i x_i g
+  + sum_(l<i) c q^E_l y_l x_l g; they agree as E_l = E_i.
+- x_i y_i g, g of index j < i.  The reducts y_i x_i g
+  + sum_(l<i) c y_l x_l g and q^e(y_i,g) x_i g y_i have equal leading
+  terms, and those with j < l < i cancel as
+  e(x_l, g) + e(y_l, g) = 0 = e(x_i, g) + e(y_i, g).  Each l < j leaves
+  c (1 - q^E_l) on y_l x_l g, which the l = j term removes: for
+  g = x_j the x_j y_j rule in x_j y_j x_j gives -c^2 (E_l = -2), and
+  for g = y_j, y_j passing y_l x_l in y_j x_j y_j gives c^2 q^2
+  (E_l = 2).  Both sums vanish as c = 1 - q^-2.
+
+The premise: each one-step rule of the overlap is the genuine one, a
+q-swap the single term q^e times the swapped pair and x_i y_i exactly
+y_i x_i + sum_(l<i) c y_l x_l, with c formed from q^-2; and for an
+x_i y_i overlap, e has the sign pattern between g and each pair l <= i.
+The reducts are then what :func:`straighten_word` makes of them, so a
+decided overlap is the oracle's item; a failing premise straightens
+exactly the overlaps it concerns.
 
 One pass.  :func:`straighten_word` sorts a word by insertion, one run
 of equal letters at a time; each step applies one rule to an adjacent
@@ -381,12 +405,13 @@ def check_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
     diamond lemma its vanishing on all overlaps makes the normal form
     unique.
 
-    A q-swap overlap, whose three letters have distinct indices, is
-    decided on its rules instead (module docstring).  The premise, that
-    the rules of a.b and b.c are each the one term q^e times the swapped
-    pair with e = ``q_exponent`` of the pair, is checked once per pair.
-    An overlap whose premise fails, and each of the 2n(n - 1) with a pair
-    x_i, y_i, is straightened, so a broken rule leaves its residual.
+    An overlap is decided on its rules instead once its premise holds
+    (module docstring): the rule of each of its two pairs is the
+    genuine one, checked once per pair, and for an overlap of a pair
+    x_i, y_i with a letter g, ``q_exponent`` has the sign pattern
+    between g and every pair l <= i, read once per letter along l.  An
+    overlap whose premise fails is straightened, so a broken rule leaves
+    its residual.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -395,12 +420,33 @@ def check_local_confluence(n: int, dom=GENERIC_Q) -> CheckReport:
     swaps = {(u, v) for iu, u in enumerate(codes) for v in codes[:iu]
              if gen_index(u) != gen_index(v)
              and _rewrite_pair(u, v, dom) == [(dom.q_pow(q_exponent(u, v)), (v, u))]}
+    correction = dom.one - dom.q_pow(-2)    # not dom.correction: the rule is checked
+    corrections, pairs = [], set()      # pairs: the i whose x_i y_i rule is genuine
+    for i in range(1, n + 1):
+        y, x = ygen(i), xgen(i)
+        if _rewrite_pair(x, y, dom) == [(dom.one, (y, x))] + corrections:
+            pairs.add(i)
+        corrections.append((correction, (y, x)))
+    decided = set()                     # the x_i y_i overlaps whose premise holds
+    for g in codes:
+        for i in range(1, n + 1):       # until g breaks the sign pattern
+            y, x = ygen(i), xgen(i)
+            if g > x:
+                if not q_exponent(g, x) == q_exponent(g, y) == (-1 if is_x(g) else 1):
+                    break
+                if i in pairs and (g, x) in swaps:
+                    decided.add((g, x, y))
+            elif g < y:
+                if not q_exponent(x, g) == -1 == -q_exponent(y, g):
+                    break
+                if i in pairs and (y, g) in swaps:
+                    decided.add((x, y, g))
     names = {g: gen_name(g) for g in codes}
     for ia, a in enumerate(codes):
         for ib, b in enumerate(codes[:ia]):
             for c in codes[:ib]:
                 name = f"overlap {names[a]}*{names[b]}*{names[c]}"
-                if (a, b) in swaps and (b, c) in swaps:
+                if (a, b) in swaps and (b, c) in swaps or (a, b, c) in decided:
                     report.add(name, True)
                     continue
                 res = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import cached_property
+from itertools import chain
 
 from .linalg import CycMatrix
 from .pidegree import DegreeReport, pi_degree
@@ -239,11 +240,12 @@ def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
         omegas = omega_rows(gm)
     k, n, table = gm.params.k, gm.params.n, gm.table
     m = table.m
-    # (A, B) for every q-commutation A B = q^e B A, in report order
-    pairs = [(g(i), g(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             for g in (ygen, xgen)]
-    pairs += [(xgen(i), ygen(j)) for i in range(1, n + 1)
-              for j in range(1, n + 1) if i != j]
+    # (A, B) for every q-commutation A B = q^e B A, in report order; the
+    # n(2n - 1) pairs are walked, never listed
+    pairs = chain(((g(i), g(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                   for g in (ygen, xgen)),
+                  ((xgen(i), ygen(j)) for i in range(1, n + 1)
+                   for j in range(1, n + 1) if i != j))
     if omegas.path == "rules":
         # a generator reads its coordinate when it moves it or its kappa
         # table is not constant

@@ -656,7 +656,7 @@ class TestIdentitiesFuzz:
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 code = main(argv)
         finally:
-            rewriter._NF_CACHE.clear()      # 20,250 words after --n 54
+            rewriter._NF_CACHE.clear()      # 14,526 words after --n 54
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_GUARD)
         assert time.perf_counter() - t0 < 20.0
 

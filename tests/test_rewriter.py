@@ -341,10 +341,9 @@ def test_central_powers_work_bound(monkeypatch, fresh_memo):
     assert products == []
 
 
-def test_local_confluence_work_bound(monkeypatch, fresh_memo):
-    """Only the 2n(n-1) overlaps with a pair x_i, y_i are straightened
-    (264 of the 2,024 at n = 12); the q-swap overlaps are decided on
-    their rules and reach no _accumulate."""
+@pytest.fixture
+def straightened(monkeypatch):
+    """The residuals that reach _accumulate, one per straightened overlap."""
     residuals = {}
     original = rewriter._accumulate
 
@@ -353,10 +352,16 @@ def test_local_confluence_work_bound(monkeypatch, fresh_memo):
         return original(residual, coeff, word, dom)
 
     monkeypatch.setattr(rewriter, "_accumulate", counting)
-    n = 12
-    report = check_local_confluence(n)
+    return residuals
+
+
+def test_local_confluence_work_bound(fresh_memo, straightened):
+    """On the genuine rules every overlap is decided on its rules: the
+    q-swap overlaps and the 2n(n-1) with a pair x_i, y_i (264 of the
+    2,024 at n = 12) alike, so none reaches _accumulate."""
+    report = check_local_confluence(12)
     assert report.ok and len(report.items) == 2024
-    assert len(residuals) == 2 * n * (n - 1)
+    assert straightened == {}
 
 
 def test_remark_identities_work_bound(monkeypatch, fresh_memo):
@@ -410,12 +415,12 @@ class TestSuitesAgainstOracle:
             assert (verify_remark_identities(n, dom).to_dict()
                     == oracle_remark_identities(n, dom).to_dict()), n
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_local_confluence(self, n):
         assert check_local_confluence(n).to_dict() == oracle_local_confluence(n).to_dict()
 
     @pytest.mark.parametrize("spec", [(5, 2), (9, 1)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_local_confluence_at_roots(self, n, spec):
         dom = _domain(spec)
         assert (check_local_confluence(n, dom).to_dict()
@@ -447,6 +452,42 @@ class TestSuitesAgainstOracle:
             assert not report.ok
             assert all(item.detail.startswith("residual ") for item in report.failures())
             assert report.to_dict() == oracle_remark_identities(n).to_dict()
+
+    def test_wrong_q_swap_fails_confluence(self, monkeypatch, straightened):
+        # x_i y_j = q y_j x_i breaks the sign pattern that decides the
+        # x_i y_i overlaps, for x_j at pair 1 (j > 1) and for y_j at pair
+        # j + 1: the overlaps of those x_j with every pair and of each y_j
+        # with the pairs above it are straightened, and those with an x fail
+        monkeypatch.setattr(rewriter, "q_exponent", _x_past_y_flipped(q_exponent))
+        for n in (2, 3, 4, 5):
+            straightened.clear()
+            report = check_local_confluence(n)
+            assert len(report.failures()) == (n - 1) ** 2
+            assert all(item.detail.startswith("residual ") for item in report.failures())
+            assert report.to_dict() == oracle_local_confluence(n).to_dict()
+            assert len(straightened) == (n - 1) ** 2 + n * (n - 1) // 2
+
+    def test_two_term_q_swap_fails_its_overlaps(self, monkeypatch, straightened):
+        # x_3 x_1 -> q^-1 x_1 x_3 + y_1 x_1: the premise fails on that pair
+        # only, so exactly the overlaps holding x3*x1 are straightened, and
+        # they fail
+        original = rewriter._rewrite_pair
+        pair = (xgen(3), xgen(1))
+
+        def two_terms(u, v, dom):
+            rule = original(u, v, dom)
+            return rule + [(dom.one, (ygen(1), xgen(1)))] if (u, v) == pair else rule
+
+        monkeypatch.setattr(rewriter, "_rewrite_pair", two_terms)
+        monkeypatch.setattr(oracles, "_rewrite_pair", two_terms)
+        for n in (3, 4, 5):
+            straightened.clear()
+            report = check_local_confluence(n)
+            failing = {item.name.split()[1] for item in report.failures()}
+            assert failing == {"x3*x1*y1"} | {f"{g}{j}*x3*x1" for g in "xy"
+                                              for j in range(4, n + 1)}
+            assert len(straightened) == len(failing)
+            assert report.to_dict() == oracle_local_confluence(n).to_dict()
 
     def test_q_swap_rule_scaled_by_q_fails_its_overlaps(self, monkeypatch):
         # x_3 x_1 -> q^-1 x_1 x_3 made q^0: the premise fails on that pair,
