@@ -1,65 +1,52 @@
 """PI-degree of the quantum Euclidean 2n-space via its quasipolynomial shadow.
 
 Dropping the additive corrections from the defining relations leaves a
-q^h-commutation pattern recorded in a skew-symmetric integer matrix H
-(generator order x_1..x_n, y_1..y_n).  Viewing H as a homomorphism
-Z^(2n) -> (Z/mZ)^(2n), the PI-degree is the square root of the image
-cardinality h, which depends only on H modulo m; the kernel lattice
-indexes the central monomials.  Both are read off G = P D H D^T P^T (D
-differences consecutive generators inside each block, P interleaves x_i
-and y_i, both unimodular), which has at most 5 nonzeros a row in a
-constant band: one forward elimination of G modulo m on unit pivots
-gives h = m^rank, and back-substitution from G's free columns gives the
-kernel as m Z^(2n) plus one vector a free column, each lifted by
-D^T P^T and checked against H itself.  O(n^2) in all, the size of H.
+q^h-commutation pattern recorded in a skew-symmetric integer matrix H,
+H[a][b] = rewriter.q_exponent(a, b) (a b = q^H[a][b] b a, 0 for the
+additive pair x_i, y_i).  Viewing H as a homomorphism Z^(2n) ->
+(Z/mZ)^(2n), the PI-degree is the square root of the image cardinality
+h, which depends only on H modulo m; the kernel lattice indexes the
+central monomials.  H itself is never formed.  With the generators in
+the order x_1, y_1, x_2, y_2, ... (P) and D taking row a minus row a - 2
+(rows 0 and 1 kept), both unimodular, the rows of DH = D P H P^T are
+read straight off q_exponent: rows 0 and 1 are x_1's and y_1's rows of
+H, and row a >= 2 is nonzero only on the four columns of the indices of
+a and a - 2.  That band is exact because q_exponent reads only whether
+the indices are equal, the order of the codes and is_x: generators a
+and a - 2 have the same kind and consecutive indices, so they agree
+against every generator whose index is below both or above both.
+G = DH D^T has at most 5 nonzeros a row in a constant band: one forward
+elimination of G modulo m on unit pivots gives h = m^rank, and
+back-substitution from G's free columns gives the kernel as m Z^(2n)
+plus one vector a free column, each lifted by D^T and checked against
+the rows of DH (so against H, D being unimodular) before P^T puts it
+back in the order x_1..x_n, y_1..y_n.  O(n) steps in all.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import itemgetter, sub
+from operator import sub
 
-from .rewriter import all_gens, q_exponent
-
-
-# ---------------------------------------------------------------------------
-# the defining matrix
-# ---------------------------------------------------------------------------
-
-def build_H(n: int) -> list[list[int]]:
-    """Skew-symmetric exponent matrix of the q-commutation pattern.
-
-    H[a][b] = rewriter.q_exponent(a, b) over the generators in the order
-    x_1..x_n, y_1..y_n: a b = q^H[a][b] b a, with H[x_i][y_i] = 0 since
-    the x_i y_i relation has leading coefficient 1 (its additive
-    correction is dropped here).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gens = all_gens(n)
-    return [[q_exponent(a, b) for b in gens] for a in gens]
-
-
-def _differences(rows: list) -> list:
-    """D in the interleaved order: row a minus row a - 2, rows 0, 1 kept."""
-    return rows[:2] + [tuple(map(sub, a, b)) for a, b in zip(rows[2:], rows)]
+from .rewriter import q_exponent, xgen, ygen
 
 
 # ---------------------------------------------------------------------------
 # elimination modulo m: image and kernel
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(M, m: int) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
-    """(diag, echelon): the Smith form of M over Z/m, diag(1^r, 0^(s-r)),
-    found by one forward elimination of M's rows (a dict each) modulo m,
-    and its echelon, each pivot column mapped to its pivot row scaled to 1
-    there.  Column by column, the pivot is a unit entry, from the row with
-    the fewest entries first; it clears the column from the other rows.
-    Unit pivots are invertible row steps over Z/m, so the image of M has
-    m^r elements.  A column whose remaining entries hold no unit raises
+def smith_normal_form(rows, ncols: int,
+                      m: int) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
+    """(diag, echelon): the Smith form over Z/m, diag(1^r, 0^(s-r)), of
+    the matrix with these sparse rows (a dict column -> value each) and
+    ncols columns, found by one forward elimination modulo m, and its
+    echelon, each pivot column mapped to its pivot row scaled to 1 there.
+    Column by column, the pivot is a unit entry, from the row with the
+    fewest entries first; it clears the column from the other rows.  Unit
+    pivots are invertible row steps over Z/m, so the image has m^r
+    elements.  A column whose remaining entries hold no unit raises
     ArithmeticError: the premise is checked, with no fallback."""
-    A = [{j: v % m for j, v in enumerate(row) if v % m} for row in M]
-    ncols = len(M[0]) if M else 0
+    A = [{j: v % m for j, v in row.items() if v % m} for row in rows]
     where = [set() for _ in range(ncols)]       # the rows left with an entry there
     for i, row in enumerate(A):
         for j in row:
@@ -139,11 +126,14 @@ def pi_degree(n: int, m: int) -> DegreeReport:
         raise ValueError("n must be >= 1")
     if m != 1 and (m < 3 or m % 2 == 0):
         raise ValueError("m must be odd >= 3 (or 1 for the degenerate check)")
-    H = build_H(n)
-    pick = itemgetter(*(t for i in range(n) for t in (i, n + i)))      # P
-    back = itemgetter(*range(0, 2 * n, 2), *range(1, 2 * n, 2))       # P^T
-    G = _differences(list(zip(*_differences([pick(c) for c in pick(list(zip(*H)))]))))
-    diag, echelon = smith_normal_form(G, m)
+    s = 2 * n
+    gens = [g(i) for i in range(1, n + 1) for g in (xgen, ygen)]       # P
+    DH = [{b: q_exponent(g, c) for b, c in enumerate(gens)} for g in gens[:2]]
+    DH += [{b: q_exponent(gens[a], gens[b]) - q_exponent(gens[a - 2], gens[b])
+            for b in range(a - a % 2 - 2, a - a % 2 + 2)} for a in range(2, s)]
+    G = [{b: row.get(b, 0) - row.get(b - 2, 0) for b in range(min(row), min(max(row) + 3, s))}
+         for row in DH]
+    diag, echelon = smith_normal_form(G, s, m)
     rank = sum(diag)
     h = m ** rank
     degree = isqrt(h)
@@ -151,10 +141,9 @@ def pi_degree(n: int, m: int) -> DegreeReport:
         raise ArithmeticError(f"image cardinality {h} is not a perfect square; "
                               "skew-symmetry violated internally")
     kernel = []
-    for v in kernel_basis(echelon, 2 * n, m):       # ker H = D^T P^T ker G
-        vec = [x % m for x in back(list(map(sub, v, v[2:] + [0, 0])))]
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        if any(sum(row[j] * x for j, x in support) % m for row in H):
+    for w in kernel_basis(echelon, s, m):       # ker H = P^T D^T ker G
+        u = list(map(sub, w, w[2:] + [0, 0]))
+        if any(sum(v * u[b] for b, v in row.items()) % m for row in DH):
             raise ArithmeticError("kernel basis vector fails membership check")
-        kernel.append(vec)
+        kernel.append([x % m for x in u[0::2] + u[1::2]])
     return DegreeReport(m, n, h, degree, kernel, rank)

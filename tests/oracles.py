@@ -9,13 +9,15 @@ residual matrix and test it for zero or for a scalar.
 matrix by Gaussian elimination, and ``euclid_inverse`` inverts a field
 element by the extended Euclidean algorithm over Fraction.
 ``basis_indices`` and ``basis_rank`` spell out the row order that
-``build_module`` computes with strides.  ``brute_force_image``
-enumerates the image of the PI-degree matrix, ``oracle_kappa`` forms a
-lowering generator's kappa table one dense product an entry, and
-``oracle_smith_normal_form``, ``oracle_hermite_columns`` and
-``oracle_kernel_basis`` are the integer Smith and Hermite forms on whole
-rows and columns, the reference for the image and the kernel lattice
-that ``pidegree`` reads off one elimination modulo m.  ``oracle_tokenize``,
+``build_module`` computes with strides.  ``build_H`` is the dense
+PI-degree matrix H, whose band of differences ``pidegree`` reads
+straight off ``q_exponent``; ``brute_force_image`` enumerates its image,
+``oracle_kappa`` forms a lowering generator's kappa table one dense
+product an entry, and ``oracle_smith_normal_form``,
+``oracle_hermite_columns`` and ``oracle_kernel_basis`` are the integer
+Smith and Hermite forms on whole rows and columns of H, the reference
+for the image and the kernel lattice that ``pidegree`` reads off one
+elimination modulo m.  ``oracle_tokenize``,
 ``oracle_parse_qlaurent``, ``oracle_substitute``,
 ``oracle_parse_cyclotomic`` and ``oracle_encode`` read and write config
 scalars one regex match a token, by whole QLaurent products and binary
@@ -51,6 +53,7 @@ from qeuclid.rewriter import (
     gen_index,
     gen_name,
     is_x,
+    q_exponent,
     root_domain,
     straighten_word,
     xgen,
@@ -339,6 +342,20 @@ def brute_force_image(H, m: int) -> int:
 # Smith normal form and kernel lattice, whole rows and columns at a time
 # ---------------------------------------------------------------------------
 
+def build_H(n: int) -> list[list[int]]:
+    """Skew-symmetric exponent matrix of the q-commutation pattern.
+
+    H[a][b] = rewriter.q_exponent(a, b) over the generators in the order
+    x_1..x_n, y_1..y_n: a b = q^H[a][b] b a, with H[x_i][y_i] = 0 since
+    the x_i y_i relation has leading coefficient 1 (its additive
+    correction is dropped here).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gens = all_gens(n)
+    return [[q_exponent(a, b) for b in gens] for a in gens]
+
+
 def oracle_smith_normal_form(M):
     """(diag, U, V) with U*M*V diagonal and the divisibility chain
     d_1 | d_2 | ...: classic pivot-and-reduce elimination with unimodular
@@ -473,8 +490,8 @@ def oracle_kernel_basis(H, m: int, snf=None) -> list[tuple[int, ...]]:
     """Basis of {a : H a = 0 mod m}: the columns of V scaled by
     m/gcd(d_i, m), in column Hermite form, each checked against every row
     of H: the lattice that ``pidegree.pi_degree`` reports as m Z^s plus
-    its kernel vectors.  ``snf`` is ``oracle_smith_normal_form(H)`` when
-    already at hand."""
+    its kernel vectors, checked there against the rows of D P H P^T.
+    ``snf`` is ``oracle_smith_normal_form(H)`` when already at hand."""
     diag, _, V = snf or oracle_smith_normal_form(H)
     s = len(H)
     diag = list(diag) + [0] * (s - len(diag))

@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from oracles import DictMatrix, brute_force_image
-from qeuclid.pidegree import build_H, pi_degree
+from oracles import DictMatrix, brute_force_image, build_H
+from qeuclid.pidegree import pi_degree
 from qeuclid.repmod import (
     ModuleParams,
     ParamError,

@@ -9,17 +9,18 @@ import pytest
 
 from oracles import (
     brute_force_image,
+    build_H,
     oracle_kernel_basis,
     oracle_smith_normal_form,
 )
 from qeuclid import pidegree
 from qeuclid.pidegree import (
     DegreeReport,
-    build_H,
     kernel_basis,
     pi_degree,
     smith_normal_form,
 )
+from qeuclid.rewriter import all_gens, gen_index, is_x, q_exponent
 
 
 def _det(matrix):
@@ -104,8 +105,14 @@ class TestBuildH:
             build_H(0)
 
 
+def _sparse(M):
+    """(rows, ncols): a dense matrix as the sparse rows and column count
+    that ``smith_normal_form`` takes."""
+    return [dict(enumerate(row)) for row in M], len(M[0]) if M else 0
+
+
 def _rank(M, m):
-    return sum(smith_normal_form(M, m)[0])
+    return sum(smith_normal_form(*_sparse(M), m)[0])
 
 
 def _in_kernel(M, m, vec):
@@ -128,11 +135,11 @@ class TestSmithNormalForm:
     """The Smith form over Z/m: diag(1^r, 0^(s - r)) and the echelon."""
 
     def test_zero_matrix(self):
-        assert smith_normal_form([[0, 0], [0, 0]], 3) == ((0, 0), {})
-        assert smith_normal_form([[3, 0], [0, -6]], 3) == ((0, 0), {})
+        assert smith_normal_form(*_sparse([[0, 0], [0, 0]]), 3) == ((0, 0), {})
+        assert smith_normal_form(*_sparse([[3, 0], [0, -6]]), 3) == ((0, 0), {})
 
     def test_identity(self):
-        assert smith_normal_form([[1, 0], [0, 1]], 3) == ((1, 1), {0: {0: 1}, 1: {1: 1}})
+        assert smith_normal_form(*_sparse([[1, 0], [0, 1]]), 3) == ((1, 1), {0: {0: 1}, 1: {1: 1}})
 
     def test_H2_divisors_match_minor_gcd_oracle(self):
         H = build_H(2)
@@ -140,7 +147,7 @@ class TestSmithNormalForm:
         assert dd == [1, 1, 0, 0]
         for m in (3, 5, 9, 15):
             # d_k = D_k / D_(k-1): a unit mod m becomes 1, a multiple of m 0
-            diag, _ = smith_normal_form(H, m)
+            diag, _ = smith_normal_form(*_sparse(H), m)
             assert diag == (1, 1, 0, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -150,7 +157,7 @@ class TestSmithNormalForm:
         # and every row of M reduces to 0 by them
         H = build_H(n)
         for m in (3, 5, 9):
-            diag, echelon = smith_normal_form(H, m)
+            diag, echelon = smith_normal_form(*_sparse(H), m)
             assert len(echelon) == sum(diag)
             for c, row in echelon.items():
                 assert row[c] == 1 and all(0 < v < m for v in row.values())
@@ -166,7 +173,7 @@ class TestSmithNormalForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_divisibility_chain_and_rank(self, n):
         for m in (3, 9, 15):
-            diag = smith_normal_form(build_H(n), m)[0]
+            diag = smith_normal_form(*_sparse(build_H(n)), m)[0]
             rank = sum(diag)
             assert diag == (1,) * rank + (0,) * (2 * n - rank)
             # rank 2n - 2: exactly two zero divisors, as over Q
@@ -179,7 +186,7 @@ class TestSmithNormalForm:
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
             for m in (3, 5):
-                diag, echelon = smith_normal_form(M, m)
+                diag, echelon = smith_normal_form(*_sparse(M), m)
                 vectors = kernel_basis(echelon, cols, m)
                 assert len(vectors) == cols - sum(diag)
                 assert all(_in_kernel(M, m, v) for v in vectors)
@@ -189,7 +196,7 @@ class TestSmithNormalForm:
         # the image of diag(3, 1) mod 9 has 27 elements, no power of 9
         assert brute_force_image([[3, 0], [0, 1]], 9) == 27
         with pytest.raises(ArithmeticError, match="no unit pivot"):
-            smith_normal_form([[3, 0], [0, 1]], 9)
+            smith_normal_form(*_sparse([[3, 0], [0, 1]]), 9)
 
 
 def _random_matrix(rng):
@@ -253,20 +260,22 @@ class TestEliminationAgainstOracle:
 
 
 def _recorded_G(monkeypatch, n):
-    """The matrix that ``pi_degree(n, 3)`` hands to the elimination."""
+    """The matrix that ``pi_degree(n, 3)`` hands to the elimination, its
+    sparse rows turned back into lists."""
     seen = []
 
-    def recording(M, m):
-        seen.append(M)
-        return smith_normal_form(M, m)
+    def recording(rows, ncols, m):
+        seen.append((rows, ncols))
+        return smith_normal_form(rows, ncols, m)
 
     monkeypatch.setattr(pidegree, "smith_normal_form", recording)
     pi_degree(n, 3)
-    return [list(row) for row in seen[0]]
+    rows, ncols = seen[0]
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 class TestBandedG:
-    """pi_degree works on G = P D H D^T P^T, read off build_H."""
+    """pi_degree works on G = P D H D^T P^T, read off q_exponent's band."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_G_is_the_congruence_of_H(self, monkeypatch, n):
@@ -289,26 +298,44 @@ class TestBandedG:
                        for j, v in enumerate(row) if v), n
 
     @staticmethod
-    def _other_patterns(n):
-        s = 2 * n
-        sign = [[(j > i) - (j < i) for j in range(s)] for i in range(s)]
-        H = build_H(n)
-        corrected = [[H[i][j] or (j - i == n) - (i - j == n) for j in range(s)]
-                     for i in range(s)]       # x_i y_i = q y_i x_i as well
-        doubled = [[2 * v for v in row] for row in H]
-        return {"quantum affine space": sign, "no additive pair": corrected,
-                "doubled": doubled}
+    def _other_patterns():
+        """Three other exponent patterns on generator codes, each reading
+        only the kinds and the order of the indices, as q_exponent does."""
+        def affine(a, b):         # q-commuting in the order x_1..x_n, y_1..y_n
+            ka, kb = (not is_x(a), gen_index(a)), (not is_x(b), gen_index(b))
+            return (kb > ka) - (kb < ka)
+
+        def corrected(a, b):      # x_i y_i = q y_i x_i as well
+            return q_exponent(a, b) or (gen_index(a) == gen_index(b)) * (is_x(a) - is_x(b))
+
+        return {"quantum affine space": affine, "no additive pair": corrected,
+                "doubled": lambda a, b: 2 * q_exponent(a, b)}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_G_is_read_off_build_H(self, monkeypatch, n):
-        for name, H in self._other_patterns(n).items():
-            monkeypatch.setattr(pidegree, "build_H", lambda k, H=H: H)
+    def test_G_is_read_off_q_exponent(self, monkeypatch, n):
+        gens = all_gens(n)
+        for name, pattern in self._other_patterns().items():
+            monkeypatch.setattr(pidegree, "q_exponent", pattern)
+            H = [[pattern(a, b) for b in gens] for a in gens]
             oracle = oracle_smith_normal_form(H)
             for m in (1, 3, 9, 15):
                 rep = pi_degree(n, m)
                 assert rep.h == prod(m // gcd(d, m) for d in oracle[0]), name
                 assert _same_lattice(H, m, rep.kernel,
                                      oracle_kernel_basis(H, m, oracle)), name
+
+    def test_q_exponent_work_is_linear(self, monkeypatch):
+        # rows 0 and 1 in full, then 8 exponents a band row: 20 n - 16
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return q_exponent(a, b)
+
+        monkeypatch.setattr(pidegree, "q_exponent", counting)
+        n = 200
+        assert pi_degree(n, 3).matches_expected
+        assert len(calls) <= 24 * n
 
 
 class TestImageCardinality:
@@ -343,7 +370,7 @@ class TestImageCardinality:
 
 class TestKernelBasis:
     def test_n1_full_lattice(self):
-        _, echelon = smith_normal_form(build_H(1), 3)
+        _, echelon = smith_normal_form(*_sparse(build_H(1)), 3)
         assert kernel_basis(echelon, 2, 3) == [[1, 0], [0, 1]]
         assert pi_degree(1, 3).kernel == [[1, 0], [0, 1]]
         assert pi_degree(1, 1).kernel == []
@@ -382,14 +409,19 @@ class TestKernelBasis:
             assert count == m ** len(rep.kernel)
 
     def test_tampered_vector_fails_membership(self, monkeypatch):
-        def shifted(echelon, size, m):
-            vectors = kernel_basis(echelon, size, m)
-            vectors[0][0] += 1
-            return vectors
+        # a unit step at any coordinate of any vector leaves the kernel:
+        # every column of G is +-1 somewhere, the two dense rows included
+        for n, m in product((2, 3, 6, 40), (3, 5, 9)):
+            for t, k in product(range(len(pi_degree(n, m).kernel)), range(2 * n)):
+                def shifted(echelon, size, m, t=t, k=k):
+                    vectors = kernel_basis(echelon, size, m)
+                    vectors[t][k] += 1
+                    return vectors
 
-        monkeypatch.setattr(pidegree, "kernel_basis", shifted)
-        with pytest.raises(ArithmeticError, match="membership"):
-            pi_degree(6, 5)
+                monkeypatch.setattr(pidegree, "kernel_basis", shifted)
+                with pytest.raises(ArithmeticError, match="membership"):
+                    pi_degree(n, m)
+                monkeypatch.undo()
 
 
 class TestPiDegree:
