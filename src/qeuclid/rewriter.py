@@ -142,9 +142,6 @@ class GenericQDomain:
     def q_pow(self, e: int) -> QLaurent:
         return QLaurent.q_pow(e)
 
-    def scalar(self, value) -> QLaurent:
-        return QLaurent.const(value)
-
 
 class RootOfUnityDomain:
     """Coefficients in Q(zeta_m) with q = zeta_m^k."""
@@ -161,9 +158,6 @@ class RootOfUnityDomain:
 
     def q_pow(self, e: int):
         return self.field.zeta_pow(self.k * e)
-
-    def scalar(self, value):
-        return self.field.scalar(value)
 
 
 GENERIC_Q = GenericQDomain()

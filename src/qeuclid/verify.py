@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import cached_property
 from itertools import chain
 
 from .linalg import CycMatrix
@@ -62,19 +61,23 @@ class OmegaCheck:
 class OmegaRows:
     """What one walk over omega_i = sum_(l<=i) (1-q^-2) y_l x_l yields.
 
-    ``xy[i]`` is the monomial product x_i y_i where the walk composed it;
     ``additive[i]`` says whether x_i y_i = y_i x_i + omega_(i-1) holds;
     ``checks`` holds the OmegaCheck of omega_1, ..., omega_n; ``path``
     is "rules" or "dense", the walk that decided them, and with them
-    every other check of the module.  On the rules path ``spectrum[r]``
-    (r >= 2) holds the m codes E(u) of the eigenvalues of x_r y_r: E(a_r)
-    times a power of q that reads a_(r+1), ..., a_n only.
+    every other check of the module.  ``diagonals[r]`` (r >= 2) holds
+    the eigenvalue codes of x_r y_r: on the rules path the m codes E(u),
+    E(a_r) times a power of q that reads a_(r+1), ..., a_n only; on the
+    dense path the codes on the diagonal of the product, None for a zero
+    row, or None where the product is not diagonal.  ``keys[i]`` is row
+    i's tuple of codes over the diagonal products, on the dense path
+    only; equal codes are equal eigenvalues, so no value is materialized
+    for them.
     """
-    __slots__ = ("xy", "additive", "checks", "path", "spectrum")
+    __slots__ = ("additive", "checks", "path", "diagonals", "keys")
 
-    def __init__(self, xy, additive, checks, path, spectrum=None):
-        self.xy, self.additive, self.checks = xy, additive, checks
-        self.path, self.spectrum = path, spectrum
+    def __init__(self, additive, checks, path, diagonals, keys=None):
+        self.additive, self.checks, self.path = additive, checks, path
+        self.diagonals, self.keys = diagonals, keys
 
 
 def _shift(table, code, j):
@@ -118,7 +121,7 @@ def _rule_omegas(gm: GeneratorMatrices):
                for rule, kc in rules.values()):
         return None
     correction = table.intern(params.domain.correction)
-    checks, omega, spectrum = [], None, {}      # omega: (p', W', codes O)
+    checks, omega, diagonals = [], None, {}      # omega: (p', W', codes O)
     for i in range(1, n + 1):
         (rx, kx), (ry, ky) = rules[xgen(i)], rules[ygen(i)]
         p, sx, sy = rx.pos, rx.step, ry.step
@@ -130,9 +133,9 @@ def _rule_omegas(gm: GeneratorMatrices):
              for u in range(m)]
         weight = [a + b for a, b in zip(rx.weight, ry.weight)]
         if i > 1:
-            spectrum[i] = [_shift(table, c, k * weight[p] * u) for u, c in enumerate(f)]
+            diagonals[i] = [_shift(table, c, k * weight[p] * u) for u, c in enumerate(f)]
             if (p != i - 2 or any(w % m for w in weight[:p])
-                    or len(set(spectrum[i])) < m):
+                    or len(set(diagonals[i])) < m):
                 return None
         last, before, codes = omega or (p, weight, [None] * m)
         delta = [(a - b) * k % m for a, b in zip(before, weight)]
@@ -152,8 +155,8 @@ def _rule_omegas(gm: GeneratorMatrices):
         seed = params.domain.field.zero() if codes[0] is None else table.value(codes[0])
         checks.append(OmegaCheck(i, True, seed, seed == params.lam_i(i),
                                  None not in codes))
-    return OmegaRows({}, dict.fromkeys(range(1, n + 1), True), checks, "rules",
-                     spectrum)
+    return OmegaRows(dict.fromkeys(range(1, n + 1), True), checks, "rules",
+                     diagonals)
 
 
 def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
@@ -170,6 +173,8 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     must act diagonally with entry lambda_i on the seed row and no zero
     on the diagonal (torsionfreeness).  On the paper's modules its rows
     repeat at most m eigenvalues, so each distinct sum is added once.
+    The diagonal of each x_i y_i (i >= 2) is read as it is composed, and
+    the product is then dropped.
     """
     if gm.provenance is not None:
         rule_walk = _rule_omegas(gm)
@@ -179,13 +184,15 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
     correction = table.intern(params.domain.correction)
     mul = table.mul
     rows = [{} for _ in range(gm.dim)]
-    xy, additive, checks = {}, {}, []
+    additive, checks, diagonals = {}, [], {}
     for i in range(1, params.n + 1):
         y, x = mats[gen_name(ygen(i))], mats[gen_name(xgen(i))]
-        xy[i], yx = x @ y, y @ x
+        xy, yx = x @ y, y @ x
+        if i > 1:
+            diagonals[i] = _diagonal(xy)
         holds = diagonal = nonzero = True
         for r, (row, c, code, d, xcode) in enumerate(zip(
-                rows, yx.cols, yx.codes, xy[i].cols, xy[i].codes)):
+                rows, yx.cols, yx.codes, xy.cols, xy.codes)):
             if holds:
                 total = row
                 if c is not None:
@@ -202,16 +209,9 @@ def omega_rows(gm: GeneratorMatrices) -> OmegaRows:
         seed = params.domain.field.zero() if seed is None else table.value(seed)
         checks.append(OmegaCheck(i, diagonal, seed, seed == params.lam_i(i),
                                  diagonal and nonzero))
-    return OmegaRows(xy, additive, checks, "dense")
-
-
-def _rule_walk(gm: GeneratorMatrices, omegas: OmegaRows | None):
-    """The walk on gm's rules that decides a check, or None for the dense
-    path: ``omegas`` when it ran on the rules, else with no walk given
-    the rule walk of a built module."""
-    if omegas is None:
-        return None if gm.provenance is None else _rule_omegas(gm)
-    return omegas if omegas.path == "rules" else None
+    columns = [diag for diag in diagonals.values() if diag is not None]
+    keys = list(zip(*columns)) if columns else [()] * gm.dim
+    return OmegaRows(additive, checks, "dense", diagonals, keys)
 
 
 def check_relations(gm: GeneratorMatrices, omegas: OmegaRows | None = None):
@@ -428,10 +428,13 @@ def check_central_scalars(gm: GeneratorMatrices,
                           omegas: OmegaRows | None = None) -> list[CentralCheck]:
     """The m-th power of every generator against its expected central
     value, on the rules of a built module (``_rule_central_power``) or
-    read off each map (``central_power``)."""
+    read off each map (``central_power``), as the omega walk's path
+    decides."""
+    if omegas is None:
+        omegas = omega_rows(gm)
     params = gm.params
     expected = expected_central_values(gm)
-    rules = _rule_walk(gm, omegas) is not None
+    rules = omegas.path == "rules"
     out = []
     for code in all_gens(params.n):
         name = gen_name(code)
@@ -442,49 +445,6 @@ def check_central_scalars(gm: GeneratorMatrices,
         out.append(CentralCheck(name, value is not None, value, expected[name],
                                 value is not None and value == expected[name]))
     return out
-
-
-class JointSpectrum:
-    """Diagonals of the products x_r y_r (r = 2..n) over every row.
-
-    ``diagonals[r]`` lists the codes of the eigenvalues of x_r y_r in
-    the module's table, None for a zero row, or is None where the
-    product is not diagonal.  ``keys[i]`` is row i's tuple of those
-    codes over the diagonal products only; equal codes are equal
-    eigenvalues, so no value is materialized for them.  On the rules
-    path both are None and ``rules[r]`` holds the m codes E(u) of
-    ``OmegaRows.spectrum``.
-    """
-
-    def __init__(self, diagonals, keys, rules=None):
-        self.diagonals, self.keys, self.rules = diagonals, keys, rules
-
-    @cached_property
-    def simple(self) -> bool:
-        """Whether the keys are pairwise distinct: a simple joint
-        spectrum, on which only a diagonal X commutes with every x_r y_r.
-        The rules path takes it as a premise."""
-        return self.rules is not None or len(set(self.keys)) == len(self.keys)
-
-
-def joint_spectrum(gm: GeneratorMatrices,
-                   omegas: OmegaRows | None = None) -> JointSpectrum:
-    """The x_r y_r eigenvalues for the separation check and the
-    commutant: on the rules of a built module their m codes per r, else
-    the diagonals read off the products in ``omegas`` where its walk
-    composed them, else composed here."""
-    walk = _rule_walk(gm, omegas)
-    if walk is not None:
-        return JointSpectrum(None, None, walk.spectrum)
-    diagonals = {}
-    for r in range(2, gm.params.n + 1):
-        xy = omegas.xy.get(r) if omegas is not None else None
-        if xy is None:
-            xy = gm.mat(xgen(r)) @ gm.mat(ygen(r))
-        diagonals[r] = _diagonal(xy)
-    columns = [diag for diag in diagonals.values() if diag is not None]
-    keys = list(zip(*columns)) if columns else [()] * gm.dim
-    return JointSpectrum(diagonals, keys)
 
 
 def _diagonal(mat: CycMatrix):
@@ -502,7 +462,7 @@ def _diagonal(mat: CycMatrix):
 
 
 def commutant_dimension(gm: GeneratorMatrices,
-                        spectrum: JointSpectrum | None = None) -> int:
+                        omegas: OmegaRows | None = None) -> int:
     """Dimension over Q(zeta_m) of {X : X M_g = M_g X for all generators}.
 
     X commutes with every diagonal x_r y_r, so X_ij = 0 unless rows i and
@@ -518,8 +478,11 @@ def commutant_dimension(gm: GeneratorMatrices,
     dimension is the number of connected components of the rows under
     the edges r - s(r) (``_components``) plus the free components of the
     off-diagonal unknowns in ``_GainForest``.  On a simple joint spectrum
-    (every module of the paper has one) there are no off-diagonal
-    unknowns, and no coefficient is read.
+    (pairwise distinct ``omegas.keys``; every module of the paper has
+    one) there are no off-diagonal unknowns, and no coefficient is read.
+    On the rules path the spectrum is simple by the premises of the rule
+    walk, and the components are counted on the rules
+    (``_rule_components``).
 
     GuardError (the commutant is undecided): the equal-key pairs exceed
     4 * max_dim, the unknowns of a direct sum of two modules at the row
@@ -527,14 +490,14 @@ def commutant_dimension(gm: GeneratorMatrices,
     (only scalars commute), which is absolute irreducibility by the Schur
     criterion.
     """
-    if spectrum is None:
-        spectrum = joint_spectrum(gm)
-    if spectrum.rules is not None:
+    if omegas is None:
+        omegas = omega_rows(gm)
+    if omegas.path == "rules":
         return _rule_components(gm)
     dim = _components(gm)
-    if spectrum.simple:
+    keys, classes = omegas.keys, {}
+    if len(set(keys)) == len(keys):
         return dim
-    keys, classes = spectrum.keys, {}
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
     pairs = sum(len(rows) ** 2 for rows in classes.values())
@@ -702,7 +665,7 @@ class SeparationCheck:
 
 
 def check_eigen_separation(gm: GeneratorMatrices,
-                           spectrum: JointSpectrum | None = None
+                           omegas: OmegaRows | None = None
                            ) -> list[SeparationCheck]:
     """For r = 2..n the operator x_r y_r is diagonal; basis rows that
     agree at every position above r but differ at r must have distinct
@@ -712,7 +675,8 @@ def check_eigen_separation(gm: GeneratorMatrices,
     Judged on every row of gm, without basis labels: the eigenvalues of
     x_s y_s for s = r..n must split the rows into classes of exactly
     m^(r-2) rows, the number of basis vectors sharing (a_r, ..., a_n).
-    At r = 2 this says the joint spectrum is simple.
+    At r = 2 this says the joint spectrum is simple.  The eigenvalues
+    are the diagonals that the omega walk read (``omegas.diagonals``).
 
     On the rules path it holds by the premises of the rule walk: the
     eigenvalue of x_s y_s is E_s(a_s) times a power of q that reads
@@ -722,11 +686,11 @@ def check_eigen_separation(gm: GeneratorMatrices,
     induction).
     """
     params = gm.params
-    if spectrum is None:
-        spectrum = joint_spectrum(gm)
-    if spectrum.rules is not None:
+    if omegas is None:
+        omegas = omega_rows(gm)
+    if omegas.path == "rules":
         return [SeparationCheck(r, True, True) for r in range(2, params.n + 1)]
-    diagonals = spectrum.diagonals
+    diagonals = omegas.diagonals
     out = []
     for r in range(2, params.n + 1):
         diagonal = diagonals[r] is not None
@@ -844,13 +808,13 @@ def run_verification(gm: GeneratorMatrices,
                      commutant_cap=None) -> VerificationReport:
     """All checks on one module instance.
 
-    One walk over the omega sums decides the additive relations and the
-    omega checks; on the dense path it keeps the x_i y_i products for
-    the joint spectrum.  The path it took ("rules" for a module that
-    ``build_module`` made and whose rule premises hold, else "dense")
-    decides every other check too and is reported as ``path``; the
-    rules path forms no matrix.  The x_r y_r eigenvalues are shared by
-    the separation check and the commutant.
+    One walk over the omega sums (``omega_rows``) decides the additive
+    relations and the omega checks, and carries the x_r y_r eigenvalues
+    that the separation check and the commutant share.  The path it took
+    ("rules" for a module that ``build_module`` made and whose rule
+    premises hold, else "dense") decides every other check too and is
+    reported as ``path``; the rules path forms no matrix, the dense path
+    composes the 2n products x_i y_i and y_i x_i once.
     An instance whose commutant is undecided runs every other check; the
     commutant section is then reported as skipped rather than failed.
 
@@ -858,8 +822,8 @@ def run_verification(gm: GeneratorMatrices,
     ``gm.mats`` caps the rows, ``repmod.check_work`` the work, up front.
 
     The report's ``seconds`` holds the wall time of each stage; the walk
-    over the omega sums, additive relations included, counts as omega,
-    the joint spectrum as separation.
+    over the omega sums, additive relations and the x_r y_r diagonals
+    included, counts as omega.
     """
     seconds = {}
 
@@ -875,12 +839,11 @@ def run_verification(gm: GeneratorMatrices,
     relation_failures = timed("relations", check_relations, gm, omegas)
     omega = timed("omega", check_omega_action, gm, omegas)
     central = timed("central", check_central_scalars, gm, omegas)
-    spectrum = timed("separation", joint_spectrum, gm, omegas)
-    separation = timed("separation", check_eigen_separation, gm, spectrum)
+    separation = timed("separation", check_eigen_separation, gm, omegas)
     bound = timed("bound", check_dimension_bound, gm.params)
     commutant, skipped = None, ""
     try:
-        commutant = timed("commutant", commutant_dimension, gm, spectrum)
+        commutant = timed("commutant", commutant_dimension, gm, omegas)
     except GuardError as exc:
         skipped = str(exc)
     return VerificationReport(gm.params.case, gm.dim, relation_failures,

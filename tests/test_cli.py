@@ -629,6 +629,84 @@ class TestPiDegreeFuzz:
         assert time.perf_counter() - t0 < 20.0
 
 
+class TestVerifyConfigFuzz:
+    """``verify --config FILE`` on untrusted config files ends with exit 0,
+    2, 3 or 4 within a wall-time bound.  A small well-formed config takes
+    up to two faults: a key missing, extra or of the wrong type; m or n
+    across the guards; k not prime to m; a literal past the parser's
+    depth, power or work bound, a coordinate array of the wrong length or
+    with a zero denominator; an array one entry short or long; a bad
+    max_dim."""
+
+    JUNK = st.one_of(st.floats(), st.booleans(), st.none(),
+                     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+                     st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2))
+    GOOD = st.sampled_from(["1", "2", "q", "-q^2", "1/2", "2+q", "q^-2*(1+q)"])
+    BAD = {
+        "m": st.one_of(st.sampled_from([1, 0, -3, 105, 1155, 255255]),
+                       st.integers(1, 10 ** 6).map(lambda k: 2 * k),
+                       st.integers(1, 40).map(lambda k: 10 ** k + 1)),
+        "n": st.one_of(st.integers(-1, 6), st.sampled_from([50, 10 ** 6, 10 ** 40])),
+        "literal": st.one_of(
+            st.sampled_from(["(" * 201 + "1" + ")" * 201, "-" * 201 + "1",
+                             "(1+q)^257", "2^257", "2^99999999999",
+                             "*".join(["(1+q)^128"] * 3), "+".join(["(1+q)^128"] * 5),
+                             "9" * 4400, "", "q^", "1/0", "0"]),
+            st.lists(st.sampled_from([0, 1, -1, "1/2", "-3/5", "1/0", "x"]),
+                     min_size=1, max_size=20),
+            JUNK),
+        "max_dim": st.one_of(st.sampled_from([0, -1, 1, 9, 10 ** 40, 1.5, "9"]), JUNK),
+    }
+    KEYS = ("m", "k", "n", "alpha1", "alpha", "beta", "lambda")
+    FAULTS = ("literal", "length", "k", "n", "max_dim", "drop", "junk", "extra", "m")
+
+    @st.composite
+    def configs(draw, good=GOOD, bad=BAD, junk=JUNK, keys=KEYS, faults=FAULTS):
+        m, n = draw(st.sampled_from([3, 5, 7, 9, 15])), draw(st.integers(2, 4))
+        cfg = {"m": m, "k": draw(st.sampled_from([1, 2, -1])), "n": n,
+               "alpha1": draw(good),
+               "alpha": draw(st.lists(good, min_size=n - 1, max_size=n - 1)),
+               "beta": ["0"] * (n - 1),
+               "lambda": draw(st.lists(good, min_size=n, max_size=n))}
+        for fault in draw(st.lists(st.sampled_from(faults), min_size=1, max_size=2)):
+            arrays = [key for key in ("alpha", "beta", "lambda")
+                      if isinstance(cfg.get(key), list)]
+            if fault in ("m", "n", "max_dim"):
+                cfg[fault] = draw(bad[fault])
+            elif fault == "k":                  # a multiple of a prime of m
+                cfg["k"] = {5: 5, 7: 7}.get(m, 3) * draw(st.integers(-3, 3))
+            elif fault == "length" and arrays:
+                key = draw(st.sampled_from(arrays))
+                cfg[key] = cfg[key][1:] if draw(st.booleans()) else cfg[key] + ["1"]
+            elif fault == "literal":
+                key, value = draw(st.sampled_from(["alpha1"] + arrays)), draw(bad["literal"])
+                if key == "alpha1":
+                    cfg[key] = value
+                else:                           # replace an entry, or append one
+                    place = draw(st.integers(0, len(cfg[key])))
+                    cfg[key][place:place + 1] = [value]
+            elif fault in ("drop", "junk"):
+                key = draw(st.sampled_from(keys))
+                if fault == "drop":
+                    cfg.pop(key, None)
+                else:
+                    cfg[key] = draw(junk)
+            elif fault == "extra":
+                cfg[draw(st.text(max_size=4))] = draw(junk)
+        return cfg
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(configs())
+    def test_exit_code_within_a_time_bound(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        t0 = time.perf_counter()
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["verify", "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_GUARD)
+        assert time.perf_counter() - t0 < 20.0
+
+
 class TestIdentitiesFuzz:
     """``identities --n N --m M --k K`` on untrusted argv ends with exit 0, 2,
     3 or 4 within a wall-time bound: N across the work guard's boundary

@@ -337,7 +337,7 @@ class TestAlphaInverses:
         monkeypatch.setattr(Cyclotomic, "inv", recording)
         params = make_params(m=m, k=k, alpha1=2, alpha=[3])
         # only alpha1 and alpha_2 go through the norm inverse
-        assert inverted == [dom.scalar(2), dom.scalar(3)]
+        assert inverted == [dom.field.scalar(2), dom.field.scalar(3)]
         assert params.inv_correction * dom.correction == dom.one
         assert params._inv_q2_minus_1 * (dom.q_pow(2) - dom.one) == dom.one
 

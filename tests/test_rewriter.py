@@ -598,7 +598,7 @@ class TestElementSyntax:
         p = parse_element("2/3*q^-1*y2", 2)
         ((w, c),) = p.terms.items()
         assert w == (ygen(2),)
-        assert c == D.q_pow(-1) * D.scalar(Fraction(2, 3))
+        assert c == D.q_pow(-1) * scalars.QLaurent.const(Fraction(2, 3))
 
     def test_root_domain_parsing(self):
         dom = root_domain(3, 1)

@@ -47,7 +47,6 @@ from qeuclid.verify import (
     check_relations,
     commutant_dimension,
     direct_sum,
-    joint_spectrum,
     omega_rows,
     run_verification,
     tampered_copy,
@@ -456,8 +455,8 @@ class TestCommutant:
         # on a simple spectrum every gain is c_r / c_r, read off equal codes
         _, gm = build("I", 6, 3, seed=3)                  # dim 243
         gm = without_provenance(gm)
-        spectrum = joint_spectrum(gm)
-        assert gm.dim == 243 and len(set(spectrum.keys)) == gm.dim
+        omegas = omega_rows(gm)
+        assert gm.dim == 243 and len(set(omegas.keys)) == gm.dim
         values = []
         original = ScalarTable.value
 
@@ -466,7 +465,7 @@ class TestCommutant:
             return original(table, code)
 
         monkeypatch.setattr(ScalarTable, "value", counting)
-        assert commutant_dimension(gm, spectrum) == 1
+        assert commutant_dimension(gm, omegas) == 1
         assert values == []
 
 
@@ -639,6 +638,12 @@ def component_stubs(draw):
     return GeneratorMatrices(params, mats), len(blocks)
 
 
+def simple_spectrum(omegas) -> bool:
+    """Pairwise distinct eigenvalue keys, which the rules path takes as a
+    premise of its walk."""
+    return omegas.path == "rules" or len(set(omegas.keys)) == len(omegas.keys)
+
+
 class _NoForest:
     def __init__(self, *args):
         raise AssertionError("the gain forest ran on a simple spectrum")
@@ -657,8 +662,10 @@ class TestCommutantComponents:
                           for name in sorted(gm.mats)
                           for r, c, _ in list(gm.mats[name].entries())[:2]]
         for module in modules:
-            assert joint_spectrum(module).simple
-            assert commutant_dimension(module) == full_commutant_dimension(module)
+            omegas = omega_rows(module)
+            assert simple_spectrum(omegas)
+            assert (commutant_dimension(module, omegas)
+                    == full_commutant_dimension(module))
         assert commutant_dimension(gm) == 1
 
     @pytest.mark.parametrize("case", CASES)
@@ -674,18 +681,21 @@ class TestCommutantComponents:
                 super().__init__(*args)
 
         monkeypatch.setattr(verify, "_GainForest", Recording)
-        assert not joint_spectrum(doubled).simple
-        assert commutant_dimension(doubled) == full_commutant_dimension(doubled) == 4
+        omegas = omega_rows(doubled)
+        assert not simple_spectrum(omegas)
+        assert (commutant_dimension(doubled, omegas)
+                == full_commutant_dimension(doubled) == 4)
         assert built == [1]
 
     @settings(max_examples=150, deadline=None)
     @given(component_stubs())
     def test_counts_components(self, drawn):
         stub, blocks = drawn
-        assert joint_spectrum(stub).simple
+        omegas = omega_rows(stub)
+        assert simple_spectrum(omegas)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_GainForest", _NoForest)
-            assert commutant_dimension(stub) == blocks
+            assert commutant_dimension(stub, omegas) == blocks
         assert full_commutant_dimension(stub) == blocks
 
     def test_forest_sees_only_off_diagonal_unknowns(self, monkeypatch):
@@ -740,10 +750,10 @@ class TestCommutantComponents:
         params = random_module_params("I", 8, 3, 1, seed=74)
         params.max_dim = 3 ** 7
         gm = build_module(params)
-        spectrum = joint_spectrum(gm)
+        omegas = omega_rows(gm)
         monkeypatch.setattr(verify, "_GainForest", _NoForest)
-        assert gm.dim == 2187 and spectrum.simple
-        assert commutant_dimension(gm, spectrum) == 1
+        assert gm.dim == 2187 and omegas.path == "rules"
+        assert commutant_dimension(gm, omegas) == 1
 
 
 def edited_copy(gm, name, row, col=None):
@@ -767,20 +777,24 @@ def assert_checks_agree(gm):
     for central in (check_central_scalars(gm), report.central):
         assert [(c.generator, c.value, c.expected)
                 for c in central] == oracle_central(gm)
+    assert ([(c.position, c.diagonal, c.separated) for c in check_eigen_separation(gm)]
+            == [(c.position, c.diagonal, c.separated) for c in report.separation])
+    try:
+        assert commutant_dimension(gm) == report.commutant_dim
+    except GuardError as exc:
+        assert report.commutant_dim is None and str(exc) == report.commutant_skipped
     zero, m = gm.params.domain.zero, gm.params.m
-    for spectrum in (joint_spectrum(gm), joint_spectrum(gm, omega_rows(gm))):
-        for r in range(2, gm.params.n + 1):
-            op = DictMatrix.of(gm.mat(xgen(r))) @ DictMatrix.of(gm.mat(ygen(r)))
-            if spectrum.rules is not None:
-                # E(u) is the eigenvalue at e(u at position r - 2)
-                assert report.path == "rules" and op.is_diagonal()
-                diag = [zero if c is None else gm.table.value(c)
-                        for c in spectrum.rules[r]]
-                assert diag == op.diagonal()[::m ** (r - 2)][:m]
-                continue
-            diag = spectrum.diagonals[r]
-            if diag is not None:
-                diag = [zero if c is None else gm.table.value(c) for c in diag]
+    omegas = omega_rows(gm)
+    assert omegas.path == report.path
+    for r in range(2, gm.params.n + 1):
+        op = DictMatrix.of(gm.mat(xgen(r))) @ DictMatrix.of(gm.mat(ygen(r)))
+        diag = omegas.diagonals[r]
+        if diag is not None:
+            diag = [zero if c is None else gm.table.value(c) for c in diag]
+        if omegas.path == "rules":
+            # E(u) is the eigenvalue at e(u at position r - 2)
+            assert op.is_diagonal() and diag == op.diagonal()[::m ** (r - 2)][:m]
+        else:
             assert diag == (op.diagonal() if op.is_diagonal() else None)
     return report
 
@@ -878,8 +892,8 @@ def rule_commutations(gm) -> list[str]:
     """The q-commutation failures decided on the rules, whatever the
     omega walk would decide."""
     n = gm.params.n
-    return check_relations(gm, OmegaRows({}, dict.fromkeys(range(1, n + 1), True),
-                                         [], "rules"))
+    return check_relations(gm, OmegaRows(dict.fromkeys(range(1, n + 1), True),
+                                         [], "rules", {}))
 
 
 def oracle_report(gm, report):
@@ -1251,6 +1265,43 @@ class TestFullReport:
         assert not report.ok
         assert (not report.sections["relations"]
                 or not report.sections["central_scalars"])
+
+
+class TestOneWalk:
+    """run_verification walks the omegas once: on a module with no rules
+    it composes the 2n products x_i y_i and y_i x_i and no other, and on
+    a built module it runs the rule walk once and forms no matrix."""
+
+    @staticmethod
+    def count_products(monkeypatch) -> list:
+        calls, matmul = [], CycMatrix.__matmul__
+        monkeypatch.setattr(CycMatrix, "__matmul__",
+                            lambda a, b: calls.append(1) or matmul(a, b))
+        return calls
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_row_walk_composes_2n_products(self, case, n, m, monkeypatch):
+        _, gm = build(case, n, m, seed=81)
+        controls = [direct_sum(gm), tampered_copy(gm, "x1", 0, 0)]
+        calls = self.count_products(monkeypatch)
+        for control in controls:
+            calls.clear()
+            assert run_verification(control).path == "dense"
+            assert len(calls) == 2 * n
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_built_module_forms_no_matrix(self, case, n, m, monkeypatch):
+        _, gm = build(case, n, m, seed=82)
+        calls, walks = self.count_products(monkeypatch), []
+        rule_omegas = verify._rule_omegas
+        monkeypatch.setattr(verify, "_rule_omegas",
+                            lambda module: walks.append(1) or rule_omegas(module))
+        report = run_verification(gm)
+        assert report.path == "rules" and report.ok
+        assert calls == [] and walks == [1]
+        assert "mats" not in gm.__dict__
 
 
 class TestMutationSensitivity:
